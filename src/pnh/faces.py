@@ -32,7 +32,7 @@ from .flats import BuildingSet, Flat
 from .halfspaces import HalfSpace, _simple_mask, orthogonal_flats
 from .linalg import mat_mul, mat_vec, primitive_vector
 from .nested import NestedSet, enumerate_nested_sets
-from .polytope import VRep
+from .polytope import Incidence, VRep, mask_ids
 from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_subgroup, subgroup_product
 
 
@@ -197,41 +197,27 @@ def face_vertices_geometric(
     face: FacePair,
     vrep: VRep,
     by_mask: dict[int, HalfSpace],
+    incidence: Incidence | None = None,
 ) -> frozenset[int]:
     """Vertex ids lying on every supporting hyperplane of the face."""
-    rs = ctx.building.rs
-    planes = [
-        (mat_vec(rs.gram, normal), offset)
-        for normal, offset in support_halfspaces(ctx, face, by_mask)
-    ]
-    out = []
-    for i, v in enumerate(vrep.vertices):
-        if all(
-            sum(a * b for a, b in zip(gn, v.point)) == offset
-            for gn, offset in planes
-        ):
-            out.append(i)
-    return frozenset(out)
+    if incidence is None:
+        incidence = Incidence(ctx.building.rs, vrep)
+    mask = incidence.full
+    for normal, offset in support_halfspaces(ctx, face, by_mask):
+        mask &= incidence.tight(normal, offset)
+    return frozenset(mask_ids(mask))
 
 
 def is_simple(
-    ctx: FaceContext, facet_sets: list[frozenset[int]], vertex_count: int
+    ctx: FaceContext, halfspaces: list[HalfSpace], incidence: Incidence
 ) -> bool:
     """True when every vertex is on exactly n defining inequalities."""
     n = ctx.building.rs.rank
-    per_vertex = [0] * vertex_count
-    for tight in facet_sets:
-        for i in tight:
+    per_vertex = [0] * incidence.count
+    for mask in incidence.facet_masks(halfspaces):
+        for i in mask_ids(mask):
             per_vertex[i] += 1
     return all(c == n for c in per_vertex)
-
-
-@dataclass(frozen=True)
-class FacetFactors:
-    """Combinatorial factorisation data of a crossing facet."""
-
-    facet: FacePair
-    quotient_parts: tuple[Flat, ...]
 
 
 def crossing_facet_parts(ctx: FaceContext, face: FacePair) -> tuple[Flat, ...]:

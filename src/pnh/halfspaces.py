@@ -274,16 +274,22 @@ class HalfSpace:
     def _key(self):
         # computed once per instance: the symmetry action looks up every
         # inequality's key on each call
-        prim = primitive_vector(self.normal)
-        scale = None
-        for p, x in zip(prim, self.normal):
-            if x != 0:
-                scale = Fraction(p) / x
-                break
-        return prim, self.offset * scale
+        return primitive_key(self.normal, self.offset)
 
     def evaluate(self, rs, point: Vec) -> Fraction:
         return rs.inner(self.normal, point)
+
+
+def primitive_key(normal: Vec, offset) -> tuple:
+    """Exact key of the half-space (x, normal) <= offset: the primitive
+    integer normal and the offset rescaled to match."""
+    prim = primitive_vector(normal)
+    scale = None
+    for p, x in zip(prim, normal):
+        if x != 0:
+            scale = Fraction(p) / x
+            break
+    return prim, offset * scale
 
 
 def fundamental_halfspaces(

@@ -25,28 +25,12 @@ def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(row) for row in rows)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def vadd(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
 def vsub(x: Vec, y: Vec) -> Vec:
     return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def vscale(c, x: Vec) -> Vec:
-    return tuple(c * a for a in x)
 
 
 def vdot(x: Vec, y: Vec):
@@ -60,14 +44,6 @@ def mat_vec(m: Mat, x: Vec) -> Vec:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = tuple(zip(*b))
     return tuple(tuple(vdot(row, col) for col in cols) for row in a)
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
-def is_zero(x: Vec) -> bool:
-    return all(a == 0 for a in x)
 
 
 def integer_row(row: Sequence) -> tuple[int, ...]:

@@ -44,7 +44,9 @@ from .halfspaces import (
 )
 from .nested import NestedSet, quotient_building_set
 from .polytope import (
+    FULL_CHECK_LIMIT,
     CheckReport,
+    Incidence,
     VRep,
     all_vertices,
     euler_check,
@@ -120,12 +122,16 @@ class Permutonestohedron:
         return all_vertices(self.building, self.suitable, self.weyl, self._flat_data)
 
     @cached_property
+    def incidence(self) -> Incidence:
+        return Incidence(self.rs, self.vrep)
+
+    @cached_property
     def faces(self) -> list[FacePair]:
         return enumerate_faces(self.face_ctx)
 
     @cached_property
     def facet_sets(self) -> list[frozenset[int]]:
-        return facet_vertex_sets(self.rs, self.halfspaces, self.vrep)
+        return facet_vertex_sets(self.rs, self.halfspaces, self.vrep, self.incidence)
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
@@ -146,7 +152,7 @@ class Permutonestohedron:
         return len(self.building.flats) == len(all_flats(self.rs))
 
     def simple(self) -> bool:
-        return is_simple(self.face_ctx, self.facet_sets, self.vertex_count)
+        return is_simple(self.face_ctx, self.halfspaces, self.incidence)
 
     def face_vertex_ids(self, face: FacePair) -> frozenset[int]:
         return face_vertices(self.face_ctx, face, self.vrep)
@@ -174,7 +180,7 @@ class Permutonestohedron:
         self,
         level: str = "fast",
         seed: int = 0,
-        pair_limit: int = 10_000_000,
+        pair_limit: int = FULL_CHECK_LIMIT,
         raise_on_failure: bool = False,
     ) -> list[CheckReport]:
         """Run the verification battery; 'fast' skips the all-pairs checks."""
@@ -271,6 +277,7 @@ class Permutonestohedron:
                     limit=pair_limit,
                     seed=seed,
                     raise_on_failure=False,
+                    incidence=self.incidence,
                 )
             )
             reports.append(self._face_vertex_report())
@@ -311,7 +318,11 @@ class Permutonestohedron:
         for face in self.faces:
             combinatorial = self.face_vertex_ids(face)
             geometric = face_vertices_geometric(
-                self.face_ctx, face, self.vrep, self.fundamental_hs_by_mask
+                self.face_ctx,
+                face,
+                self.vrep,
+                self.fundamental_hs_by_mask,
+                self.incidence,
             )
             if combinatorial != geometric:
                 failures.append(

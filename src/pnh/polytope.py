@@ -14,6 +14,11 @@ matches the observed equalities against the predicted pattern:
 * an image tau of a non-member inequality of B is tight on sigma v_S iff
   every decomposition member of B is in S and tau^-1 sigma lies in the
   product of their parabolics.
+
+Tightness is decided by one exact integer kernel, ``Incidence``: vertices
+and Gram-normals are scaled to integers, and each hyperplane's tight set is
+kept as a bitmask over vertex ids.  The kernel only takes dot products, so
+the predicted pattern above and the observed one never share code.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, repeat
+from math import lcm
+from operator import add, mul
 
 from .errors import EmptyFacet, NotInChamber, VerificationFailed
 from .flats import BuildingSet, Flat
@@ -29,6 +37,7 @@ from .halfspaces import (
     HalfSpace,
     SuitableList,
     flat_data,
+    primitive_key,
     _simple_mask,
 )
 from .linalg import Vec, mat_vec, rank, solve_linear_system
@@ -135,6 +144,91 @@ def all_vertices(
     return VRep(tuple(vertices), max_nested, tuple(coincidences))
 
 
+def mask_ids(mask: int):
+    """The ids of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class Incidence:
+    """Exact vertex-on-hyperplane incidence in integer arithmetic.
+
+    The vertices are scaled once by the lcm ``scale`` of their coordinate
+    denominators.  A hyperplane (x, normal) = offset becomes
+    dot(int_normal, int_point) == bound, with the Gram-normal and the offset
+    scaled by their own lcm; a larger dot product means the vertex violates
+    the inequality.  Tight sets are bitmasks over vertex ids, cached per
+    exact half-space key; a plane missing from the cache is scanned over
+    every vertex.
+    """
+
+    def __init__(self, rs, vrep: VRep):
+        self.rs = rs
+        self.count = len(vrep.vertices)
+        self.full = (1 << self.count) - 1
+        self.scale = scale = lcm(
+            *(c.denominator for v in vrep.vertices for c in v.point)
+        )
+        points = (
+            tuple(c.numerator * (scale // c.denominator) for c in v.point)
+            for v in vrep.vertices
+        )
+        # kept by coordinate, so scanning a plane is a few C-level passes;
+        # zip(*columns) gives the scaled vertices back
+        self.columns = tuple(zip(*points))
+        self._masks: dict[tuple, int] = {}
+
+    def row(self, normal: Vec, offset) -> tuple[tuple[int, ...], int, int]:
+        """(integer normal, bound, denominator) of (x, normal) <= offset.
+
+        dot(integer normal, point) / denominator is the exact value of
+        (x, normal) at the point, and bound / denominator is the offset.
+        """
+        gn = mat_vec(self.rs.gram, normal)
+        m = lcm(offset.denominator, *(c.denominator for c in gn))
+        ints = tuple(c.numerator * (m // c.denominator) for c in gn)
+        bound = offset.numerator * (m // offset.denominator) * self.scale
+        return ints, bound, m * self.scale
+
+    def tight(self, normal: Vec, offset) -> int:
+        """Bitmask of the vertex ids on the hyperplane (x, normal) = offset."""
+        return self._tight(primitive_key(normal, offset), normal, offset)
+
+    def facet_masks(self, halfspaces: list[HalfSpace]) -> list[int]:
+        """The tight mask of each inequality; every one must be nonempty."""
+        out = []
+        for hs in halfspaces:
+            mask = self._tight(hs.key(), hs.normal, hs.offset)
+            if not mask:
+                raise EmptyFacet(
+                    f"{hs.kind} inequality of {hs.flat.describe(self.rs)} "
+                    "touches no vertex"
+                )
+            out.append(mask)
+        return out
+
+    def _tight(self, key, normal: Vec, offset) -> int:
+        mask = self._masks.get(key)
+        if mask is None:
+            ints, bound, _ = self.row(normal, offset)
+            values = [0] * self.count
+            for a, column in zip(ints, self.columns):
+                if a:
+                    values = list(map(add, values, map(mul, repeat(a), column)))
+            mask = 0
+            i = -1
+            try:
+                while True:
+                    i = values.index(bound, i + 1)
+                    mask |= 1 << i
+            except ValueError:
+                pass
+            self._masks[key] = mask
+        return mask
+
+
 @dataclass
 class CheckReport:
     name: str
@@ -177,9 +271,16 @@ def verify_hrep_vrep(
     limit: int = FULL_CHECK_LIMIT,
     seed: int = 0,
     raise_on_failure: bool = True,
+    incidence: Incidence | None = None,
 ) -> CheckReport:
-    """Membership and exact equality pattern for vertices vs inequalities."""
+    """Membership and exact equality pattern for vertices vs inequalities.
+
+    Above ``limit`` pairs, ``limit`` seeded random pairs are checked, and
+    only the inequalities drawn are scaled to integers.
+    """
     rs = building.rs
+    if incidence is None:
+        incidence = Incidence(rs, vrep)
     member_sets = {}
     for hs in halfspaces:
         if hs.flat in member_sets or hs.kind == "chamber":
@@ -191,10 +292,6 @@ def verify_hrep_vrep(
         ids = subgroups[hs.flat].members()
         member_sets[hs.flat] = (ids, parts)
 
-    gram_normals = {}
-    for hs in halfspaces:
-        gram_normals[hs] = mat_vec(rs.gram, hs.normal)
-
     pairs = len(vrep.vertices) * len(halfspaces)
     sampled = pairs > limit
     if sampled:
@@ -204,37 +301,35 @@ def verify_hrep_vrep(
             for _ in range(limit)
         ]
     else:
-        chosen = None
+        chosen = product(range(len(vrep.vertices)), range(len(halfspaces)))
 
+    points = list(zip(*incidence.columns))
+    rows: dict[int, tuple] = {}
     failures = []
     checked = 0
-
-    def run_pair(vert: Vertex, hs: HalfSpace):
-        nonlocal checked
+    for vi, hi in chosen:
         checked += 1
-        value = sum(a * b for a, b in zip(gram_normals[hs], vert.point))
+        hs = halfspaces[hi]
+        vert = vrep.vertices[vi]
+        row = rows.get(hi)
+        if row is None:
+            row = rows[hi] = incidence.row(hs.normal, hs.offset)
+        ints, bound, denominator = row
+        value = sum(map(mul, ints, points[vi]))
         expect_tight = _equality_predicate(weyl, hs, vert, member_sets)
-        if value > hs.offset:
+        if value > bound:
             failures.append(
                 f"vertex (sigma={vert.sigma_id}) violates {hs.kind} inequality "
                 f"of {hs.flat.describe(rs)} (sigma={hs.sigma_id}): "
-                f"{value} > {hs.offset}"
+                f"{Fraction(value, denominator)} > {hs.offset}"
             )
-        elif (value == hs.offset) != expect_tight:
+        elif (value == bound) != expect_tight:
             failures.append(
                 f"equality mismatch: vertex (sigma={vert.sigma_id}, dims "
                 f"{tuple(f.dim for f in vert.nested)}) vs {hs.kind} of "
                 f"{hs.flat.describe(rs)} (sigma={hs.sigma_id}): tight="
-                f"{value == hs.offset}, predicted={expect_tight}"
+                f"{value == bound}, predicted={expect_tight}"
             )
-
-    if chosen is None:
-        for vert in vrep.vertices:
-            for hs in halfspaces:
-                run_pair(vert, hs)
-    else:
-        for vi, hi in chosen:
-            run_pair(vrep.vertices[vi], halfspaces[hi])
 
     report = CheckReport(
         "vertex/halfspace incidence",
@@ -377,23 +472,15 @@ def _union_except(masks, combo, skip):
 
 
 def facet_vertex_sets(
-    rs, halfspaces: list[HalfSpace], vrep: VRep
+    rs,
+    halfspaces: list[HalfSpace],
+    vrep: VRep,
+    incidence: Incidence | None = None,
 ) -> list[frozenset[int]]:
     """Vertex ids tight on each inequality; every one must be nonempty."""
-    out = []
-    for hs in halfspaces:
-        gn = mat_vec(rs.gram, hs.normal)
-        tight = frozenset(
-            i
-            for i, v in enumerate(vrep.vertices)
-            if sum(a * b for a, b in zip(gn, v.point)) == hs.offset
-        )
-        if not tight:
-            raise EmptyFacet(
-                f"{hs.kind} inequality of {hs.flat.describe(rs)} touches no vertex"
-            )
-        out.append(tight)
-    return out
+    if incidence is None:
+        incidence = Incidence(rs, vrep)
+    return [frozenset(mask_ids(m)) for m in incidence.facet_masks(halfspaces)]
 
 
 def euler_check(f_vector: tuple[int, ...]) -> bool:
