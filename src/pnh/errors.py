@@ -72,7 +72,7 @@ class EmptyFacet(PnhError):
 
 
 class NotCrossingFacet(PnhError):
-    """Facet factorization requested for a face that is not a crossing facet."""
+    """Facet factorisation requested for a face that is not a crossing facet."""
 
 
 class BuildingNotInvariant(PnhError):

@@ -28,11 +28,11 @@ from .errors import (
     NotCrossingFacet,
     VerificationFailed,
 )
-from .flats import BuildingSet, Flat
-from .halfspaces import HalfSpace, _simple_mask, orthogonal_flats
+from .flats import BuildingSet, Flat, iter_bits
+from .halfspaces import HalfSpace, orthogonal_flats
 from .linalg import mat_mul, mat_vec, primitive_vector
 from .nested import NestedSet, enumerate_nested_sets
-from .polytope import Incidence, VRep, mask_ids
+from .polytope import Incidence, VRep
 from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_subgroup, subgroup_product
 
 
@@ -65,12 +65,7 @@ class FaceContext:
     def label_subgroup(self, labels: tuple[Flat, ...]) -> Subgroup:
         got = self._products.get(labels)
         if got is None:
-            if not labels:
-                got = Subgroup((), (self.weyl.identity_id,), ((),))
-            else:
-                got = subgroup_product(
-                    self.weyl, [self.parabolic(f) for f in labels]
-                )
+            got = subgroup_product(self.weyl, [self.parabolic(f) for f in labels])
             self._products[labels] = got
         return got
 
@@ -120,24 +115,22 @@ def is_face_leq(ctx: FaceContext, p: FacePair, q: FacePair) -> bool:
     for a in p.labels:
         if not any(b.contains(a) for b in q.labels):
             return False
-    hp = ctx.label_subgroup(p.labels)
+    # the labels of p lie inside those of q, so W_{J_p} is inside W_{J_q}
     hq = ctx.label_subgroup(q.labels)
-    if not hp.members() <= hq.members():
-        return False
-    rel = ctx.weyl.mul(ctx.weyl.inv(q.rep), p.rep)
-    return rel in hq.members()
+    return hq.coset[p.rep] == hq.coset[q.rep]
 
 
 def face_vertices(ctx: FaceContext, face: FacePair, vrep: VRep) -> frozenset[int]:
     """Vertex ids of a face from the pair description."""
     sub = ctx.label_subgroup(face.labels)
+    coset = sub.cosets[sub.coset[face.rep]]
     flats = set(face.nested.flats)
     out = set()
     for t in vrep.max_nested:
         if not flats <= set(t.flats):
             continue
-        for h in sub.member_ids:
-            out.add(vrep.index_of(ctx.weyl.mul(face.rep, h), t))
+        for sigma in coset:
+            out.add(vrep.index_of(sigma, t))
     if not out:
         raise EmptyFacet(f"face {face} has no vertices")
     return frozenset(out)
@@ -205,7 +198,7 @@ def face_vertices_geometric(
     mask = incidence.full
     for normal, offset in support_halfspaces(ctx, face, by_mask):
         mask &= incidence.tight(normal, offset)
-    return frozenset(mask_ids(mask))
+    return frozenset(iter_bits(mask))
 
 
 def is_simple(
@@ -215,7 +208,7 @@ def is_simple(
     n = ctx.building.rs.rank
     per_vertex = [0] * incidence.count
     for mask in incidence.facet_masks(halfspaces):
-        for i in mask_ids(mask):
+        for i in iter_bits(mask):
             per_vertex[i] += 1
     return all(c == n for c in per_vertex)
 

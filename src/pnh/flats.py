@@ -29,7 +29,8 @@ from .roots import RootSystem, diagram_automorphisms
 DEFAULT_FLAT_CAP = 2**20
 
 
-def _iter_bits(bits: int) -> Iterator[int]:
+def iter_bits(bits: int) -> Iterator[int]:
+    """The positions of the set bits of ``bits``, ascending."""
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
@@ -44,7 +45,7 @@ class Flat:
     bits: int
 
     def indices(self) -> Iterator[int]:
-        return _iter_bits(self.bits)
+        return iter_bits(self.bits)
 
     def contains(self, other: "Flat") -> bool:
         return other.bits & ~self.bits == 0
@@ -66,17 +67,8 @@ def flat_closure(rs: RootSystem, root_indices: Iterable[int]) -> Flat:
     return Flat(ech.rank, bits)
 
 
-def flat_span_echelon(rs: RootSystem, flat: Flat) -> Echelon:
-    ech = Echelon()
-    for i in flat.indices():
-        if ech.add(rs.positive_roots[i]):
-            if ech.rank == flat.dim:
-                break
-    return ech
-
-
 def flat_sum(rs: RootSystem, a: Flat, b: Flat) -> Flat:
-    return flat_closure(rs, _iter_bits(a.bits | b.bits))
+    return flat_closure(rs, iter_bits(a.bits | b.bits))
 
 
 def full_flat(rs: RootSystem) -> Flat:
@@ -133,7 +125,7 @@ def all_flats(rs: RootSystem, cap: int = DEFAULT_FLAT_CAP) -> list[Flat]:
                 union = flat.bits | line.bits
                 joined = closure_cache.get(union)
                 if joined is None:
-                    joined = flat_closure(rs, _iter_bits(union))
+                    joined = flat_closure(rs, iter_bits(union))
                     closure_cache[union] = joined
                 if joined.bits not in found:
                     found[joined.bits] = joined
@@ -149,7 +141,7 @@ def fundamental_flats(rs: RootSystem) -> list[Flat]:
     n = rs.rank
     out = []
     for mask in range(1, 1 << n):
-        out.append(flat_closure(rs, _iter_bits(mask)))
+        out.append(flat_closure(rs, iter_bits(mask)))
     return sorted(out)
 
 
@@ -288,7 +280,7 @@ def validate_building_set(
         union = 0
         for p in parts:
             union |= p.bits
-        if flat_closure(rs, _iter_bits(union)).bits != flat.bits:
+        if flat_closure(rs, iter_bits(union)).bits != flat.bits:
             raise NotBuilding(
                 f"maximal members of {flat.describe(rs)} do not span it"
             )
@@ -344,7 +336,7 @@ def interval_building_set(n: int) -> BuildingSet:
     for lo in range(n):
         for hi in range(lo, n):
             mask = ((1 << (hi - lo + 1)) - 1) << lo
-            flats.append(flat_closure(rs, _iter_bits(mask)))
+            flats.append(flat_closure(rs, iter_bits(mask)))
     v = full_flat(rs)
     if v not in flats:
         flats.append(v)
@@ -382,7 +374,6 @@ class SubRootSystem:
     system: RootSystem
     parent_root_of: tuple[int, ...]
     sub_index_of: dict[int, int]
-    parent_simple_roots: tuple[int, ...]
 
 
 def _sub_root_system(rs: RootSystem, flat: Flat) -> SubRootSystem:
@@ -436,4 +427,4 @@ def _sub_root_system(rs: RootSystem, flat: Flat) -> SubRootSystem:
         sub_idx = sub.root_index[key]
         parent_root_of[sub_idx] = i
         sub_index_of[i] = sub_idx
-    return SubRootSystem(sub, tuple(parent_root_of), sub_index_of, tuple(base))
+    return SubRootSystem(sub, tuple(parent_root_of), sub_index_of)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import LemmaViolated, NotBuilding, VerificationFailed
-from .flats import BuildingSet, Flat, fundamental_flats
+from .flats import BuildingSet, Flat, fundamental_flats, simple_index_set
 from .linalg import Vec, primitive_vector, vsub
 from .weyl import WeylGroup
 
@@ -63,7 +63,7 @@ def flat_data(rs, flat: Flat, building: BuildingSet | None = None) -> FlatData:
                 f"delta_perp not orthogonal to flat {flat.describe(rs)}"
             )
     coeffs = rs.omega_coefficients(dperp)
-    simple_mask = _simple_mask(rs, flat)
+    simple_mask = simple_index_set(rs, flat)
     if simple_mask is not None:
         for s in range(n):
             inside = simple_mask >> s & 1
@@ -74,16 +74,6 @@ def flat_data(rs, flat: Flat, building: BuildingSet | None = None) -> FlatData:
                     "delta_perp weight-coefficient below 1 off the flat"
                 )
     return FlatData(flat, pi, dperp)
-
-
-def _simple_mask(rs, flat: Flat) -> int | None:
-    mask = 0
-    count = 0
-    for i in range(rs.rank):
-        if flat.bits >> i & 1:
-            mask |= 1 << i
-            count += 1
-    return mask if count == flat.dim else None
 
 
 class RatioTable:
@@ -318,7 +308,7 @@ def fundamental_halfspaces(
     for b in fundamental_flats(rs):
         if b in fund_members:
             continue
-        mask = _simple_mask(rs, b)
+        mask = simple_index_set(rs, b)
         parts = building.fund_decomposition(mask)
         for p, q in _pairs(parts):
             if not orthogonal_flats(rs, p, q):
@@ -399,7 +389,7 @@ def all_halfspaces(
             elif base.kind == "member":
                 stab = parabolic_order((base.flat,))
             else:
-                mask = _simple_mask(building.rs, base.flat)
+                mask = simple_index_set(building.rs, base.flat)
                 stab = parabolic_order(building.fund_decomposition(mask))
             expected += weyl.order // stab
         if expected != len(out):

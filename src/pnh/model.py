@@ -30,6 +30,7 @@ from .flats import (
     Flat,
     all_flats,
     restricted_building_set,
+    simple_index_set,
 )
 from .halfspaces import (
     HalfSpace,
@@ -40,7 +41,6 @@ from .halfspaces import (
     ratio_table,
     suitable_list,
     verify_epsilon_lemma,
-    _simple_mask,
 )
 from .nested import NestedSet, quotient_building_set
 from .polytope import (
@@ -95,10 +95,7 @@ class Permutonestohedron:
         return FaceContext(self.building, self.weyl)
 
     def _parabolic_order(self, flats: tuple[Flat, ...]) -> int:
-        order = 1
-        for f in flats:
-            order *= self.face_ctx.parabolic(f).order
-        return order
+        return self.face_ctx.label_subgroup(flats).order
 
     @cached_property
     def fundamental_hs(self) -> list[HalfSpace]:
@@ -108,7 +105,7 @@ class Permutonestohedron:
     def fundamental_hs_by_mask(self) -> dict[int, HalfSpace]:
         out = {}
         for hs in self.fundamental_hs:
-            out[_simple_mask(self.rs, hs.flat)] = hs
+            out[simple_index_set(self.rs, hs.flat)] = hs
         return out
 
     @cached_property
@@ -169,7 +166,7 @@ class Permutonestohedron:
                 out[hs.flat] = self.face_ctx.label_subgroup((hs.flat,))
             else:
                 parts = self.building.fund_decomposition(
-                    _simple_mask(self.rs, hs.flat)
+                    simple_index_set(self.rs, hs.flat)
                 )
                 out[hs.flat] = self.face_ctx.label_subgroup(parts)
         return out
@@ -387,7 +384,12 @@ class FacetFactorisation:
     # -- full lattice isomorphism ----------------------------------------
 
     def _sub_element(self, factor_index: int, element_id: int) -> int:
-        """Map an ambient element of the part's parabolic into the factor group."""
+        """Map an ambient element of the facet's label subgroup into a factor.
+
+        The labelled parts are orthogonal, so the part's block of the
+        element's matrix is the block of its component in the part's
+        parabolic, and that block is the component's matrix in the factor.
+        """
         model = self.model
         sub = self.factors[factor_index]
         simple = sorted(
@@ -410,13 +412,10 @@ class FacetFactorisation:
         """Image of an interval face in quotient x factors coordinates."""
         model = self.model
         weyl = model.weyl
-        h = weyl.mul(weyl.inv(self.facet.rep), p.rep)
         facet_sub = model.face_ctx.label_subgroup(tuple(sorted(self.parts)))
-        try:
-            at = facet_sub.member_ids.index(h)
-        except ValueError:
+        if facet_sub.coset[p.rep] != facet_sub.coset[self.facet.rep]:
             raise VerificationFailed("interval face coset is not inside the facet")
-        components = facet_sub.factorization[at]
+        h = weyl.mul(weyl.inv(self.facet.rep), p.rep)
 
         removed = 0
         for part in self.parts:
@@ -446,7 +445,7 @@ class FacetFactorisation:
                 )
             )
             nested = NestedSet(flats)
-            base = self._sub_element(idx, components[idx])
+            base = self._sub_element(idx, h)
             sub_h = sub.face_ctx.label_subgroup(labels)
             rep = canonical_coset_rep(sub.weyl, base, sub_h)
             sub_faces.append(FacePair(rep, nested, labels))

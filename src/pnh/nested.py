@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import MissingV, NotBuilding, TooManyNestedSets
-from .flats import BuildingSet, Flat
+from .flats import BuildingSet, Flat, iter_bits
 
 DEFAULT_NESTED_CAP = 200_000
 
@@ -214,15 +214,12 @@ class CombinatorialBuildingSet:
         extend(0, [])
         return sorted(out, key=lambda s: (len(s), sorted(sorted(m) for m in s)))
 
-    def dimension_of(self, nested: frozenset[frozenset[int]]) -> int:
-        return len(self.ground) - len(nested)
-
 
 def to_combinatorial(building: BuildingSet) -> CombinatorialBuildingSet:
     """Index-set image of the fundamental part of a geometric building set."""
     ground = frozenset(range(building.rs.rank))
     members = frozenset(
-        frozenset(_mask_indices(m)) for m in building.fund_index_sets.values()
+        frozenset(iter_bits(m)) for m in building.fund_index_sets.values()
     )
     out = CombinatorialBuildingSet(ground, members)
     out.validate()
@@ -244,20 +241,10 @@ def quotient_building_set(building: BuildingSet, parts: tuple[Flat, ...]) -> Com
     ground = frozenset(i for i in range(building.rs.rank) if not removed >> i & 1)
     members = set()
     for mask in building.fund_index_sets.values():
-        residue = frozenset(_mask_indices(mask & ~removed))
+        residue = frozenset(iter_bits(mask & ~removed))
         if residue:
             members.add(residue)
     out = CombinatorialBuildingSet(ground, frozenset(members))
     out.validate()
     return out
 
-
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out

@@ -31,18 +31,17 @@ from math import lcm
 from operator import add, mul
 
 from .errors import EmptyFacet, NotInChamber, VerificationFailed
-from .flats import BuildingSet, Flat
+from .flats import BuildingSet, Flat, iter_bits, simple_index_set
 from .halfspaces import (
     FlatData,
     HalfSpace,
     SuitableList,
     flat_data,
     primitive_key,
-    _simple_mask,
 )
 from .linalg import Vec, mat_vec, rank, solve_linear_system
 from .nested import NestedSet, enumerate_maximal_nested_sets, enumerate_nested_sets
-from .weyl import Subgroup, WeylGroup, parabolic_subgroup, subgroup_product
+from .weyl import Subgroup, WeylGroup
 
 FULL_CHECK_LIMIT = 10_000_000
 
@@ -144,14 +143,6 @@ def all_vertices(
     return VRep(tuple(vertices), max_nested, tuple(coincidences))
 
 
-def mask_ids(mask: int):
-    """The ids of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Incidence:
     """Exact vertex-on-hyperplane incidence in integer arithmetic.
 
@@ -247,19 +238,16 @@ class CheckReport:
         return head
 
 
-def _equality_predicate(
-    weyl: WeylGroup,
-    hs: HalfSpace,
-    vert: Vertex,
-    member_sets: dict,
-) -> bool:
+def _equality_predicate(hs: HalfSpace, vert: Vertex, subgroups: dict) -> bool:
+    """Predicted tightness: the vertex's nested set holds the inequality's
+    parts and tau^-1 sigma lies in their parabolic, i.e. sigma and tau
+    share a left coset of it."""
     if hs.kind == "chamber":
         return hs.sigma_id == vert.sigma_id
-    members, parts = member_sets[hs.flat]
+    sub, parts = subgroups[hs.flat]
     if any(p not in vert.nested for p in parts):
         return False
-    rel = weyl.mul(weyl.inv(hs.sigma_id), vert.sigma_id)
-    return rel in members
+    return sub.coset[hs.sigma_id] == sub.coset[vert.sigma_id]
 
 
 def verify_hrep_vrep(
@@ -281,16 +269,15 @@ def verify_hrep_vrep(
     rs = building.rs
     if incidence is None:
         incidence = Incidence(rs, vrep)
-    member_sets = {}
+    with_parts = {}
     for hs in halfspaces:
-        if hs.flat in member_sets or hs.kind == "chamber":
+        if hs.flat in with_parts or hs.kind == "chamber":
             continue
         if hs.kind == "member":
             parts = (hs.flat,)
         else:
-            parts = building.fund_decomposition(_simple_mask(rs, hs.flat))
-        ids = subgroups[hs.flat].members()
-        member_sets[hs.flat] = (ids, parts)
+            parts = building.fund_decomposition(simple_index_set(rs, hs.flat))
+        with_parts[hs.flat] = (subgroups[hs.flat], parts)
 
     pairs = len(vrep.vertices) * len(halfspaces)
     sampled = pairs > limit
@@ -316,7 +303,7 @@ def verify_hrep_vrep(
             row = rows[hi] = incidence.row(hs.normal, hs.offset)
         ints, bound, denominator = row
         value = sum(map(mul, ints, points[vi]))
-        expect_tight = _equality_predicate(weyl, hs, vert, member_sets)
+        expect_tight = _equality_predicate(hs, vert, with_parts)
         if value > bound:
             failures.append(
                 f"vertex (sigma={vert.sigma_id}) violates {hs.kind} inequality "
@@ -480,7 +467,7 @@ def facet_vertex_sets(
     """Vertex ids tight on each inequality; every one must be nonempty."""
     if incidence is None:
         incidence = Incidence(rs, vrep)
-    return [frozenset(mask_ids(m)) for m in incidence.facet_masks(halfspaces)]
+    return [frozenset(iter_bits(m)) for m in incidence.facet_masks(halfspaces)]
 
 
 def euler_check(f_vector: tuple[int, ...]) -> bool:

@@ -100,10 +100,6 @@ class DiagramAutomorphism:
     perm: tuple[int, ...]
     matrix: Mat
 
-    @property
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
-
 
 class RootSystem:
     """Immutable root-system data: Gram, Cartan, positive roots, weights."""
@@ -243,10 +239,6 @@ class RootSystem:
 
 def build_root_system(spec: str) -> RootSystem:
     return RootSystem.from_components(parse_type_spec(spec))
-
-
-def fundamental_weights(rs: RootSystem) -> tuple[Vec, ...]:
-    return rs.weights
 
 
 def diagram_automorphisms(rs: RootSystem) -> list[DiagramAutomorphism]:

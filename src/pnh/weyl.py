@@ -3,22 +3,28 @@
 Group elements are integer matrices (tuples of row tuples) acting on
 coordinate columns.  The group is enumerated once by breadth-first closure
 over the simple reflections; elements are then referred to by their index
-in that enumeration, which is deterministic.  Multiplication goes through
-a full table when the group is small and a memoised matrix product
-otherwise.
+in that enumeration, which is deterministic.  Label subgroups are standard
+parabolics W_J, each stored as a map from elements to left cosets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .errors import GroupTooLarge
-from .linalg import Mat, Vec, identity, mat_mul, mat_vec, solve_columns
+from .flats import iter_bits, simple_index_set
+from .linalg import (
+    Mat,
+    Vec,
+    identity,
+    mat_mul,
+    mat_vec,
+    primitive_vector,
+    solve_columns,
+)
 
 DEFAULT_GROUP_CAP = 50_000
-_TABLE_LIMIT = 1_000
 
 
 def expected_group_order(components) -> int | None:
@@ -44,25 +50,6 @@ def simple_reflection_matrix(cartan, i: int) -> Mat:
             rows.append(tuple((1 if j == i else 0) - cartan[i][j] for j in range(n)))
         else:
             rows.append(tuple(1 if j == r else 0 for j in range(n)))
-    return tuple(rows)
-
-
-def reflection_matrix(rs, root: Vec) -> Mat:
-    """Matrix of the reflection in ``root`` (integer for crystallographic data)."""
-    n = rs.rank
-    groot = mat_vec(rs.gram, root)
-    norm = rs.norm_sq(root)
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            entry = (1 if r == c else 0) - 2 * root[r] * groot[c] / norm
-            if isinstance(entry, Fraction):
-                if entry.denominator != 1:
-                    raise ValueError("reflection matrix is not integral")
-                entry = int(entry)
-            row.append(entry)
-        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -104,25 +91,12 @@ class WeylGroup:
         self.generator_ids = tuple(index[g] for g in gens)
 
         self._inverse: list[int | None] = [None] * self.order
-        self._table: list[list[int]] | None = None
-        self._mul_cache: dict[tuple[int, int], int] = {}
-        if self.order <= _TABLE_LIMIT:
-            self._table = [
-                [index[mat_mul(a, b)] for b in elements] for a in elements
-            ]
         self._root_perm: list[tuple[int, ...] | None] = [None] * self.order
 
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return self._table[a][b]
-        key = (a, b)
-        got = self._mul_cache.get(key)
-        if got is None:
-            got = self.index[mat_mul(self.elements[a], self.elements[b])]
-            self._mul_cache[key] = got
-        return got
+        return self.index[mat_mul(self.elements[a], self.elements[b])]
 
     def inv(self, a: int) -> int:
         got = self._inverse[a]
@@ -166,17 +140,26 @@ def enumerate_group(rs, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its sorted member ids inside a WeylGroup.
+    """A standard parabolic subgroup W_J and its left cosets.
 
-    ``flats`` records the generating flats (one for a parabolic, several
-    pairwise orthogonal ones for a direct product).  ``factorization`` maps
-    each member to its unique decomposition across the product factors and
-    is the identity-ish singleton map for plain parabolics.
+    W_J is generated by the simple reflections s_j, j in J, and is the
+    stabiliser of x_J = sum of the fundamental weights omega_i, i not in J
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.12).  So a and b lie
+    in the same left coset exactly when a x_J = b x_J, and one pass over the
+    group names every coset.  ``coset`` gives the coset number of each
+    element, numbered by first appearance in id order (the identity's coset
+    is 0); ``cosets`` holds each coset's member ids ascending, and ``reps``
+    its member with the lexicographically least matrix.
     """
 
-    flats: tuple
-    member_ids: tuple[int, ...]
-    factorization: tuple[tuple[int, ...], ...]
+    mask: int
+    coset: tuple[int, ...]
+    cosets: tuple[tuple[int, ...], ...]
+    reps: tuple[int, ...]
+
+    @property
+    def member_ids(self) -> tuple[int, ...]:
+        return self.cosets[0]
 
     @property
     def order(self) -> int:
@@ -186,76 +169,59 @@ class Subgroup:
         return frozenset(self.member_ids)
 
 
-def parabolic_subgroup(weyl: WeylGroup, flat) -> Subgroup:
-    """Subgroup generated by the reflections in all roots of ``flat``."""
+def _standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
+    """W_J for the simple-index set J given as a bitmask."""
     rs = weyl.rs
-    gens = [
-        weyl.index[reflection_matrix(rs, rs.positive_roots[i])]
-        for i in flat.indices()
-    ]
-    members = {weyl.identity_id}
-    frontier = [weyl.identity_id]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = weyl.mul(a, g)
-                if b not in members:
-                    members.add(b)
-                    new.append(b)
-        frontier = new
-    ids = tuple(sorted(members))
-    return Subgroup((flat,), ids, tuple((i,) for i in ids))
+    x = primitive_vector(
+        tuple(
+            sum(w[c] for i, w in enumerate(rs.weights) if not mask >> i & 1)
+            for c in range(rs.rank)
+        )
+    )
+    number: dict[Vec, int] = {}
+    coset = []
+    cosets: list[list[int]] = []
+    for a, m in enumerate(weyl.elements):
+        c = number.setdefault(mat_vec(m, x), len(number))
+        if c == len(cosets):
+            cosets.append([])
+        cosets[c].append(a)
+        coset.append(c)
+    reps = tuple(min(ids, key=weyl.elements.__getitem__) for ids in cosets)
+    return Subgroup(mask, tuple(coset), tuple(map(tuple, cosets)), reps)
+
+
+def parabolic_subgroup(weyl: WeylGroup, flat) -> Subgroup:
+    """Subgroup generated by the reflections in all roots of ``flat``.
+
+    ``flat`` must be spanned by simple roots; its group is then W_J for its
+    simple-index set J.
+    """
+    mask = simple_index_set(weyl.rs, flat)
+    if mask is None:
+        raise ValueError(f"{flat.describe(weyl.rs)} is not spanned by simple roots")
+    return _standard_parabolic(weyl, mask)
 
 
 def subgroup_product(weyl: WeylGroup, parts: list[Subgroup]) -> Subgroup:
-    """Internal direct product of parabolic subgroups of orthogonal flats."""
-    flats = tuple(f for p in parts for f in p.flats)
-    members = [(weyl.identity_id, ())]
+    """Internal direct product of standard parabolics on orthogonal index sets."""
+    cartan = weyl.rs.cartan
+    mask = 0
     for part in parts:
-        members = [
-            (weyl.mul(a, b), ids + (b,))
-            for a, ids in members
-            for b in part.member_ids
-        ]
-    seen = {m for m, _ in members}
-    if len(seen) != len(members):
-        raise ValueError("subgroup product is not direct")
-    members.sort()
-    return Subgroup(
-        flats,
-        tuple(m for m, _ in members),
-        tuple(ids for _, ids in members),
-    )
-
-
-def coset_index(weyl: WeylGroup, sub: Subgroup) -> int:
-    if weyl.order % sub.order:
-        raise ValueError("subgroup order does not divide group order")
-    return weyl.order // sub.order
+        if mask & part.mask:
+            raise ValueError("subgroup product parts overlap")
+        for i in iter_bits(mask):
+            if any(cartan[i][j] for j in iter_bits(part.mask)):
+                raise ValueError("subgroup product parts are not orthogonal")
+        mask |= part.mask
+    return _standard_parabolic(weyl, mask)
 
 
 def canonical_coset_rep(weyl: WeylGroup, a: int, sub: Subgroup) -> int:
     """Deterministic representative of a @ sub: lexicographically least matrix."""
-    best = None
-    best_id = -1
-    for h in sub.member_ids:
-        b = weyl.mul(a, h)
-        m = weyl.elements[b]
-        if best is None or m < best:
-            best, best_id = m, b
-    return best_id
+    return sub.reps[sub.coset[a]]
 
 
 def left_cosets(weyl: WeylGroup, sub: Subgroup) -> list[int]:
     """Canonical representatives of all left cosets, ascending by id."""
-    seen = [False] * weyl.order
-    reps = []
-    for a in range(weyl.order):
-        if seen[a]:
-            continue
-        members = [weyl.mul(a, h) for h in sub.member_ids]
-        for b in members:
-            seen[b] = True
-        reps.append(min(members, key=lambda b: weyl.elements[b]))
-    return sorted(reps)
+    return sorted(sub.reps)

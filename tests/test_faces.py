@@ -126,3 +126,20 @@ def test_aut_action_rejects_family_breaking_symmetry():
         aut_action_on_halfspaces(
             building, model.weyl, model.halfspaces, 0, bad.matrix
         )
+
+
+def test_every_crossing_facet_factorises(a3_min, a13_min, b3_max):
+    # facets in every coset, so the factor maps see non-identity reps
+    for model in (a3_min, a13_min, b3_max):
+        reps = set()
+        for f in model.faces:
+            try:
+                crossing_facet_parts(model.face_ctx, f)
+            except NotCrossingFacet:
+                continue
+            fact = model.facet_factorisation(f)
+            assert fact.verify_vertex_count().passed, f
+            report = fact.verify_lattice()
+            assert report.passed, report.line()
+            reps.add(f.rep)
+        assert len(reps) > 1

@@ -8,13 +8,12 @@ import pytest
 from conftest import make_model
 from pnh.errors import EmptyFacet
 from pnh.faces import face_vertices_geometric, support_halfspaces
-from pnh.halfspaces import _simple_mask
+from pnh.flats import simple_index_set
 from pnh.linalg import mat_vec
 from pnh.polytope import (
     Incidence,
     Vertex,
     VRep,
-    _equality_predicate,
     facet_vertex_sets,
     verify_hrep_vrep,
 )
@@ -64,16 +63,22 @@ def test_face_vertices_geometric_match_fraction_reference(a2, b2, a3_min, a13_mi
 
 def test_hrep_vrep_matches_fraction_reference(a3_min):
     model = a3_min
+    weyl = model.weyl
     subgroups = model.subgroups_by_flat()
-    member_sets = {}
-    for hs in model.halfspaces:
+    members = {flat: sub.members() for flat, sub in subgroups.items()}
+
+    def predicted(hs, vert):
+        # the tightness pattern, decided by group products
+        if hs.kind == "chamber":
+            return hs.sigma_id == vert.sigma_id
         if hs.kind == "member":
             parts = (hs.flat,)
-        elif hs.kind == "nonmember":
-            parts = model.building.fund_decomposition(_simple_mask(model.rs, hs.flat))
         else:
-            continue
-        member_sets[hs.flat] = (subgroups[hs.flat].members(), parts)
+            mask = simple_index_set(model.rs, hs.flat)
+            parts = model.building.fund_decomposition(mask)
+        rel = weyl.mul(weyl.inv(hs.sigma_id), vert.sigma_id)
+        return all(p in vert.nested for p in parts) and rel in members[hs.flat]
+
     incidence = model.incidence
     passed = True
     for hs in model.halfspaces:
@@ -83,8 +88,8 @@ def test_hrep_vrep_matches_fraction_reference(a3_min):
             model.vrep.vertices, _values(model, hs.normal), zip(*incidence.columns)
         ):
             assert Fraction(sum(a * b for a, b in zip(ints, point)), denominator) == value
-            predicted = _equality_predicate(model.weyl, hs, vert, member_sets)
-            passed = passed and value <= hs.offset and (value == hs.offset) == predicted
+            tight = value == hs.offset
+            passed = passed and value <= hs.offset and tight == predicted(hs, vert)
     report = verify_hrep_vrep(
         model.building, model.weyl, model.halfspaces, model.vrep, subgroups
     )

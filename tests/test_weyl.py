@@ -99,3 +99,48 @@ def test_subgroup_product_of_orthogonal_lines():
     l2 = flat_closure(rs, [2])
     prod = subgroup_product(w, [parabolic_subgroup(w, f) for f in (l0, l2)])
     assert len(prod.member_ids) == 4
+
+
+def _closure(w, gens):
+    members = {w.identity_id}
+    frontier = [w.identity_id]
+    while frontier:
+        frontier = [
+            b
+            for b in {w.mul(a, g) for a in frontier for g in gens}
+            if b not in members
+        ]
+        members.update(frontier)
+    return members
+
+
+def test_label_subgroups_match_generated_closure(a2, b2, a3_min, b3_max, a13_min):
+    for model in (a2, b2, a3_min, b3_max, a13_min):
+        w, rs = model.weyl, model.rs
+        for labels in sorted({f.labels for f in model.faces}):
+            sub = model.face_ctx.label_subgroup(labels)
+            simple = {i for f in labels for i in range(rs.rank) if f.bits >> i & 1}
+            closure = _closure(w, [w.generator_ids[j] for j in sorted(simple)])
+            assert sub.member_ids == tuple(sorted(closure)), labels
+            assert sub.order == len(closure)
+            for a in range(w.order):
+                coset = {w.mul(a, h) for h in closure}
+                assert set(sub.cosets[sub.coset[a]]) == coset
+                lex_least = min(coset, key=lambda b: w.elements[b])
+                assert sub.reps[sub.coset[a]] == lex_least
+                assert canonical_coset_rep(w, a, sub) == lex_least
+            assert left_cosets(w, sub) == sorted(sub.reps)
+
+
+def test_non_standard_subgroups_are_rejected():
+    rs = build_root_system("A3")
+    w = enumerate_group(rs)
+    l0 = flat_closure(rs, [0])
+    l1 = flat_closure(rs, [1])
+    # the lines through alpha_0 and alpha_1 are not orthogonal
+    with pytest.raises(ValueError):
+        subgroup_product(w, [parabolic_subgroup(w, f) for f in (l0, l1)])
+    # positive root 3 is alpha_1 + alpha_2: its line is not spanned by simple roots
+    assert rs.positive_roots[3] == (0, 1, 1)
+    with pytest.raises(ValueError):
+        parabolic_subgroup(w, flat_closure(rs, [3]))
