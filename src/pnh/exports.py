@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import OutOfRange, UnsupportedType
-from .faces import FacePair
+from .faces import covering_edges
 from .flats import Flat, flat_closure, validate_building_set
 from .halfspaces import HalfSpace
 from .linalg import Vec
@@ -115,11 +115,11 @@ def poset_document(
     include_edges: bool | None = None,
 ) -> dict:
     """Face-poset dump: nodes with (dim, coset rep, flats, labels), plus
-    covering edges.  Edge computation is quadratic per dimension layer, so
-    it is on by default only up to rank 3."""
+    covering edges.  The edges cost one type test per pair of face types
+    (S, L) in adjacent dimensions and one coset lookup per edge.  They are
+    on by default only up to rank 3."""
     if include_edges is None:
         include_edges = model.rs.rank <= 3
-    ctx = model.face_ctx
     faces = model.faces
     nodes = [
         {
@@ -138,17 +138,7 @@ def poset_document(
         "nodes": nodes,
     }
     if include_edges:
-        by_dim: dict[int, list[int]] = {}
-        for i, node in enumerate(nodes):
-            by_dim.setdefault(node["dim"], []).append(i)
-        edges = []
-        for d, lower in sorted(by_dim.items()):
-            upper = by_dim.get(d + 1, [])
-            for i in lower:
-                for j in upper:
-                    if model.face_leq(faces[i], faces[j]):
-                        edges.append([i, j])
-        doc["edges"] = edges
+        doc["edges"] = covering_edges(model.face_ctx, faces)
     return doc
 
 

@@ -13,6 +13,10 @@ whole polytope is ({V} labelled, the full group).
               every labelled flat of p lies inside a labelled flat of q,
               and p's coset is contained in q's.
 
+``covering_edges`` finds the covers without comparing faces pairwise: the
+first two conditions depend only on the type (S, L), and once they hold,
+exactly one face of q's type contains p, found by one coset lookup.
+
 ``face_vertices`` computes the vertex set both from the pair description
 and from the supporting hyperplanes and insists they agree.
 """
@@ -20,7 +24,7 @@ and from the supporting hyperplanes and insists they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .errors import (
     BuildingNotInvariant,
@@ -109,25 +113,78 @@ def f_vector(ctx: FaceContext) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def is_face_leq(ctx: FaceContext, p: FacePair, q: FacePair) -> bool:
-    if not set(q.nested.flats) <= set(p.nested.flats):
+def _type_leq(p: FacePair, q: FacePair) -> bool:
+    """The part of p <= q that ignores the cosets: S_q lies in S_p, and every
+    labelled flat of p lies inside a labelled flat of q."""
+    if not q.nested.flat_set <= p.nested.flat_set:
         return False
-    for a in p.labels:
-        if not any(b.contains(a) for b in q.labels):
-            return False
+    return all(any(b.contains(a) for b in q.labels) for a in p.labels)
+
+
+def is_face_leq(ctx: FaceContext, p: FacePair, q: FacePair) -> bool:
+    if not _type_leq(p, q):
+        return False
     # the labels of p lie inside those of q, so W_{J_p} is inside W_{J_q}
     hq = ctx.label_subgroup(q.labels)
     return hq.coset[p.rep] == hq.coset[q.rep]
+
+
+def covering_edges(ctx: FaceContext, faces: list[FacePair]) -> list[list[int]]:
+    """All [i, j] with face i inside face j and dim j = dim i + 1, sorted.
+
+    ``faces`` must be listed as ``enumerate_faces`` lists them: each type
+    (S, L) is one run with one face per left coset of W_L, representatives
+    ascending.  Once the types of p and q compare, exactly one face of q's
+    type contains p: the one whose coset of W_{L_q} holds p's representative.
+    So the work is one type test per pair of types in adjacent dimensions
+    and one lookup per edge.  Each found face's representative is checked
+    against the coset's, so a change to the listing order cannot go unseen.
+    """
+    ids = list(range(len(faces)))
+    runs_by_dim: dict[int, list] = {}
+    for _, run in groupby(ids, key=lambda k: (faces[k].nested, faces[k].labels)):
+        run = list(run)
+        first = faces[run[0]]
+        sub = ctx.label_subgroup(first.labels)
+        if len(run) != len(sub.reps):
+            raise VerificationFailed(
+                f"a face type is listed with {len(run)} faces for "
+                f"{len(sub.reps)} cosets"
+            )
+        # the k-th face of the run carries the k-th least representative
+        at_coset = [0] * len(run)
+        for j, c in zip(run, sorted(range(len(run)), key=sub.reps.__getitem__)):
+            at_coset[c] = j
+        runs_by_dim.setdefault(ctx.dimension(first), []).append(
+            (first, run, sub, at_coset)
+        )
+
+    edges = []
+    for d in sorted(runs_by_dim):
+        uppers = runs_by_dim.get(d + 1, ())
+        for low, run, _, _ in runs_by_dim[d]:
+            above = [up for up in uppers if _type_leq(low, up[0])]
+            for i in run:
+                rep = faces[i].rep
+                for _, _, sub, at_coset in above:
+                    c = sub.coset[rep]
+                    j = at_coset[c]
+                    if faces[j].rep != sub.reps[c]:
+                        raise VerificationFailed(
+                            f"face {j} is not the listed face of its coset"
+                        )
+                    edges.append([i, j])
+    return edges
 
 
 def face_vertices(ctx: FaceContext, face: FacePair, vrep: VRep) -> frozenset[int]:
     """Vertex ids of a face from the pair description."""
     sub = ctx.label_subgroup(face.labels)
     coset = sub.cosets[sub.coset[face.rep]]
-    flats = set(face.nested.flats)
+    flats = face.nested.flat_set
     out = set()
     for t in vrep.max_nested:
-        if not flats <= set(t.flats):
+        if not flats <= t.flat_set:
             continue
         for sigma in coset:
             out.add(vrep.index_of(sigma, t))

@@ -14,6 +14,7 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import MissingV, NotBuilding, TooManyNestedSets
@@ -35,7 +36,13 @@ class NestedSet:
         return len(self.flats)
 
     def __contains__(self, flat: Flat) -> bool:
-        return flat in self.flats
+        return flat in self.flat_set
+
+    @cached_property
+    def flat_set(self) -> frozenset[Flat]:
+        """The members as a set, built once; subset tests against another
+        ``flat_set`` reuse the stored hashes."""
+        return frozenset(self.flats)
 
     def proper(self) -> tuple[Flat, ...]:
         return self.flats[:-1]

@@ -238,14 +238,15 @@ class CheckReport:
         return head
 
 
-def _equality_predicate(hs: HalfSpace, vert: Vertex, subgroups: dict) -> bool:
+def _equality_predicate(hs: HalfSpace, vert: Vertex, sub_parts) -> bool:
     """Predicted tightness: the vertex's nested set holds the inequality's
     parts and tau^-1 sigma lies in their parabolic, i.e. sigma and tau
-    share a left coset of it."""
+    share a left coset of it.  ``sub_parts`` is (parabolic, set of parts)
+    of the inequality's flat; chamber inequalities have none."""
     if hs.kind == "chamber":
         return hs.sigma_id == vert.sigma_id
-    sub, parts = subgroups[hs.flat]
-    if any(p not in vert.nested for p in parts):
+    sub, parts = sub_parts
+    if not parts <= vert.nested.flat_set:
         return False
     return sub.coset[hs.sigma_id] == sub.coset[vert.sigma_id]
 
@@ -277,7 +278,9 @@ def verify_hrep_vrep(
             parts = (hs.flat,)
         else:
             parts = building.fund_decomposition(simple_index_set(rs, hs.flat))
-        with_parts[hs.flat] = (subgroups[hs.flat], parts)
+        with_parts[hs.flat] = (subgroups[hs.flat], frozenset(parts))
+    # per inequality, so the loop below hashes no flat per pair
+    sub_parts = [with_parts.get(hs.flat) for hs in halfspaces]
 
     pairs = len(vrep.vertices) * len(halfspaces)
     sampled = pairs > limit
@@ -303,7 +306,7 @@ def verify_hrep_vrep(
             row = rows[hi] = incidence.row(hs.normal, hs.offset)
         ints, bound, denominator = row
         value = sum(map(mul, ints, points[vi]))
-        expect_tight = _equality_predicate(hs, vert, with_parts)
+        expect_tight = _equality_predicate(hs, vert, sub_parts[hi])
         if value > bound:
             failures.append(
                 f"vertex (sigma={vert.sigma_id}) violates {hs.kind} inequality "

@@ -111,9 +111,6 @@ class WeylGroup:
             self._inverse[a] = got
         return got
 
-    def matrix(self, a: int) -> Mat:
-        return self.elements[a]
-
     # -- actions -----------------------------------------------------------
 
     def act_vec(self, a: int, x: Vec) -> Vec:

@@ -14,7 +14,11 @@ from pnh.exports import (
     rat_str,
     to_json_bytes,
 )
+from pnh.flats import interval_building_set
+from pnh.model import Permutonestohedron
 from pnh.roots import build_root_system
+
+from conftest import make_model
 
 
 def test_rational_strings_roundtrip():
@@ -56,6 +60,47 @@ def test_poset_document_counts(a2):
     assert len(doc["edges"]) == 36  # 24 vertex-edge covers + 12 edge-top covers
     dims = sorted({n["dim"] for n in doc["nodes"]})
     assert dims == [0, 1, 2]
+
+
+def _edges_by_pairwise_order(model):
+    """Covering edges as every pair of faces in adjacent dimensions, compared."""
+    faces = model.faces
+    by_dim = {}
+    for i, f in enumerate(faces):
+        by_dim.setdefault(model.face_ctx.dimension(f), []).append(i)
+    return [
+        [i, j]
+        for d, lower in sorted(by_dim.items())
+        for i in lower
+        for j in by_dim.get(d + 1, [])
+        if model.face_leq(faces[i], faces[j])
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", ["a2", "b2", "a3_min", "a3_max", "a13_min", "b3_max"]
+)
+def test_covering_edges_equal_pairwise_order(name, request):
+    model = request.getfixturevalue(name)
+    doc = poset_document(model, {}, include_edges=True)
+    assert doc["edges"] == _edges_by_pairwise_order(model)
+
+
+@pytest.mark.parametrize(
+    "spec, kind, counts",
+    [
+        ("B3", "maximal", (867, 1874)),
+        ("A1^4", "interval", (1153, 3376)),
+        ("A2xB2", "minimal", (2361, 7188)),
+    ],
+)
+def test_poset_counts_of_the_benchmark_types(spec, kind, counts):
+    if kind == "interval":
+        model = Permutonestohedron(interval_building_set(4))
+    else:
+        model = make_model(spec, kind)
+    doc = poset_document(model, {}, include_edges=True)
+    assert (len(doc["nodes"]), len(doc["edges"])) == counts
 
 
 def test_building_from_json_roundtrip():

@@ -1,8 +1,9 @@
 import pytest
 
-from pnh.errors import BuildingNotInvariant, NotCrossingFacet
+from pnh.errors import BuildingNotInvariant, NotCrossingFacet, VerificationFailed
 from pnh.faces import (
     aut_action_on_halfspaces,
+    covering_edges,
     crossing_facet_parts,
     enumerate_faces,
     face_dimension,
@@ -52,6 +53,23 @@ def test_order_relation_equals_vertex_containment(a2):
     for i, p in enumerate(faces):
         for j, q in enumerate(faces):
             assert a2.face_leq(p, q) == (vsets[i] <= vsets[j])
+
+
+def test_covering_edges_reject_a_reordered_listing(a3_min):
+    faces = list(a3_min.faces)
+    # the first type, ({V}, no labels), listed with representatives descending
+    run = [
+        i for i, f in enumerate(faces) if f.nested == faces[0].nested and not f.labels
+    ]
+    first, stop = run[0], run[-1] + 1
+    faces[first:stop] = faces[first:stop][::-1]
+    with pytest.raises(VerificationFailed, match="listed face of its coset"):
+        covering_edges(a3_min.face_ctx, faces)
+    # a face type split in two runs
+    faces = list(a3_min.faces)
+    faces.append(faces.pop(first))
+    with pytest.raises(VerificationFailed, match="faces for"):
+        covering_edges(a3_min.face_ctx, faces)
 
 
 def test_top_face_has_no_supporting_hyperplanes(a2):
