@@ -10,7 +10,10 @@ delta away from A.  The polytope is cut out, inside the chamber fan, by
 
 the last with A_1..A_k the maximal members inside B (pairwise orthogonal),
 and delta_perp_B = delta - pi_{A_1} - ... - pi_{A_k}; all images under the
-reflection group.  The positive list eps_1 < ... < eps_n = a must grow
+reflection group.  An inequality with flat J has one image per left coset
+of the standard parabolic W_J, and ``all_halfspaces`` enumerates each orbit
+by those cosets, acting with W's integer matrices on primitive integer
+normals.  The positive list eps_1 < ... < eps_n = a must grow
 fast enough relative to the ratio table below for the construction to
 close up; ``suitable_list`` builds such a list and
 ``verify_epsilon_lemma`` checks the required inequalities exhaustively.
@@ -23,8 +26,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import LemmaViolated, NotBuilding, VerificationFailed
-from .flats import BuildingSet, Flat, fundamental_flats, simple_index_set
-from .linalg import Vec, primitive_vector, vsub
+from .flats import (
+    BuildingSet,
+    Flat,
+    fundamental_flats,
+    iter_bits,
+    simple_index_set,
+)
+from .linalg import ScaledInts, Vec, int_mat_vec, primitive_vector, vsub
 from .weyl import WeylGroup
 
 
@@ -257,7 +266,7 @@ class HalfSpace:
     sigma_id: int
 
     def key(self):
-        """(primitive integer normal, offset rescaled to match), the dedup key."""
+        """(primitive integer normal, offset rescaled to match), the exact key."""
         return self._key
 
     @cached_property
@@ -265,9 +274,6 @@ class HalfSpace:
         # computed once per instance: the symmetry action looks up every
         # inequality's key on each call
         return primitive_key(self.normal, self.offset)
-
-    def evaluate(self, rs, point: Vec) -> Fraction:
-        return rs.inner(self.normal, point)
 
 
 def primitive_key(normal: Vec, offset) -> tuple:
@@ -358,42 +364,65 @@ def all_halfspaces(
     building: BuildingSet,
     suitable: SuitableList,
     weyl: WeylGroup,
-    parabolic_order=None,
+    label_subgroup,
 ) -> list[HalfSpace]:
-    """W-orbit of the fundamental inequalities, deduplicated.
+    """W-orbit of the fundamental inequalities, one image per coset.
 
-    The dedup key is the primitive integer rescaling of (normal, offset);
-    every offset is strictly positive so only positive rescalings occur and
-    the key is canonical.  When ``parabolic_order`` (a callable
-    flat-tuple -> subgroup order) is supplied, the deduplicated count is
-    checked against the orbit-stabilizer prediction.
+    The stabiliser of a fundamental inequality is the standard parabolic
+    W_J of its flat (J is empty for the chamber inequality), so its images
+    are indexed by the left cosets of W_J and each is made once, by the
+    coset's least id.  W's matrices are unimodular: acting on the primitive
+    integer normal gives each image's exact key with no gcd, and the
+    ``Fraction`` normal is made from that key.  ``label_subgroup`` maps a
+    tuple of flats to their label subgroup (``FaceContext.label_subgroup``):
+    a member's own flat, a non-member's decomposition.
+
+    Two checks pin the stabiliser down, each raising VerificationFailed:
+    every simple reflection s_j, j in J, fixes the primitive normal, so the
+    stabiliser contains W_J; and the image keys of all inequalities are
+    pairwise distinct, so it contains nothing more and no two orbits meet.
     """
-    fundamental = fundamental_halfspaces(building, suitable)
-    seen: dict = {}
+    rs = building.rs
     out: list[HalfSpace] = []
-    for base in fundamental:
+    for base in fundamental_halfspaces(building, suitable):
         if base.offset <= 0:
             raise VerificationFailed(f"nonpositive offset in {base.kind} inequality")
-        for sigma in range(weyl.order):
-            normal = weyl.act_vec(sigma, base.normal)
-            hs = HalfSpace(normal, base.offset, base.kind, base.flat, sigma)
-            key = hs.key()
-            if key not in seen:
-                seen[key] = hs
-                out.append(hs)
-    if parabolic_order is not None:
-        expected = 0
-        for base in fundamental:
-            if base.kind == "chamber":
-                stab = 1
-            elif base.kind == "member":
-                stab = parabolic_order((base.flat,))
+        prim, offset = primitive_key(base.normal, base.offset)
+        normal_of = ScaledInts(base.offset / offset).__getitem__
+        if base.kind == "chamber":
+            sigmas = range(weyl.order)
+        else:
+            if base.kind == "member":
+                sub = label_subgroup((base.flat,))
             else:
-                mask = simple_index_set(building.rs, base.flat)
-                stab = parabolic_order(building.fund_decomposition(mask))
-            expected += weyl.order // stab
-        if expected != len(out):
-            raise VerificationFailed(
-                f"halfspace count {len(out)} != orbit-stabilizer prediction {expected}"
+                mask = simple_index_set(rs, base.flat)
+                sub = label_subgroup(building.fund_decomposition(mask))
+            for j in iter_bits(sub.mask):
+                s_j = weyl.elements[weyl.generator_ids[j]]
+                if int_mat_vec(s_j, prim) != prim:
+                    raise VerificationFailed(
+                        f"s_{j} moves the {base.kind} normal of "
+                        f"{base.flat.describe(rs)}"
+                    )
+            sigmas = [ids[0] for ids in sub.cosets]
+        for sigma in sigmas:
+            normal = int_mat_vec(weyl.elements[sigma], prim)
+            hs = HalfSpace(
+                tuple(map(normal_of, normal)),
+                base.offset,
+                base.kind,
+                base.flat,
+                sigma,
             )
-    return sorted(out, key=lambda h: h.key())
+            # seeds the cached_property; dataclasses.replace re-derives it
+            hs.__dict__["_key"] = (normal, offset)
+            out.append(hs)
+    out.sort(key=HalfSpace.key)
+    for prev, hs in zip(out, out[1:]):
+        if prev.key() == hs.key():
+            raise VerificationFailed(
+                f"{prev.kind} image of {prev.flat.describe(rs)} (sigma "
+                f"{prev.sigma_id}) and {hs.kind} image of "
+                f"{hs.flat.describe(rs)} (sigma {hs.sigma_id}) coincide"
+            )
+    return out

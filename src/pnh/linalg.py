@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SingularSystem
@@ -39,6 +40,25 @@ def vdot(x: Vec, y: Vec):
 
 def mat_vec(m: Mat, x: Vec) -> Vec:
     return tuple(vdot(row, x) for row in m)
+
+
+def int_mat_vec(m: Mat, x: Sequence[int]) -> tuple[int, ...]:
+    """``mat_vec`` for integer entries of matching length, without its
+    per-entry length check: the orbit enumerations call it once per image."""
+    return tuple([sum(map(mul, row, x)) for row in m])
+
+
+class ScaledInts(dict):
+    """Memoised ``x -> scale * x`` for int x: an orbit of integer vectors
+    repeats few coordinate values, so each ``Fraction`` is made once."""
+
+    def __init__(self, scale: Fraction):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        got = self[x] = self.scale * x
+        return got
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

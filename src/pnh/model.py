@@ -94,9 +94,6 @@ class Permutonestohedron:
     def face_ctx(self) -> FaceContext:
         return FaceContext(self.building, self.weyl)
 
-    def _parabolic_order(self, flats: tuple[Flat, ...]) -> int:
-        return self.face_ctx.label_subgroup(flats).order
-
     @cached_property
     def fundamental_hs(self) -> list[HalfSpace]:
         return fundamental_halfspaces(self.building, self.suitable, self._flat_data)
@@ -111,7 +108,7 @@ class Permutonestohedron:
     @cached_property
     def halfspaces(self) -> list[HalfSpace]:
         return all_halfspaces(
-            self.building, self.suitable, self.weyl, self._parabolic_order
+            self.building, self.suitable, self.weyl, self.face_ctx.label_subgroup
         )
 
     @cached_property

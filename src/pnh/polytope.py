@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product, repeat
 from math import lcm
 from operator import add, mul
@@ -39,7 +40,14 @@ from .halfspaces import (
     flat_data,
     primitive_key,
 )
-from .linalg import Vec, mat_vec, rank, solve_linear_system
+from .linalg import (
+    ScaledInts,
+    Vec,
+    int_mat_vec,
+    mat_vec,
+    rank,
+    solve_linear_system,
+)
 from .nested import NestedSet, enumerate_maximal_nested_sets, enumerate_nested_sets
 from .weyl import Subgroup, WeylGroup
 
@@ -64,10 +72,11 @@ class VRep:
     def index_of(self, sigma_id: int, nested: NestedSet) -> int:
         return self._index[(sigma_id, nested)]
 
-    def __post_init__(self):
-        self._index = {
-            (v.sigma_id, v.nested): i for i, v in enumerate(self.vertices)
-        }
+    @cached_property
+    def _index(self) -> dict[tuple[int, NestedSet], int]:
+        # built on first lookup: hashing every nested set costs a third of
+        # the orbit walk, and building or counting never looks one up
+        return {(v.sigma_id, v.nested): i for i, v in enumerate(self.vertices)}
 
 
 def vertex(
@@ -115,26 +124,32 @@ def all_vertices(
 ) -> VRep:
     """Orbit of the chamber vertices; one entry per (sigma, nested) pair.
 
-    Pairs mapping to the same point are recorded as coincidences; with
-    ``require_distinct`` (the default, appropriate for suitable lists) any
-    coincidence raises VerificationFailed.
+    The chamber vertices are scaled once to integers by the lcm of their
+    denominators, and W's integer matrices act on those; a ``Fraction``
+    point is made only for each image's ``Vertex``.  Pairs mapping to the
+    same point are recorded as coincidences; with ``require_distinct`` (the
+    default, appropriate for suitable lists) any coincidence raises
+    VerificationFailed.
     """
     rs = building.rs
     data = data if data is not None else {}
     max_nested = tuple(enumerate_maximal_nested_sets(building))
     base_points = [vertex(rs, s, suitable, data, building) for s in max_nested]
+    scale = lcm(*(c.denominator for p in base_points for c in p))
+    base_ints = [
+        tuple(c.numerator * (scale // c.denominator) for c in p) for p in base_points
+    ]
+    point_of = ScaledInts(Fraction(1, scale)).__getitem__
     vertices = []
-    by_point: dict[Vec, int] = {}
+    by_point: dict[tuple[int, ...], int] = {}
     coincidences = []
-    for sigma in range(weyl.order):
-        for s, p in zip(max_nested, base_points):
-            q = weyl.act_vec(sigma, p)
+    for sigma, m in enumerate(weyl.elements):
+        for s, p in zip(max_nested, base_ints):
+            q = int_mat_vec(m, p)
             idx = len(vertices)
-            vertices.append(Vertex(q, sigma, s))
-            prev = by_point.get(q)
-            if prev is None:
-                by_point[q] = idx
-            else:
+            vertices.append(Vertex(tuple(map(point_of, q)), sigma, s))
+            prev = by_point.setdefault(q, idx)
+            if prev != idx:
                 coincidences.append((prev, idx))
     if coincidences and require_distinct:
         raise VerificationFailed(

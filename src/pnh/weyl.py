@@ -18,6 +18,7 @@ from .linalg import (
     Mat,
     Vec,
     identity,
+    int_mat_vec,
     mat_mul,
     mat_vec,
     primitive_vector,
@@ -179,7 +180,7 @@ def _standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
     coset = []
     cosets: list[list[int]] = []
     for a, m in enumerate(weyl.elements):
-        c = number.setdefault(mat_vec(m, x), len(number))
+        c = number.setdefault(int_mat_vec(m, x), len(number))
         if c == len(cosets):
             cosets.append([])
         cosets[c].append(a)
@@ -202,6 +203,8 @@ def parabolic_subgroup(weyl: WeylGroup, flat) -> Subgroup:
 
 def subgroup_product(weyl: WeylGroup, parts: list[Subgroup]) -> Subgroup:
     """Internal direct product of standard parabolics on orthogonal index sets."""
+    if len(parts) == 1:
+        return parts[0]
     cartan = weyl.rs.cartan
     mask = 0
     for part in parts:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -30,6 +31,27 @@ def test_build_emits_parseable_json(tmp_path):
     assert len(doc["hrep"]) == 12
     assert len(doc["vrep"]) == 12
     assert doc["config"]["type"] == "A2"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--type", "A3", "--building", "minimal", "--a", "3/2"],
+            "b0f399f69560e4aaded8203f3885d8ce3ed6248c328510854d90cd129ea23aac",
+        ),
+        (
+            ["--type", "B3", "--building", "maximal", "--a", "1"],
+            "728498ee1f8659981fbfe1e278a80caeff558e7d3fd526f9566fb77fe149dd6d",
+        ),
+    ],
+)
+def test_build_output_is_byte_identical(tmp_path, argv, digest):
+    # frozen SHA-256 of the whole document: a reordered H-rep or V-rep, or a
+    # changed sigma or coordinate, cannot pass unnoticed
+    out = tmp_path / "frozen.json"
+    assert run(["build", *argv, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_build_with_verification_gate(tmp_path):

@@ -2,19 +2,22 @@ from fractions import Fraction
 
 import pytest
 
-from pnh.errors import LemmaViolated
-from pnh.flats import build_minimal, flat_closure, full_flat
+from pnh.errors import LemmaViolated, VerificationFailed
+from pnh.flats import build_minimal, flat_closure, full_flat, simple_index_set
 from pnh.halfspaces import (
     SuitableList,
+    all_halfspaces,
     check_increasing,
     flat_data,
     fundamental_halfspaces,
     orthogonal_flats,
+    primitive_key,
     ratio_table,
     suitable_list,
     verify_epsilon_lemma,
 )
 from pnh.roots import build_root_system
+from pnh.weyl import parabolic_subgroup
 
 
 def test_flat_data_a2():
@@ -122,3 +125,76 @@ def test_halfspace_key_dedup(a2, a3_min, a3_max, b2, b3_min, b3_max):
         keys = {h.key() for h in hs}
         assert len(keys) == count
         assert all(h.offset > 0 for h in hs)
+
+
+def _orbit_over_all_of_w(model):
+    """The H-rep the way it was made before the coset walk: every element of
+    W acting on each fundamental normal in Fractions, the least sigma kept
+    per exact key, sorted by key."""
+    seen = {}
+    for base in fundamental_halfspaces(model.building, model.suitable):
+        for sigma in range(model.weyl.order):
+            normal = model.weyl.act_vec(sigma, base.normal)
+            seen.setdefault(
+                primitive_key(normal, base.offset),
+                (normal, base.offset, base.kind, base.flat, sigma),
+            )
+    return [seen[key] for key in sorted(seen)]
+
+
+@pytest.mark.parametrize(
+    "name", ["a2", "b2", "a3_min", "a3_max", "b3_min", "b3_max", "a13_min"]
+)
+def test_coset_orbits_equal_the_walk_over_all_of_w(name, request):
+    model = request.getfixturevalue(name)
+    got = [
+        (h.normal, h.offset, h.kind, h.flat, h.sigma_id) for h in model.halfspaces
+    ]
+    assert got == _orbit_over_all_of_w(model)
+    # the key seeded from the integer action is the one derived from scratch
+    assert all(h.key() == primitive_key(h.normal, h.offset) for h in model.halfspaces)
+
+
+def _member_subgroups(model, change):
+    """``label_subgroup`` with each member inequality's subgroup replaced by
+    ``change(flat, its true subgroup)``."""
+    members = {h.flat for h in model.fundamental_hs if h.kind == "member"}
+
+    def label_subgroup(flats):
+        sub = model.face_ctx.label_subgroup(flats)
+        if len(flats) == 1 and flats[0] in members:
+            return change(flats[0], sub)
+        return sub
+
+    return label_subgroup
+
+
+def test_a_stabiliser_one_index_too_large_moves_the_normal(a3_min):
+    rs = a3_min.rs
+
+    def grown(flat, sub):
+        extra = next(i for i in range(rs.rank) if not sub.mask >> i & 1)
+        indices = [i for i in range(rs.rank) if (sub.mask | 1 << extra) >> i & 1]
+        bigger = parabolic_subgroup(a3_min.weyl, flat_closure(rs, indices))
+        assert bigger.mask == simple_index_set(rs, flat) | 1 << extra
+        return bigger
+
+    with pytest.raises(VerificationFailed, match="moves the member normal"):
+        all_halfspaces(
+            a3_min.building,
+            a3_min.suitable,
+            a3_min.weyl,
+            _member_subgroups(a3_min, grown),
+        )
+
+
+def test_a_trivial_stabiliser_repeats_a_key(a3_min):
+    trivial = a3_min.face_ctx.label_subgroup(())
+    assert trivial.order == 1
+    with pytest.raises(VerificationFailed, match="coincide"):
+        all_halfspaces(
+            a3_min.building,
+            a3_min.suitable,
+            a3_min.weyl,
+            _member_subgroups(a3_min, lambda flat, sub: trivial),
+        )

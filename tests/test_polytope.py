@@ -43,6 +43,23 @@ def test_vertex_counts(a2, b2, a3_min, a3_max, b3_min, b3_max, a13_min):
     assert a13_min.vertex_count == 24
 
 
+@pytest.mark.parametrize(
+    "name", ["a2", "b2", "a3_min", "a3_max", "b3_min", "b3_max", "a13_min"]
+)
+def test_integer_orbit_equals_the_fraction_action(name, request):
+    model = request.getfixturevalue(name)
+    rs, weyl = model.rs, model.weyl
+    nested = enumerate_maximal_nested_sets(model.building)
+    points = [vertex(rs, s, model.suitable, building=model.building) for s in nested]
+    expected = [
+        (weyl.act_vec(sigma, p), sigma, s)
+        for sigma in range(weyl.order)
+        for s, p in zip(nested, points)
+    ]
+    got = [(v.point, v.sigma_id, v.nested) for v in model.vrep.vertices]
+    assert got == expected
+
+
 def test_vertices_are_distinct_group_orbit(a3_min):
     vr = a3_min.vrep
     assert not vr.coincidences
