@@ -164,11 +164,17 @@ def building_from_json(rs, doc: dict, weyl=None):
     if not isinstance(roots, list) or not isinstance(flats, list):
         raise ValueError("building-set file needs 'roots' and 'flats' lists")
     given = [tuple(Fraction(str(x)) for x in r) for r in roots]
-    if given != list(rs.positive_roots):
+    expected = list(rs.positive_roots)
+    if given != expected:
+        if len(given) != len(expected):
+            detail = f"{len(given)} given, {len(expected)} expected"
+        else:
+            i = next(i for i, (g, e) in enumerate(zip(given, expected)) if g != e)
+            shown = [", ".join(map(str, r)) for r in (given[i], expected[i])]
+            detail = f"root {i} is ({shown[0]}), expected ({shown[1]})"
         raise ValueError(
             "building-set file roots must equal the root system's positive "
-            f"roots in order ({len(given)} given, "
-            f"{len(rs.positive_roots)} expected)"
+            f"roots in order ({detail})"
         )
     family = []
     for idxs in flats:

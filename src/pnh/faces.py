@@ -33,8 +33,8 @@ from .errors import (
     VerificationFailed,
 )
 from .flats import BuildingSet, Flat, iter_bits
-from .halfspaces import HalfSpace, orthogonal_flats
-from .linalg import mat_mul, mat_vec, primitive_vector
+from .halfspaces import HalfSpace, HalfSpaceIndex, orthogonal_flats
+from .linalg import int_mat_vec, mat_mul
 from .nested import NestedSet, enumerate_nested_sets
 from .polytope import Incidence, VRep
 from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_subgroup, subgroup_product
@@ -196,65 +196,60 @@ def face_vertices(ctx: FaceContext, face: FacePair, vrep: VRep) -> frozenset[int
 def support_halfspaces(
     ctx: FaceContext,
     face: FacePair,
-    by_mask: dict[int, HalfSpace],
-) -> list[tuple]:
-    """(normal, offset) pairs of hyperplanes whose intersection carries the face.
+    index: HalfSpaceIndex,
+) -> list[int]:
+    """H-rep positions of the hyperplanes whose intersection carries the face.
 
-    ``by_mask`` maps the simple-index mask of each fundamental flat to its
-    defining inequality (chamber, member or nonmember).  With labels
-    A_1..A_k and D their sum: for k = 0 the chamber hyperplane and the
-    hyperplanes of every proper member of S; for k >= 1 the hyperplane of
-    D and those of B + D over proper unlabelled B in S.  All are
-    translated by the face's coset representative.
+    With labels A_1..A_k and D their sum: for k = 0 the chamber hyperplane
+    and the hyperplanes of every proper member of S; for k >= 1 the
+    hyperplane of D and those of B + D over proper unlabelled B in S.  Each
+    is the image, by the face's coset representative, of the fundamental
+    inequality of that simple-index mask, found in ``index`` by the
+    representative's coset of the inequality's stabiliser.
     """
     building = ctx.building
-    out = []
-
-    def translated(flat_mask: int):
-        hs = by_mask[flat_mask]
-        normal = ctx.weyl.act_vec(face.rep, hs.normal)
-        return (normal, hs.offset)
-
-    full_mask = (1 << building.rs.rank) - 1
     proper = [f for f in face.nested if f != building.V]
     if face.labels == (building.V,):
         return []  # the whole polytope: no supporting hyperplane
     if not face.labels:
-        out.append(translated(full_mask))
-        for b in proper:
-            out.append(translated(building.fund_index_sets[b]))
-        return out
-
-    d_mask = 0
-    for a in face.labels:
-        d_mask |= building.fund_index_sets[a]
-    if len(face.labels) >= 2:
-        parts = building.fund_decomposition(d_mask)
-        if parts != tuple(sorted(face.labels)):
-            raise VerificationFailed(
-                "label sum decomposes differently from the labels themselves"
-            )
-    out.append(translated(d_mask))
-    for b in proper:
-        if b in face.labels:
-            continue
-        out.append(translated(building.fund_index_sets[b] | d_mask))
-    return out
+        masks = [(1 << building.rs.rank) - 1]
+        masks += [building.fund_index_sets[b] for b in proper]
+    else:
+        d_mask = 0
+        for a in face.labels:
+            d_mask |= building.fund_index_sets[a]
+        if len(face.labels) >= 2:
+            parts = building.fund_decomposition(d_mask)
+            if parts != tuple(sorted(face.labels)):
+                raise VerificationFailed(
+                    "label sum decomposes differently from the labels themselves"
+                )
+        masks = [d_mask] + [
+            building.fund_index_sets[b] | d_mask
+            for b in proper
+            if b not in face.labels
+        ]
+    return [index.position(mask, face.rep) for mask in masks]
 
 
 def face_vertices_geometric(
     ctx: FaceContext,
     face: FacePair,
     vrep: VRep,
-    by_mask: dict[int, HalfSpace],
+    index: HalfSpaceIndex,
     incidence: Incidence | None = None,
 ) -> frozenset[int]:
-    """Vertex ids lying on every supporting hyperplane of the face."""
+    """Vertex ids lying on every supporting hyperplane of the face.
+
+    The hyperplanes are chosen combinatorially; the vertices on each come
+    from the incidence kernel's exact dot products.
+    """
     if incidence is None:
         incidence = Incidence(ctx.building.rs, vrep)
+    support = [index.halfspaces[i] for i in support_halfspaces(ctx, face, index)]
     mask = incidence.full
-    for normal, offset in support_halfspaces(ctx, face, by_mask):
-        mask &= incidence.tight(normal, offset)
+    for tight in incidence.facet_masks(support):
+        mask &= tight
     return frozenset(iter_bits(mask))
 
 
@@ -293,49 +288,24 @@ def aut_action_on_halfspaces(
 ) -> tuple[int, ...]:
     """Permutation induced on the defining inequalities by x -> w(gamma x).
 
-    Raises BuildingNotInvariant when gamma does not preserve the building
-    set.  The permutation is computed on exact primitive normal keys, so a
-    successful return proves the composite symmetry maps the inequality
-    set onto itself.
+    Raises BuildingNotInvariant unless gamma is a diagram automorphism that
+    validation recorded as preserving the building set.  w gamma is
+    unimodular, so each primitive integer normal maps to the primitive
+    normal of its image, looked up with an exact offset match; with the
+    injectivity check, a return proves the inequality set maps onto itself.
     """
-    rs = building.rs
-    n = rs.rank
     gamma_rows = tuple(tuple(row) for row in gamma_matrix)
-    flat_bits = {f.bits for f in building.flats}
-    root_images = []
-    for root in rs.positive_roots:
-        img = mat_vec(gamma_rows, root)
-        if all(c <= 0 for c in img):
-            img = tuple(-c for c in img)
-        idx = rs.root_index.get(tuple(img))
-        if idx is None:
-            raise BuildingNotInvariant("gamma does not permute the positive roots")
-        root_images.append(idx)
-    for f in building.flats:
-        image = 0
-        for i in f.indices():
-            image |= 1 << root_images[i]
-        if image not in flat_bits:
-            raise BuildingNotInvariant(
-                f"gamma moves {f.describe(rs)} outside the building set"
-            )
-
+    if all(a.matrix != gamma_rows for a in building.preserved_diagram_automorphisms):
+        raise BuildingNotInvariant(
+            "gamma is not a diagram automorphism preserving the building set"
+        )
     matrix = mat_mul(weyl.elements[w_id], gamma_rows)
-    key_index = {}
-    int_normals = []
-    offsets = []
-    for i, hs in enumerate(halfspaces):
-        prim, off = hs.key()
-        key_index[(prim, off)] = i
-        int_normals.append(prim)
-        offsets.append(off)
-
-    rows = [tuple(row) for row in matrix]
+    keys = [hs.key() for hs in halfspaces]
+    position = {prim: i for i, (prim, _) in enumerate(keys)}
     perm = []
-    for prim, off in zip(int_normals, offsets):
-        image = tuple(sum(r * v for r, v in zip(row, prim)) for row in rows)
-        target = key_index.get((primitive_vector(image), off))
-        if target is None:
+    for prim, offset in keys:
+        target = position.get(int_mat_vec(matrix, prim))
+        if target is None or keys[target][1] != offset:
             raise VerificationFailed(
                 "symmetry image of a defining inequality is not a defining inequality"
             )

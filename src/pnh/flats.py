@@ -23,7 +23,7 @@ from .errors import (
     NotWInvariant,
     TooManyFlats,
 )
-from .linalg import Echelon, solve_columns
+from .linalg import Echelon, int_mat_vec, solve_columns
 from .roots import RootSystem, diagram_automorphisms
 
 DEFAULT_FLAT_CAP = 2**20
@@ -175,6 +175,7 @@ class BuildingSet:
         self._decomp_cache: dict[Flat, tuple[Flat, ...]] = {}
         self._fund_decomp_cache: dict[int, tuple[Flat, ...]] = {}
         self.preserved_diagram_automorphisms: tuple = ()
+        self.contains_every_flat = False
         self.parent_root_of: tuple[int, ...] | None = None
         self.sub_index_of: dict[int, int] | None = None
         self.parent_flat: Flat | None = None
@@ -236,32 +237,46 @@ class BuildingSet:
 
 def _check_w_invariance(rs: RootSystem, weyl, flats: frozenset[Flat]) -> None:
     """Stability under the group; checking the generators suffices."""
-    bits_set = {f.bits for f in flats}
     for g in weyl.generator_ids:
-        perm = weyl.root_permutation(g)
-        for f in flats:
-            image = 0
-            for i in f.indices():
-                image |= 1 << perm[i]
-            if image not in bits_set:
-                raise NotWInvariant(
-                    f"reflection {g} moves flat {f.describe(rs)} outside the family"
-                )
+        moved = _moved_flat(weyl.root_permutation(g), flats)
+        if moved is not None:
+            raise NotWInvariant(
+                f"reflection {g} moves flat {moved.describe(rs)} outside the family"
+            )
+
+
+def _moved_flat(root_perm, flats: frozenset[Flat]) -> Flat | None:
+    """A flat that the permutation ``root_perm`` of the positive roots moves
+    outside ``flats``, or None when it preserves them."""
+    for f in flats:
+        image = 0
+        for i in f.indices():
+            image |= 1 << root_perm[i]
+        if Flat(f.dim, image) not in flats:
+            return f
+    return None
 
 
 def validate_building_set(
     rs: RootSystem,
     flats: Iterable[Flat],
     weyl=None,
-    cap: int = DEFAULT_FLAT_CAP,
     kind: str = "custom",
 ) -> BuildingSet:
     """Check the building-set axioms and return the validated family.
 
     Raises MissingV / NotBuilding / NotWInvariant with a witness message.
     As a courtesy the returned object records which diagram symmetries
-    preserve the family.
+    preserve the family, and whether it holds every flat.
     """
+    return _validated(rs, flats, all_flats(rs), weyl, kind)
+
+
+def _validated(
+    rs: RootSystem, flats: Iterable[Flat], every: list[Flat], weyl, kind: str
+) -> BuildingSet:
+    """``validate_building_set`` with the flats of ``rs`` already listed in
+    ``every``, so that a builder that listed them need not do it again."""
     family = frozenset(flats)
     bs = BuildingSet(rs, family, kind=kind)
     if bs.V not in family:
@@ -271,7 +286,7 @@ def validate_building_set(
             raise NotBuilding(f"missing line flat {line.describe(rs)}")
     if weyl is not None:
         _check_w_invariance(rs, weyl, family)
-    for flat in all_flats(rs, cap=cap):
+    for flat in every:
         parts = bs.g_decomposition(flat)
         if sum(p.dim for p in parts) != flat.dim:
             raise NotBuilding(
@@ -286,41 +301,28 @@ def validate_building_set(
             )
     preserved = []
     for auto in diagram_automorphisms(rs):
-        root_map = {}
-        ok = True
-        for f in family:
-            image = 0
-            for i in f.indices():
-                img = root_map.get(i)
-                if img is None:
-                    vec = tuple(
-                        sum(auto.matrix[r][c] * rs.positive_roots[i][c]
-                            for c in range(rs.rank))
-                        for r in range(rs.rank)
-                    )
-                    img = rs.root_index[vec]
-                    root_map[i] = img
-                image |= 1 << img
-            if Flat(f.dim, image) not in family:
-                ok = False
-                break
-        if ok:
+        # a diagram automorphism permutes the positive roots (no signs)
+        perm = [rs.root_index[int_mat_vec(auto.matrix, r)] for r in rs.positive_roots]
+        if _moved_flat(perm, family) is None:
             preserved.append(auto)
     bs.preserved_diagram_automorphisms = tuple(preserved)
+    bs.contains_every_flat = family.issuperset(every)
     return bs
 
 
-def build_maximal(rs: RootSystem, weyl=None, cap: int = DEFAULT_FLAT_CAP) -> BuildingSet:
-    return validate_building_set(rs, all_flats(rs, cap=cap), weyl=weyl, kind="maximal")
+def build_maximal(rs: RootSystem, weyl=None) -> BuildingSet:
+    every = all_flats(rs)
+    return _validated(rs, every, every, weyl, "maximal")
 
 
-def build_minimal(rs: RootSystem, weyl=None, cap: int = DEFAULT_FLAT_CAP) -> BuildingSet:
+def build_minimal(rs: RootSystem, weyl=None) -> BuildingSet:
     """Irreducible flats, with the whole space adjoined when reducible."""
-    flats = [f for f in all_flats(rs, cap=cap) if is_irreducible(rs, f)]
+    every = all_flats(rs)
+    flats = [f for f in every if is_irreducible(rs, f)]
     v = full_flat(rs)
     if v not in flats:
         flats.append(v)
-    return validate_building_set(rs, flats, weyl=weyl, kind="minimal")
+    return _validated(rs, flats, every, weyl, "minimal")
 
 
 def interval_building_set(n: int) -> BuildingSet:

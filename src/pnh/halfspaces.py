@@ -34,7 +34,7 @@ from .flats import (
     simple_index_set,
 )
 from .linalg import ScaledInts, Vec, int_mat_vec, primitive_vector, vsub
-from .weyl import WeylGroup
+from .weyl import Subgroup, WeylGroup
 
 
 @dataclass(frozen=True)
@@ -374,8 +374,8 @@ def all_halfspaces(
     coset's least id.  W's matrices are unimodular: acting on the primitive
     integer normal gives each image's exact key with no gcd, and the
     ``Fraction`` normal is made from that key.  ``label_subgroup`` maps a
-    tuple of flats to their label subgroup (``FaceContext.label_subgroup``):
-    a member's own flat, a non-member's decomposition.
+    tuple of flats to their label subgroup (``FaceContext.label_subgroup``);
+    it is given the flat's decomposition, a member's being the member itself.
 
     Two checks pin the stabiliser down, each raising VerificationFailed:
     every simple reflection s_j, j in J, fixes the primitive normal, so the
@@ -392,11 +392,8 @@ def all_halfspaces(
         if base.kind == "chamber":
             sigmas = range(weyl.order)
         else:
-            if base.kind == "member":
-                sub = label_subgroup((base.flat,))
-            else:
-                mask = simple_index_set(rs, base.flat)
-                sub = label_subgroup(building.fund_decomposition(mask))
+            mask = simple_index_set(rs, base.flat)
+            sub = label_subgroup(building.fund_decomposition(mask))
             for j in iter_bits(sub.mask):
                 s_j = weyl.elements[weyl.generator_ids[j]]
                 if int_mat_vec(s_j, prim) != prim:
@@ -426,3 +423,46 @@ def all_halfspaces(
                 f"{hs.flat.describe(rs)} (sigma {hs.sigma_id}) coincide"
             )
     return out
+
+
+@dataclass(frozen=True)
+class HalfSpaceIndex:
+    """Positions in an H-rep, by orbit coordinates.
+
+    A fundamental inequality is named by its flat's simple-index mask (the
+    full mask for the chamber inequality) and its images by the left cosets
+    of its stabiliser W_J: ``orbits[mask]`` is W_J and the position in
+    ``halfspaces`` of each coset's image.
+    """
+
+    halfspaces: list[HalfSpace]
+    orbits: dict[int, tuple[Subgroup, list[int]]]
+
+    def position(self, mask: int, sigma: int) -> int:
+        """Position of sigma's image of the fundamental inequality ``mask``."""
+        sub, positions = self.orbits[mask]
+        return positions[sub.coset[sigma]]
+
+
+def index_halfspaces(
+    rs,
+    halfspaces: list[HalfSpace],
+    stabilisers: dict[Flat, Subgroup],
+    trivial: Subgroup,
+) -> HalfSpaceIndex:
+    """Index an H-rep by (mask, coset of ``sigma_id``), with ``stabilisers``
+    the W_J of each member or non-member flat and ``trivial`` the chamber
+    inequality's.  Raises VerificationFailed unless each coset of each
+    orbit holds exactly one inequality."""
+    orbits: dict[int, tuple[Subgroup, list]] = {}
+    for i, hs in enumerate(halfspaces):
+        # the chamber inequality's flat is the whole space: the full mask
+        sub = trivial if hs.kind == "chamber" else stabilisers[hs.flat]
+        mask = simple_index_set(rs, hs.flat)
+        slots = orbits.setdefault(mask, (sub, [None] * len(sub.reps)))[1]
+        slots[sub.coset[hs.sigma_id]] = i
+    # H inequalities filling H slots with none empty fill each slot once
+    slots = [p for _, p in orbits.values()]
+    if sum(map(len, slots)) != len(halfspaces) or any(None in p for p in slots):
+        raise VerificationFailed("the inequalities do not fill each coset once")
+    return HalfSpaceIndex(halfspaces, orbits)

@@ -25,19 +25,15 @@ from .faces import (
     is_face_leq,
     is_simple,
 )
-from .flats import (
-    BuildingSet,
-    Flat,
-    all_flats,
-    restricted_building_set,
-    simple_index_set,
-)
+from .flats import BuildingSet, Flat, restricted_building_set, simple_index_set
 from .halfspaces import (
     HalfSpace,
+    HalfSpaceIndex,
     SuitableList,
     all_halfspaces,
     check_increasing,
     fundamental_halfspaces,
+    index_halfspaces,
     ratio_table,
     suitable_list,
     verify_epsilon_lemma,
@@ -56,6 +52,7 @@ from .polytope import (
 )
 from .weyl import (
     DEFAULT_GROUP_CAP,
+    Subgroup,
     WeylGroup,
     canonical_coset_rep,
     enumerate_group,
@@ -99,16 +96,18 @@ class Permutonestohedron:
         return fundamental_halfspaces(self.building, self.suitable, self._flat_data)
 
     @cached_property
-    def fundamental_hs_by_mask(self) -> dict[int, HalfSpace]:
-        out = {}
-        for hs in self.fundamental_hs:
-            out[simple_index_set(self.rs, hs.flat)] = hs
-        return out
-
-    @cached_property
     def halfspaces(self) -> list[HalfSpace]:
         return all_halfspaces(
             self.building, self.suitable, self.weyl, self.face_ctx.label_subgroup
+        )
+
+    @cached_property
+    def halfspace_index(self) -> HalfSpaceIndex:
+        return index_halfspaces(
+            self.rs,
+            self.halfspaces,
+            self.subgroups_by_flat(),
+            self.face_ctx.label_subgroup(()),
         )
 
     @cached_property
@@ -141,9 +140,9 @@ class Permutonestohedron:
 
     # -- predicates -------------------------------------------------------
 
-    @cached_property
+    @property
     def is_maximal_building(self) -> bool:
-        return len(self.building.flats) == len(all_flats(self.rs))
+        return self.building.contains_every_flat
 
     def simple(self) -> bool:
         return is_simple(self.face_ctx, self.halfspaces, self.incidence)
@@ -154,19 +153,17 @@ class Permutonestohedron:
     def face_leq(self, p: FacePair, q: FacePair) -> bool:
         return is_face_leq(self.face_ctx, p, q)
 
-    def subgroups_by_flat(self):
-        out = {}
-        for hs in self.fundamental_hs:
-            if hs.kind == "chamber" or hs.flat in out:
-                continue
-            if hs.kind == "member":
-                out[hs.flat] = self.face_ctx.label_subgroup((hs.flat,))
-            else:
-                parts = self.building.fund_decomposition(
-                    simple_index_set(self.rs, hs.flat)
-                )
-                out[hs.flat] = self.face_ctx.label_subgroup(parts)
-        return out
+    def subgroups_by_flat(self) -> dict[Flat, Subgroup]:
+        """W_J of each member or non-member inequality's flat: the label
+        subgroup of the members that decompose it (a member decomposes as
+        itself)."""
+        return {
+            hs.flat: self.face_ctx.label_subgroup(
+                self.building.fund_decomposition(simple_index_set(self.rs, hs.flat))
+            )
+            for hs in self.fundamental_hs
+            if hs.kind != "chamber"
+        }
 
     # -- verification -----------------------------------------------------
 
@@ -264,7 +261,6 @@ class Permutonestohedron:
             reports.append(
                 verify_hrep_vrep(
                     self.building,
-                    self.weyl,
                     self.halfspaces,
                     self.vrep,
                     self.subgroups_by_flat(),
@@ -315,7 +311,7 @@ class Permutonestohedron:
                 self.face_ctx,
                 face,
                 self.vrep,
-                self.fundamental_hs_by_mask,
+                self.halfspace_index,
                 self.incidence,
             )
             if combinatorial != geometric:

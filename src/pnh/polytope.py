@@ -33,13 +33,7 @@ from operator import add, mul
 
 from .errors import EmptyFacet, NotInChamber, VerificationFailed
 from .flats import BuildingSet, Flat, iter_bits, simple_index_set
-from .halfspaces import (
-    FlatData,
-    HalfSpace,
-    SuitableList,
-    flat_data,
-    primitive_key,
-)
+from .halfspaces import FlatData, HalfSpace, SuitableList, flat_data
 from .linalg import (
     ScaledInts,
     Vec,
@@ -198,10 +192,6 @@ class Incidence:
         bound = offset.numerator * (m // offset.denominator) * self.scale
         return ints, bound, m * self.scale
 
-    def tight(self, normal: Vec, offset) -> int:
-        """Bitmask of the vertex ids on the hyperplane (x, normal) = offset."""
-        return self._tight(primitive_key(normal, offset), normal, offset)
-
     def facet_masks(self, halfspaces: list[HalfSpace]) -> list[int]:
         """The tight mask of each inequality; every one must be nonempty."""
         out = []
@@ -268,7 +258,6 @@ def _equality_predicate(hs: HalfSpace, vert: Vertex, sub_parts) -> bool:
 
 def verify_hrep_vrep(
     building: BuildingSet,
-    weyl: WeylGroup,
     halfspaces: list[HalfSpace],
     vrep: VRep,
     subgroups: dict[Flat, Subgroup],
@@ -286,14 +275,9 @@ def verify_hrep_vrep(
     if incidence is None:
         incidence = Incidence(rs, vrep)
     with_parts = {}
-    for hs in halfspaces:
-        if hs.flat in with_parts or hs.kind == "chamber":
-            continue
-        if hs.kind == "member":
-            parts = (hs.flat,)
-        else:
-            parts = building.fund_decomposition(simple_index_set(rs, hs.flat))
-        with_parts[hs.flat] = (subgroups[hs.flat], frozenset(parts))
+    for flat, sub in subgroups.items():
+        parts = building.fund_decomposition(simple_index_set(rs, flat))
+        with_parts[flat] = (sub, frozenset(parts))  # a member's parts: itself
     # per inequality, so the loop below hashes no flat per pair
     sub_parts = [with_parts.get(hs.flat) for hs in halfspaces]
 

@@ -38,7 +38,7 @@ def test_criterion_01_a2_dodecagon(a2):
     t0 = time.perf_counter()
     ok = a2.f_vector == (12, 12, 1)
     report = verify_hrep_vrep(
-        a2.building, a2.weyl, a2.halfspaces, a2.vrep, a2.subgroups_by_flat()
+        a2.building, a2.halfspaces, a2.vrep, a2.subgroups_by_flat()
     )
     ok = ok and report.passed and report.checked == 144 and not report.sampled
     _finish(
@@ -68,7 +68,6 @@ def test_criterion_03_a3_minimal_counts_and_incidence(a3_min):
     ok = ok and formula == fvec
     report = verify_hrep_vrep(
         a3_min.building,
-        a3_min.weyl,
         a3_min.halfspaces,
         a3_min.vrep,
         a3_min.subgroups_by_flat(),
@@ -280,9 +279,8 @@ def test_criterion_08_facet_factorisation(a3_min, a4_min, b3_min, b3_max):
     # holds on every vertex, and its tight set, found by exact inner products,
     # is the combinatorial vertex set with the right affine rank.
     def geometric_facet(model, face):
-        [(normal, offset)] = support_halfspaces(
-            model.face_ctx, face, model.fundamental_hs_by_mask
-        )
+        [i] = support_halfspaces(model.face_ctx, face, model.halfspace_index)
+        normal, offset = model.halfspaces[i].normal, model.halfspaces[i].offset
         gn = mat_vec(model.rs.gram, normal)
         values = [
             sum(a * b for a, b in zip(gn, v.point)) for v in model.vrep.vertices

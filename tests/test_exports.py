@@ -115,8 +115,13 @@ def test_building_from_json_roundtrip():
 
 def test_building_from_json_rejects_bad_input():
     rs = build_root_system("A2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(1 given, 3 expected\)"):
         building_from_json(rs, {"roots": [[1, 0]], "flats": [[0]]})
+    # the right count with a wrong value names the first root that differs
+    with pytest.raises(ValueError, match=r"root 2 is \(2, 1\), expected \(1, 1\)"):
+        building_from_json(
+            rs, {"roots": [[1, 0], [0, 1], [2, 1]], "flats": [[0], [1], [2]]}
+        )
     with pytest.raises(ValueError):
         # {0,1} spans the plane, so the root set is not closed
         building_from_json(

@@ -9,7 +9,9 @@ from pnh.faces import (
     face_dimension,
     support_halfspaces,
 )
-from pnh.flats import interval_building_set
+from pnh.flats import interval_building_set, simple_index_set
+from pnh.halfspaces import primitive_key
+from pnh.linalg import mat_mul, mat_vec, primitive_vector
 from pnh.model import Permutonestohedron
 from pnh.roots import diagram_automorphisms
 
@@ -78,7 +80,7 @@ def test_top_face_has_no_supporting_hyperplanes(a2):
         for f in a2.faces
         if face_dimension(a2.face_ctx, f) == a2.rs.rank
     )
-    assert support_halfspaces(a2.face_ctx, top, a2.fundamental_hs_by_mask) == []
+    assert support_halfspaces(a2.face_ctx, top, a2.halfspace_index) == []
 
 
 def test_vertices_match_supporting_hyperplanes(a2, b2):
@@ -161,3 +163,80 @@ def test_every_crossing_facet_factorises(a3_min, a13_min, b3_max):
             assert report.passed, report.line()
             reps.add(f.rep)
         assert len(reps) > 1
+
+
+def _fraction_support_keys(model, face):
+    """Exact keys of a face's supporting hyperplanes, each fundamental
+    inequality translated by the face's representative in Fractions."""
+    building = model.building
+    by_mask = {
+        simple_index_set(model.rs, hs.flat): hs for hs in model.fundamental_hs
+    }
+    proper = [f for f in face.nested if f != building.V]
+    if face.labels == (building.V,):
+        return []
+    if not face.labels:
+        masks = [(1 << model.rs.rank) - 1]
+        masks += [building.fund_index_sets[b] for b in proper]
+    else:
+        d_mask = 0
+        for a in face.labels:
+            d_mask |= building.fund_index_sets[a]
+        masks = [d_mask]
+        masks += [
+            building.fund_index_sets[b] | d_mask for b in proper if b not in face.labels
+        ]
+    fundamental = [by_mask[m] for m in masks]
+    return [
+        primitive_key(model.weyl.act_vec(face.rep, hs.normal), hs.offset)
+        for hs in fundamental
+    ]
+
+
+def test_support_positions_equal_fraction_translation(
+    a2, b2, a3_min, a3_max, b3_min, b3_max, a13_min
+):
+    for model in (a2, b2, a3_min, a3_max, b3_min, b3_max, a13_min):
+        for face in model.faces:
+            got = support_halfspaces(model.face_ctx, face, model.halfspace_index)
+            keys = [model.halfspaces[i].key() for i in got]
+            assert keys == _fraction_support_keys(model, face), face
+
+
+def _fraction_key_action(building, weyl, halfspaces, w_id, gamma):
+    """The symmetry action by root images and Fraction-keyed lookups."""
+    rs = building.rs
+    root_images = []
+    for root in rs.positive_roots:
+        img = mat_vec(gamma, root)
+        if all(c <= 0 for c in img):
+            img = tuple(-c for c in img)
+        root_images.append(rs.root_index[img])
+    flat_bits = {f.bits for f in building.flats}
+    for f in building.flats:
+        assert sum(1 << root_images[i] for i in f.indices()) in flat_bits
+    matrix = mat_mul(weyl.elements[w_id], gamma)
+    key_index = {hs.key(): i for i, hs in enumerate(halfspaces)}
+    return tuple(
+        key_index[(primitive_vector(mat_vec(matrix, prim)), off)]
+        for prim, off in (hs.key() for hs in halfspaces)
+    )
+
+
+def test_aut_action_equals_fraction_key_algorithm(a2, a3_min, a3_max):
+    for model in (a2, a3_min, a3_max):
+        for gamma in diagram_automorphisms(model.rs):
+            for w in range(model.weyl.order):
+                args = (model.building, model.weyl, model.halfspaces, w, gamma.matrix)
+                assert aut_action_on_halfspaces(*args) == _fraction_key_action(*args)
+
+
+def test_aut_action_rejects_a_non_diagram_symmetry(a3_min):
+    # a simple reflection permutes the roots up to sign and preserves every
+    # W-invariant family, but it is not a diagram automorphism
+    weyl = a3_min.weyl
+    reflection = weyl.elements[weyl.generator_ids[0]]
+    with pytest.raises(BuildingNotInvariant):
+        aut_action_on_halfspaces(
+            a3_min.building, weyl, a3_min.halfspaces, weyl.identity_id, reflection
+        )

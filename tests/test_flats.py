@@ -131,3 +131,32 @@ def test_preserved_diagram_automorphisms_recorded():
     w = enumerate_group(rs)
     mn = build_minimal(rs, w)
     assert len(mn.preserved_diagram_automorphisms) == 6
+
+
+def test_flats_enumerated_once_per_builder(monkeypatch):
+    import pnh.flats as flats_module
+    from pnh.model import Permutonestohedron
+
+    calls = []
+    every = flats_module.all_flats
+
+    def counted(rs, *args, **kwargs):
+        calls.append(rs)
+        return every(rs, *args, **kwargs)
+
+    monkeypatch.setattr(flats_module, "all_flats", counted)
+    rs = build_root_system("A3")
+    w = enumerate_group(rs)
+    mn = build_minimal(rs, w)
+    mx = build_maximal(rs, w)
+    assert len(calls) == 2
+    # the record replaces a third enumeration in the verification battery
+    assert (mn.contains_every_flat, mx.contains_every_flat) == (False, True)
+    for building, maximal in ((mn, False), (mx, True)):
+        model = Permutonestohedron(building, weyl=w)
+        assert model.is_maximal_building is maximal
+        assert all(r.passed for r in model.verify("full"))
+    assert len(calls) == 2
+    # a custom family holding every flat is recorded as such
+    assert validate_building_set(rs, every(rs), weyl=w).contains_every_flat
+    assert len(calls) == 3

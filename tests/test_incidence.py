@@ -46,18 +46,19 @@ def test_facet_sets_match_fraction_reference(
 
 def test_face_vertices_geometric_match_fraction_reference(a2, b2, a3_min, a13_min):
     for model in (a2, b2, a3_min, a13_min):
-        by_mask = model.fundamental_hs_by_mask
+        index = model.halfspace_index
         for face in model.faces:
             expected = frozenset(range(model.vertex_count))
-            for normal, offset in support_halfspaces(model.face_ctx, face, by_mask):
-                expected &= _tight(model, normal, offset)
+            for i in support_halfspaces(model.face_ctx, face, index):
+                hs = model.halfspaces[i]
+                expected &= _tight(model, hs.normal, hs.offset)
             got = face_vertices_geometric(
-                model.face_ctx, face, model.vrep, by_mask, model.incidence
+                model.face_ctx, face, model.vrep, index, model.incidence
             )
             assert got == expected, face
     for face in a2.faces:
         assert face_vertices_geometric(
-            a2.face_ctx, face, a2.vrep, a2.fundamental_hs_by_mask
+            a2.face_ctx, face, a2.vrep, a2.halfspace_index
         ) == a2.face_vertex_ids(face)
 
 
@@ -91,7 +92,7 @@ def test_hrep_vrep_matches_fraction_reference(a3_min):
             tight = value == hs.offset
             passed = passed and value <= hs.offset and tight == predicted(hs, vert)
     report = verify_hrep_vrep(
-        model.building, model.weyl, model.halfspaces, model.vrep, subgroups
+        model.building, model.halfspaces, model.vrep, subgroups
     )
     pairs = model.vertex_count * model.facet_count
     assert (report.passed, report.checked, report.sampled) == (passed, pairs, False)
@@ -102,7 +103,6 @@ def test_moved_vertex_fails_with_exact_values(a2):
     moved = _moved(a2.vrep, factor)
     report = verify_hrep_vrep(
         a2.building,
-        a2.weyl,
         a2.halfspaces,
         moved,
         a2.subgroups_by_flat(),
@@ -149,7 +149,6 @@ def test_sampled_incidence_is_seeded_and_skips_the_mask_pass(a3_min, monkeypatch
     monkeypatch.setattr(Incidence, "row", counted_row)
     args = (
         a3_min.building,
-        a3_min.weyl,
         a3_min.halfspaces,
         a3_min.vrep,
         a3_min.subgroups_by_flat(),

@@ -29,3 +29,30 @@ def test_wrapped_methods_resolve():
         assert callable(getattr(cls, method, None)), f"{cls_name}.{method}"
     weyl_group = importlib.import_module("pnh.weyl").WeylGroup
     assert callable(weyl_group.mul) and callable(weyl_group.inv)
+
+
+def test_traced_commands_run_their_post_hooks(a2, tmp_path):
+    """The wrappers' post-hooks read their call's arguments by position; a
+    signature change that breaks one fails here, not only in a traced run."""
+    from spans import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cli = importlib.import_module("pnh.cli")
+        out = str(tmp_path / "out")
+        codes = [
+            cli.run(["verify", "--level", "full", "--type", "A2", "--output", out]),
+            cli.run(["poset", "--edges", "yes", "--type", "A2", "--output", out]),
+        ]
+        # looked up on the module, where the tracer installed its wrapper
+        faces = importlib.import_module("pnh.faces")
+        faces.aut_action_on_halfspaces(
+            a2.building, a2.weyl, a2.halfspaces, a2.weyl.identity_id,
+            a2.building.preserved_diagram_automorphisms[-1].matrix,
+        )
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    assert tracer.counters["faces.vertices_geometric_hits"] > 0
+    assert tracer.counters["faces.aut_action_calls"] == 1
