@@ -3,8 +3,11 @@ face-poset dumps, and lossy OFF meshes for rank-3 polytopes.
 
 Every JSON surface carries rationals as "p/q" strings and is rendered with
 sorted keys and a fixed indent, so identical inputs produce byte-identical
-output.  The OFF mesh is the single lossy surface: coordinates are decimal
-approximations, and the file header says so.
+output.  The JSON is written by pnh's own writer, `to_json_bytes`, whose
+bytes equal ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline;
+the documents share one index list per flat and per nested set, which the
+writer renders once.  The OFF mesh is the single lossy surface:
+coordinates are decimal approximations, and the file header says so.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from fractions import Fraction
 from .errors import OutOfRange, UnsupportedType
 from .faces import covering_edges
 from .flats import Flat, flat_closure, validate_building_set
-from .halfspaces import HalfSpace
 from .linalg import Vec
 from .model import Permutonestohedron
 from .counting import maximal_face_count, minimal_face_count
@@ -29,10 +31,9 @@ JSON_INDENT = 2
 
 def rat_str(x) -> str:
     """Render a rational as "p" or "p/q" (lowest terms, q > 0)."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    if type(x) is int or type(x) is Fraction:
+        return str(x)
+    return str(Fraction(x))
 
 
 def parse_rat(text: str) -> Fraction:
@@ -43,36 +44,22 @@ def vec_strs(v: Vec) -> list[str]:
     return [rat_str(x) for x in v]
 
 
-def flat_indices(flat: Flat) -> list[int]:
-    return list(flat.indices())
+class _IndexLists(dict):
+    """The JSON index list of each flat, and the list of those lists for
+    each nested set or tuple of label flats, made once: every
+    document entry that names the same flats holds the same list object,
+    which `to_json_bytes` then renders once per depth."""
+
+    def __missing__(self, key):
+        if type(key) is Flat:
+            value = list(key.indices())
+        else:
+            value = [self[f] for f in key]
+        self[key] = value
+        return value
 
 
 # -- JSON documents -----------------------------------------------------
-
-
-def halfspace_json(h: HalfSpace) -> dict:
-    return {
-        "normal": vec_strs(h.normal),
-        "offset": rat_str(h.offset),
-        "kind": h.kind,
-        "flat": flat_indices(h.flat),
-        "sigma_id": h.sigma_id,
-    }
-
-
-def hrep_json(model: Permutonestohedron) -> list[dict]:
-    return [halfspace_json(h) for h in model.halfspaces]
-
-
-def vrep_json(model: Permutonestohedron) -> list[dict]:
-    return [
-        {
-            "point": vec_strs(v.point),
-            "sigma_id": v.sigma_id,
-            "nested": [flat_indices(f) for f in v.nested],
-        }
-        for v in model.vrep.vertices
-    ]
 
 
 def root_system_json(model: Permutonestohedron) -> dict:
@@ -85,27 +72,44 @@ def root_system_json(model: Permutonestohedron) -> dict:
     }
 
 
-def building_json(model: Permutonestohedron) -> dict:
+def building_json(model: Permutonestohedron, lists: _IndexLists) -> dict:
     b = model.building
     return {
         "kind": b.kind,
-        "flats": [flat_indices(f) for f in b.sorted_flats],
-        "fundamental": [flat_indices(f) for f in b.fund],
+        "flats": [lists[f] for f in b.sorted_flats],
+        "fundamental": [lists[f] for f in b.fund],
     }
 
 
 def build_document(model: Permutonestohedron, config: dict | None = None) -> dict:
     """The full H/V-representation document for the ``build`` command."""
+    lists = _IndexLists()
     return {
         "config": config or {},
         "root_system": root_system_json(model),
-        "building": building_json(model),
+        "building": building_json(model, lists),
         "group_order": model.weyl.order,
         "a": rat_str(model.suitable.a),
         "epsilons": [rat_str(e) for e in model.suitable.eps],
         "f_vector": list(model.f_vector),
-        "hrep": hrep_json(model),
-        "vrep": vrep_json(model),
+        "hrep": [
+            {
+                "normal": vec_strs(h.normal),
+                "offset": rat_str(h.offset),
+                "kind": h.kind,
+                "flat": lists[h.flat],
+                "sigma_id": h.sigma_id,
+            }
+            for h in model.halfspaces
+        ],
+        "vrep": [
+            {
+                "point": vec_strs(v.point),
+                "sigma_id": v.sigma_id,
+                "nested": lists[v.nested],
+            }
+            for v in model.vrep.vertices
+        ],
     }
 
 
@@ -121,19 +125,20 @@ def poset_document(
     if include_edges is None:
         include_edges = model.rs.rank <= 3
     faces = model.faces
+    lists = _IndexLists()
     nodes = [
         {
             "dim": model.rs.rank - len(f.nested) + len(f.labels),
             "coset_rep_id": f.rep,
-            "flats": [flat_indices(x) for x in f.nested],
-            "labels": [flat_indices(x) for x in f.labels],
+            "flats": lists[f.nested],
+            "labels": lists[f.labels],
         }
         for f in faces
     ]
     doc = {
         "config": config or {},
         "root_system": root_system_json(model),
-        "building": building_json(model),
+        "building": building_json(model, lists),
         "f_vector": list(model.f_vector),
         "nodes": nodes,
     }
@@ -142,9 +147,67 @@ def poset_document(
     return doc
 
 
+# -- the JSON writer ------------------------------------------------------
+
+
 def to_json_bytes(doc: dict) -> bytes:
-    text = json.dumps(doc, indent=JSON_INDENT, sort_keys=True)
-    return text.encode("utf-8") + b"\n"
+    """``doc`` as UTF-8 JSON with sorted keys and an indent of JSON_INDENT,
+    plus a final newline: byte for byte what ``json.dumps(doc,
+    indent=JSON_INDENT, sort_keys=True)`` gives, without the stdlib's
+    pure-Python indent encoder.
+
+    Only dict (with str keys), list, str, int, bool and None are written;
+    anything else, a float included, raises TypeError.  The text of each
+    list object is rendered once per depth and reused, so a list shared by
+    many entries costs one rendering."""
+    memo: dict[tuple[int, int], str] = {}
+    return (_render(doc, 0, memo) + "\n").encode("utf-8")
+
+
+# the C string escaper of the stdlib JSON encoder (ensure_ascii=True)
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _render(value, depth: int, memo: dict) -> str:
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return str(value)
+    if kind is list:
+        key = (id(value), depth)
+        text = memo.get(key)
+        if text is None:
+            # coordinates, the bulk of the leaves, skip the recursive call
+            items = [
+                _escape(x) if type(x) is str else _render(x, depth + 1, memo)
+                for x in value
+            ]
+            text = memo[key] = _bracket("[", items, depth, "]")
+        return text
+    if kind is dict:
+        # a key that is not a str fails in sorted() or in _escape
+        items = [
+            f"{_escape(k)}: {_render(x, depth + 1, memo)}"
+            for k, x in sorted(value.items())
+        ]
+        return _bracket("{", items, depth, "}")
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"{kind.__name__} is not written to exact JSON: {value!r}")
+
+
+def _bracket(opening: str, items: list[str], depth: int, closing: str) -> str:
+    """Items one per line, indented one level deeper than the brackets."""
+    if not items:
+        return opening + closing
+    pad = "\n" + " " * (JSON_INDENT * depth)
+    inner = pad + " " * JSON_INDENT
+    return opening + inner + ("," + inner).join(items) + pad + closing
 
 
 # -- building-set input files --------------------------------------------
@@ -159,10 +222,17 @@ def building_from_json(rs, doc: dict, weyl=None):
     same index set) before the family is run through the building-set
     validator.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"building-set file must hold a JSON object, not {type(doc).__name__}"
+        )
     roots = doc.get("roots")
     flats = doc.get("flats")
     if not isinstance(roots, list) or not isinstance(flats, list):
         raise ValueError("building-set file needs 'roots' and 'flats' lists")
+    for r in roots:
+        if not isinstance(r, list):
+            raise ValueError(f"each root must be a list of coordinates, got {r!r}")
     given = [tuple(Fraction(str(x)) for x in r) for r in roots]
     expected = list(rs.positive_roots)
     if given != expected:
@@ -178,8 +248,8 @@ def building_from_json(rs, doc: dict, weyl=None):
         )
     family = []
     for idxs in flats:
-        if not idxs or not all(
-            isinstance(i, int) and 0 <= i < len(given) for i in idxs
+        if not isinstance(idxs, list) or not idxs or not all(
+            type(i) is int and 0 <= i < len(given) for i in idxs
         ):
             raise ValueError(f"bad positive-root index list: {idxs!r}")
         closed = flat_closure(rs, idxs)

@@ -54,6 +54,26 @@ def test_build_output_is_byte_identical(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--type", "B3", "--building", "maximal", "--a", "2"],
+            "4dbb89328034c2c4ca320ed4b87eeec89d9be9bb43a700bf9e23820636502faf",
+        ),
+        (
+            ["--type", "A1^4", "--building", "interval", "--a", "5/2"],
+            "db3b9c357e8a7c2c6202ca55e312265fcad7ee6f5e3b627b79e16c35a332ba62",
+        ),
+    ],
+)
+def test_poset_output_is_byte_identical(tmp_path, argv, digest):
+    # frozen SHA-256 of the face poset with its covering edges
+    out = tmp_path / "frozen.json"
+    assert run(["poset", *argv, "--edges", "yes", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_build_with_verification_gate(tmp_path):
     out = tmp_path / "gate.json"
     assert run(["build", "--type", "A2", "--verify", "full",
@@ -96,6 +116,13 @@ def test_building_from_file(tmp_path):
     # wrong roots are rejected
     spec.write_text(json.dumps({
         "roots": [[1, 0], [0, 1], [2, 1]],
+        "flats": [[0], [1], [2], [0, 1, 2]],
+    }))
+    assert run(["build", "--type", "A2",
+                "--building", f"file:{spec}"]) == 2
+    # a root that is not a coordinate list is a usage error, not a traceback
+    spec.write_text(json.dumps({
+        "roots": [5, [0, 1], [1, 1]],
         "flats": [[0], [1], [2], [0, 1, 2]],
     }))
     assert run(["build", "--type", "A2",

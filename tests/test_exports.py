@@ -2,12 +2,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnh.errors import UnsupportedType
 from pnh.exports import (
     build_document,
     building_from_json,
     fvector_table,
+    load_building_set,
     off_text,
     parse_rat,
     poset_document,
@@ -33,6 +36,66 @@ def test_json_bytes_deterministic(a2):
     assert to_json_bytes(doc) == to_json_bytes(
         json.loads(to_json_bytes(doc).decode())
     )
+
+
+def _reference_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "name", ["a2", "b2", "a3_min", "a3_max", "b3_min", "b3_max", "a13_min"]
+)
+def test_json_writer_equals_stdlib_on_documents(name, request):
+    model = request.getfixturevalue(name)
+    for doc in (
+        build_document(model, {"type": name}),
+        poset_document(model, {"type": name}, include_edges=True),
+    ):
+        assert to_json_bytes(doc) == _reference_bytes(doc)
+
+
+def test_json_writer_equals_stdlib_on_edge_cases():
+    shared = [1, [2, []], {}]
+    doc = {
+        "shared": shared,
+        "deeper": [[{"again": shared}], shared],
+        "none": None,
+        "flags": [True, False, None],
+        "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
+        "ints": [0, -1, -(10**40), 10**40, 2**63],
+        "text": ['quote " mark', "back\\slash", "ctrl \x00\x1f\n\t\r", "π ∑ 😀", ""],
+        "": "empty key",
+        "Z": 1,
+        "a": {"é": 1, "e": 2, "\n": 3},
+    }
+    assert to_json_bytes(doc) == _reference_bytes(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"x": 0.5}, [1.0], {"x": [1, {"y": Fraction(1, 2)}]}, (1, 2), {1: "a"}],
+    ids=["float", "float-in-list", "fraction", "tuple", "int-key"],
+)
+def test_json_writer_rejects_non_exact_values(doc):
+    with pytest.raises(TypeError):
+        to_json_bytes(doc)
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_json_writer_equals_stdlib_on_random_documents(doc):
+    assert to_json_bytes(doc) == _reference_bytes(doc)
 
 
 def test_build_document_shape(a2):
@@ -128,6 +191,30 @@ def test_building_from_json_rejects_bad_input():
             rs,
             {"roots": [[1, 0], [0, 1], [1, 1]], "flats": [[0], [1], [2], [0, 1]]},
         )
+
+
+_A2_ROOTS = [[1, 0], [0, 1], [1, 1]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([_A2_ROOTS, [[0]]], "must hold a JSON object, not list"),
+        ({"roots": [5, [0, 1], [1, 1]], "flats": [[0]]}, "each root must be a list"),
+        ({"roots": _A2_ROOTS, "flats": [5, [0, 1, 2]]}, r"bad positive-root index list: 5"),
+        # True is an int to Python, but it is not a root index
+        (
+            {"roots": _A2_ROOTS, "flats": [[0], [1], [2], [True, 1, 2]]},
+            r"bad positive-root index list: \[True, 1, 2\]",
+        ),
+    ],
+    ids=["top-level-list", "int-root", "int-flat", "bool-index"],
+)
+def test_building_file_of_the_wrong_shape_is_a_value_error(tmp_path, doc, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_building_set(build_root_system("A2"), str(path))
 
 
 def test_fvector_table_lists_formula_column(a3_min):
