@@ -158,8 +158,8 @@ def to_json_bytes(doc: dict) -> bytes:
 
     Only dict (with str keys), list, str, int, bool and None are written;
     anything else, a float included, raises TypeError.  The text of each
-    list object is rendered once per depth and reused, so a list shared by
-    many entries costs one rendering."""
+    index list (a list of ints or of lists) is rendered once per depth and
+    reused, so a list shared by many entries costs one rendering."""
     memo: dict[tuple[int, int], str] = {}
     return (_render(doc, 0, memo) + "\n").encode("utf-8")
 
@@ -175,15 +175,14 @@ def _render(value, depth: int, memo: dict) -> str:
     if kind is int:
         return str(value)
     if kind is list:
+        # only index lists (of ints, or of index lists) are shared between
+        # entries; a coordinate list or a list of dicts is written once
+        if not value or type(value[0]) not in (int, list):
+            return _list_text(value, depth, memo)
         key = (id(value), depth)
         text = memo.get(key)
         if text is None:
-            # coordinates, the bulk of the leaves, skip the recursive call
-            items = [
-                _escape(x) if type(x) is str else _render(x, depth + 1, memo)
-                for x in value
-            ]
-            text = memo[key] = _bracket("[", items, depth, "]")
+            text = memo[key] = _list_text(value, depth, memo)
         return text
     if kind is dict:
         # a key that is not a str fails in sorted() or in _escape
@@ -199,6 +198,15 @@ def _render(value, depth: int, memo: dict) -> str:
     if value is False:
         return "false"
     raise TypeError(f"{kind.__name__} is not written to exact JSON: {value!r}")
+
+
+def _list_text(value: list, depth: int, memo: dict) -> str:
+    # coordinates, the bulk of the leaves, skip the recursive call
+    items = [
+        _escape(x) if type(x) is str else _render(x, depth + 1, memo)
+        for x in value
+    ]
+    return _bracket("[", items, depth, "]")
 
 
 def _bracket(opening: str, items: list[str], depth: int, closing: str) -> str:

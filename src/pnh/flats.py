@@ -5,6 +5,13 @@ positive roots it contains together with its dimension.  The bitset is
 closed: beta lies in the span iff its bit is set, so subspace containment
 is bitset containment and all the combinatorics below run on integers.
 
+Every flat is W-conjugate to a standard parabolic flat span(alpha_j : j in
+J) (Bourbaki, *Lie* VI, section 1.7, Prop. 24; Humphreys, *Reflection
+Groups and Coxeter Groups*, section 1.12), so ``all_flats`` lists them as
+the orbits of the 2^n - 1 standard flats under the simple reflections,
+acting as permutations of the positive roots.  Irreducibility is a search
+over the precomputed non-orthogonality bitmasks of the roots.
+
 A *building set* is a reflection-stable family of flats, spanning the
 whole space, such that every root-spanned subspace decomposes as the
 direct sum of the maximal family members it contains.  The two standard
@@ -79,57 +86,80 @@ def line_flats(rs: RootSystem) -> list[Flat]:
     return [Flat(1, 1 << i) for i in range(len(rs.positive_roots))]
 
 
-def irreducible_components(rs: RootSystem, flat: Flat) -> list[Flat]:
-    """Orthogonal irreducible pieces of the root system inside ``flat``."""
-    idx = list(flat.indices())
-    remaining = set(idx)
-    components = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
+def _component_masks(rs: RootSystem, bits: int) -> list[int]:
+    """The root bitsets of the classes of ``bits`` under the transitive
+    closure of non-orthogonality, each found by a search over the bitmasks
+    ``rs.non_orthogonal``; lowest root first."""
+    masks = []
+    while bits:
+        comp = frontier = bits & -bits
         while frontier:
-            i = frontier.pop()
-            gri = rs.positive_roots[i]
-            for j in list(remaining - comp):
-                if rs.inner(gri, rs.positive_roots[j]) != 0:
-                    comp.add(j)
-                    frontier.append(j)
-        remaining -= comp
-        bits = 0
-        for i in comp:
-            bits |= 1 << i
-        dim = Echelon()
-        for i in comp:
-            dim.add(rs.positive_roots[i])
-        components.append(Flat(dim.rank, bits))
-    return sorted(components)
+            low = frontier & -frontier
+            frontier ^= low
+            new = rs.non_orthogonal[low.bit_length() - 1] & bits & ~comp
+            comp |= new
+            frontier |= new
+        bits &= ~comp
+        masks.append(comp)
+    return masks
+
+
+def irreducible_components(rs: RootSystem, flat: Flat) -> list[Flat]:
+    """Orthogonal irreducible pieces of the root system inside ``flat``.
+
+    Each piece is a closed root subsystem with the positive roots it holds;
+    its dimension is its number of simple roots, the positive roots of the
+    piece that are not the sum of two others."""
+    out = []
+    for comp in _component_masks(rs, flat.bits):
+        roots = [rs.positive_roots[i] for i in iter_bits(comp)]
+        inside = set(roots)
+        dim = sum(
+            1
+            for r in roots
+            if not any(tuple(a - b for a, b in zip(r, s)) in inside for s in roots)
+        )
+        out.append(Flat(dim, comp))
+    return sorted(out)
 
 
 def is_irreducible(rs: RootSystem, flat: Flat) -> bool:
-    return len(irreducible_components(rs, flat)) == 1
+    return len(_component_masks(rs, flat.bits)) == 1
+
+
+def standard_flat(rs: RootSystem, mask: int) -> Flat:
+    """The standard parabolic flat span(alpha_j : j in ``mask``): the
+    positive roots whose support lies in ``mask``, of dimension |mask|."""
+    bits = 0
+    for k, support in enumerate(rs.supports):
+        if support & ~mask == 0:
+            bits |= 1 << k
+    return Flat(mask.bit_count(), bits)
 
 
 def all_flats(rs: RootSystem, cap: int = DEFAULT_FLAT_CAP) -> list[Flat]:
-    """Every root-spanned subspace, by closure of joins with lines."""
-    lines = line_flats(rs)
-    found: dict[int, Flat] = {f.bits: f for f in lines}
-    frontier = list(lines)
-    closure_cache: dict[int, Flat] = {}
+    """Every root-spanned subspace, as the W-orbits of the standard flats.
+
+    Every flat of a root arrangement is W-conjugate to a standard parabolic
+    flat span(alpha_j : j in J) (Bourbaki, *Lie* VI, section 1.7, Prop. 24;
+    Humphreys, *Reflection Groups and Coxeter Groups*, section 1.12).  So the
+    2^n - 1 standard flats are closed under the n simple reflections, each
+    acting on root bitsets through ``rs.simple_reflection_perms``.  Raises
+    TooManyFlats as soon as more than ``cap`` flats are found."""
+    frontier = fundamental_flats(rs)
+    found = {f.bits: f for f in frontier}
+    if len(found) > cap:
+        raise TooManyFlats(f"flat enumeration passed cap {cap}")
     while frontier:
         new = []
         for flat in frontier:
-            for line in lines:
-                if line.bits & flat.bits:
-                    continue
-                union = flat.bits | line.bits
-                joined = closure_cache.get(union)
-                if joined is None:
-                    joined = flat_closure(rs, iter_bits(union))
-                    closure_cache[union] = joined
-                if joined.bits not in found:
-                    found[joined.bits] = joined
-                    new.append(joined)
+            for perm in rs.simple_reflection_perms:
+                image = 0
+                for i in iter_bits(flat.bits):
+                    image |= 1 << perm[i]
+                if image not in found:
+                    moved = found[image] = Flat(flat.dim, image)
+                    new.append(moved)
                     if len(found) > cap:
                         raise TooManyFlats(f"flat enumeration passed cap {cap}")
         frontier = new
@@ -138,11 +168,7 @@ def all_flats(rs: RootSystem, cap: int = DEFAULT_FLAT_CAP) -> list[Flat]:
 
 def fundamental_flats(rs: RootSystem) -> list[Flat]:
     """Flats spanned by subsets of the simple roots (2^n - 1 of them)."""
-    n = rs.rank
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(flat_closure(rs, iter_bits(mask)))
-    return sorted(out)
+    return sorted(standard_flat(rs, mask) for mask in range(1, 1 << rs.rank))
 
 
 def simple_index_set(rs: RootSystem, flat: Flat) -> int | None:
@@ -337,8 +363,7 @@ def interval_building_set(n: int) -> BuildingSet:
     flats = []
     for lo in range(n):
         for hi in range(lo, n):
-            mask = ((1 << (hi - lo + 1)) - 1) << lo
-            flats.append(flat_closure(rs, iter_bits(mask)))
+            flats.append(standard_flat(rs, ((1 << (hi - lo + 1)) - 1) << lo))
     v = full_flat(rs)
     if v not in flats:
         flats.append(v)

@@ -14,12 +14,13 @@ ones.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedType
-from .linalg import Mat, Vec, mat_vec, rank, solve_columns, vdot, vsub
+from .linalg import Mat, Vec, int_mat_vec, mat_vec, rank, solve_columns, vdot, vsub
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
@@ -117,6 +118,11 @@ class RootSystem:
             for i in range(self.rank)
         )
         self._check()
+        self.supports = tuple(
+            sum(1 << j for j, c in enumerate(r) if c) for r in self.positive_roots
+        )
+        self.simple_reflection_perms = self._simple_reflection_perms()
+        self.non_orthogonal = self._non_orthogonal_masks()
 
     # -- construction -------------------------------------------------
 
@@ -182,6 +188,37 @@ class RootSystem:
             col[i] = self.gram[i][i] / Fraction(2)
             targets.append(tuple(col))
         return tuple(solve_columns(self.gram, targets))
+
+    def _simple_reflection_perms(self):
+        """For each simple reflection s_i, the permutation of the positive
+        roots it induces with signs dropped (s_i sends alpha_i to -alpha_i
+        and permutes the other positive roots)."""
+        perms = []
+        for i in range(self.rank):
+            images = []
+            for r in self.positive_roots:
+                img = _reflect_simple(self.cartan, i, r)
+                if img[i] < 0:
+                    img = tuple(-c for c in img)
+                images.append(self.root_index[img])
+            perms.append(tuple(images))
+        return tuple(perms)
+
+    def _non_orthogonal_masks(self):
+        """For each positive root, the bitmask of the positive roots with a
+        nonzero inner product with it (itself included)."""
+        # the Gram matrix scaled to integers: only zero tests are made
+        den = math.lcm(*(x.denominator for row in self.gram for x in row))
+        igram = [[int(x * den) for x in row] for row in self.gram]
+        images = [int_mat_vec(igram, r) for r in self.positive_roots]
+        masks = []
+        for gx in images:
+            mask = 0
+            for k, r in enumerate(self.positive_roots):
+                if sum(a * b for a, b in zip(gx, r)):
+                    mask |= 1 << k
+            masks.append(mask)
+        return tuple(masks)
 
     # -- inner products ------------------------------------------------
 

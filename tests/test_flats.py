@@ -1,7 +1,12 @@
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnh.errors import MissingV, NotBuilding, NotWInvariant, TooManyFlats
 from pnh.flats import (
+    Flat,
     all_flats,
     build_maximal,
     build_minimal,
@@ -12,13 +17,93 @@ from pnh.flats import (
     interval_building_set,
     irreducible_components,
     is_irreducible,
+    iter_bits,
     line_flats,
     restricted_building_set,
     simple_index_set,
     validate_building_set,
+    _validated,
 )
+from pnh.linalg import Echelon
 from pnh.roots import build_root_system
 from pnh.weyl import enumerate_group
+
+ORACLE_TYPES = (
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4",
+    "D4", "D5", "A2xB2", "A3xA1", "A1^4",
+)
+# and one system given by its Gram matrix alone, cut out of B4
+ORACLE_NAMES = ORACLE_TYPES + ("B4-restricted",)
+
+
+# -- the geometric references: closures of joins and Fraction inner products
+
+
+def reference_all_flats(rs):
+    """Every flat, as the closure under joins with lines, each join closed
+    by an exact echelon span test of every positive root."""
+    lines = line_flats(rs)
+    found = {f.bits: f for f in lines}
+    frontier = list(lines)
+    closure_cache = {}
+    while frontier:
+        new = []
+        for flat in frontier:
+            for line in lines:
+                if line.bits & flat.bits:
+                    continue
+                union = flat.bits | line.bits
+                joined = closure_cache.get(union)
+                if joined is None:
+                    joined = closure_cache[union] = flat_closure(rs, iter_bits(union))
+                if joined.bits not in found:
+                    found[joined.bits] = joined
+                    new.append(joined)
+        frontier = new
+    return sorted(found.values())
+
+
+def reference_components(rs, flat):
+    """The classes of the flat's roots under non-orthogonality, found with
+    Fraction inner products, each with its echelon rank."""
+    remaining = set(flat.indices())
+    components = []
+    while remaining:
+        comp = {min(remaining)}
+        frontier = list(comp)
+        while frontier:
+            gri = rs.positive_roots[frontier.pop()]
+            for j in list(remaining - comp):
+                if rs.inner(gri, rs.positive_roots[j]) != 0:
+                    comp.add(j)
+                    frontier.append(j)
+        remaining -= comp
+        ech = Echelon()
+        for i in comp:
+            ech.add(rs.positive_roots[i])
+        components.append(Flat(ech.rank, sum(1 << i for i in comp)))
+    return sorted(components)
+
+
+@cache
+def oracle_system(name):
+    if name != "B4-restricted":
+        return build_root_system(name)
+    # the long-root A3 spanned by a non-fundamental member flat
+    b4 = build_minimal(build_root_system("B4"))
+    flat = next(f for f in b4.sorted_flats if f.dim == 3 and f not in b4.fund)
+    return restricted_building_set(b4, flat).rs
+
+
+@cache
+def reference_flats(name):
+    return reference_all_flats(oracle_system(name))
+
+
+@cache
+def reference_component_lists(name):
+    rs = oracle_system(name)
+    return [reference_components(rs, f) for f in reference_flats(name)]
 
 
 def test_flat_counts():
@@ -27,8 +112,13 @@ def test_flat_counts():
 
 
 def test_flat_cap():
+    # below the 15 standard flats of D4, so the seeds alone pass it
     with pytest.raises(TooManyFlats):
         all_flats(build_root_system("D4"), cap=10)
+    b4 = build_root_system("B4")
+    assert len(all_flats(b4, cap=115)) == 115
+    with pytest.raises(TooManyFlats):
+        all_flats(b4, cap=114)
 
 
 def test_closure_adds_spanned_roots():
@@ -160,3 +250,60 @@ def test_flats_enumerated_once_per_builder(monkeypatch):
     # a custom family holding every flat is recorded as such
     assert validate_building_set(rs, every(rs), weyl=w).contains_every_flat
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_all_flats_equals_closure_of_joins(name):
+    rs = oracle_system(name)
+    assert all_flats(rs) == reference_flats(name)
+    assert fundamental_flats(rs) == sorted(
+        flat_closure(rs, iter_bits(mask)) for mask in range(1, 1 << rs.rank)
+    )
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_irreducibility_equals_inner_product_search(name):
+    rs = oracle_system(name)
+    for flat, components in zip(
+        reference_flats(name), reference_component_lists(name)
+    ):
+        assert irreducible_components(rs, flat) == components
+        assert is_irreducible(rs, flat) == (len(components) == 1)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_builders_equal_reference_families(name):
+    rs = oracle_system(name)
+    every = reference_flats(name)
+    irreducible = [
+        f
+        for f, components in zip(every, reference_component_lists(name))
+        if len(components) == 1
+    ]
+    if full_flat(rs) not in irreducible:
+        irreducible.append(full_flat(rs))
+    for built, family in (
+        (build_minimal(rs), irreducible),
+        (build_maximal(rs), every),
+    ):
+        expected = _validated(rs, family, every, None, built.kind)
+        assert built.sorted_flats == expected.sorted_flats
+        assert built.preserved_diagram_automorphisms == (
+            expected.preserved_diagram_automorphisms
+        )
+        assert built.contains_every_flat == expected.contains_every_flat
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORACLE_NAMES), st.data())
+def test_closure_of_any_roots_is_listed(name, data):
+    rs = oracle_system(name)
+    every = all_flats(rs)
+    roots = st.integers(0, len(rs.positive_roots) - 1)
+    subset = data.draw(st.sets(roots, min_size=1))
+    assert flat_closure(rs, subset) in every
+    flat = data.draw(st.sampled_from(every))
+    ech = Echelon()
+    for i in flat.indices():
+        ech.add(rs.positive_roots[i])
+    assert flat.dim == ech.rank
