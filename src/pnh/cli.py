@@ -28,7 +28,7 @@ from .exports import (
 from .flats import build_maximal, build_minimal, interval_building_set
 from .model import build_model
 from .roots import build_root_system, parse_type_spec
-from .weyl import DEFAULT_GROUP_CAP, enumerate_group
+from .weyl import DEFAULT_GROUP_CAP, check_group_cap, enumerate_group
 
 _BUILDING_CHOICES = "minimal, maximal, interval, or file:<path>"
 
@@ -134,6 +134,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _make_model(args):
+    # the root system of a type whose group is over the cap is not built
+    check_group_cap(parse_type_spec(args.type), args.group_cap)
     rs = build_root_system(args.type)
     weyl = enumerate_group(rs, cap=args.group_cap)
     spec = args.building

@@ -37,7 +37,10 @@ def rat_str(x) -> str:
 
 
 def parse_rat(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"invalid rational {text!r}: zero denominator") from None
 
 
 def vec_strs(v: Vec) -> list[str]:
@@ -241,7 +244,7 @@ def building_from_json(rs, doc: dict, weyl=None):
     for r in roots:
         if not isinstance(r, list):
             raise ValueError(f"each root must be a list of coordinates, got {r!r}")
-    given = [tuple(Fraction(str(x)) for x in r) for r in roots]
+    given = [tuple(parse_rat(str(x)) for x in r) for r in roots]
     expected = list(rs.positive_roots)
     if given != expected:
         if len(given) != len(expected):

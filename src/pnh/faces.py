@@ -24,7 +24,8 @@ and from the supporting hyperplanes and insists they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat
+from operator import add, attrgetter, mul, sub
 
 from .errors import (
     BuildingNotInvariant,
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .flats import BuildingSet, Flat, iter_bits
 from .halfspaces import HalfSpace, HalfSpaceIndex, orthogonal_flats
-from .linalg import int_mat_vec, mat_mul
+from .linalg import mat_mul
 from .nested import NestedSet, enumerate_nested_sets
 from .polytope import Incidence, VRep
 from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_subgroup, subgroup_product
@@ -291,25 +292,52 @@ def aut_action_on_halfspaces(
     Raises BuildingNotInvariant unless gamma is a diagram automorphism that
     validation recorded as preserving the building set.  w gamma is
     unimodular, so each primitive integer normal maps to the primitive
-    normal of its image, looked up with an exact offset match; with the
-    injectivity check, a return proves the inequality set maps onto itself.
+    normal of its image, looked up exactly; with the offset and injectivity
+    checks, a return proves the inequality set maps onto itself.
+
+    The images are made column by column: row i of the image normals is
+    the sum of M_ij times column j of the listed normals, one lazy pass per
+    nonzero entry of M = w gamma, consumed as the image tuples are looked
+    up.  Offsets are compared by exact value class: each distinct offset
+    object is hashed once (the orbit walk shares one per fundamental
+    inequality), and each inequality's class must equal its image's.
     """
     gamma_rows = tuple(tuple(row) for row in gamma_matrix)
     if all(a.matrix != gamma_rows for a in building.preserved_diagram_automorphisms):
         raise BuildingNotInvariant(
             "gamma is not a diagram automorphism preserving the building set"
         )
+    if not halfspaces:
+        return ()
     matrix = mat_mul(weyl.elements[w_id], gamma_rows)
-    keys = [hs.key() for hs in halfspaces]
-    position = {prim: i for i, (prim, _) in enumerate(keys)}
-    perm = []
-    for prim, offset in keys:
-        target = position.get(int_mat_vec(matrix, prim))
-        if target is None or keys[target][1] != offset:
-            raise VerificationFailed(
-                "symmetry image of a defining inequality is not a defining inequality"
-            )
-        perm.append(target)
-    if len(set(perm)) != len(perm):
+    # HalfSpace.key() read without a Python-level call per inequality
+    prims, offsets = zip(*map(attrgetter("_key"), halfspaces))
+    h = len(prims)
+    position = dict(zip(prims, range(h)))
+    columns = list(zip(*prims))
+    rows = []
+    for row in matrix:
+        acc = None
+        for m, col in zip(row, columns):
+            if m == 0:
+                continue
+            if acc is not None and m == -1:
+                acc = map(sub, acc, col)
+                continue
+            if m != 1:
+                col = map(mul, col, repeat(m))
+            acc = col if acc is None else map(add, acc, col)
+        rows.append(acc)  # w gamma is invertible: no row is zero
+    perm = list(map(position.get, zip(*rows)))
+    ids = list(map(id, offsets))
+    by_object = dict(zip(ids, offsets))
+    classes = {}
+    class_of = {k: classes.setdefault(v, len(classes)) for k, v in by_object.items()}
+    offset_class = list(map(class_of.__getitem__, ids))
+    if None in perm or list(map(offset_class.__getitem__, perm)) != offset_class:
+        raise VerificationFailed(
+            "symmetry image of a defining inequality is not a defining inequality"
+        )
+    if len(set(perm)) != h:
         raise VerificationFailed("symmetry action on inequalities is not injective")
     return tuple(perm)

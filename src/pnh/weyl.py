@@ -43,6 +43,14 @@ def expected_group_order(components) -> int | None:
     return order
 
 
+def check_group_cap(components, cap: int) -> int | None:
+    """The predicted group order; raises GroupTooLarge when it exceeds cap."""
+    predicted = expected_group_order(components)
+    if predicted is not None and predicted > cap:
+        raise GroupTooLarge(f"|W| = {predicted} exceeds cap {cap}")
+    return predicted
+
+
 def simple_reflection_matrix(cartan, i: int) -> Mat:
     n = len(cartan)
     rows = []
@@ -59,9 +67,7 @@ class WeylGroup:
 
     def __init__(self, rs, cap: int = DEFAULT_GROUP_CAP):
         self.rs = rs
-        predicted = expected_group_order(rs.components)
-        if predicted is not None and predicted > cap:
-            raise GroupTooLarge(f"|W| = {predicted} exceeds cap {cap}")
+        predicted = check_group_cap(rs.components, cap)
 
         gens = [simple_reflection_matrix(rs.cartan, i) for i in range(rs.rank)]
         elements = [identity(rs.rank)]

@@ -82,7 +82,7 @@ def test_build_with_verification_gate(tmp_path):
                 "--verify", "fast", "--output", str(out)]) == 1
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(["build", "--type", "Q7"]) == 2
     assert run(["build", "--type", "A2", "--building", "nonsense"]) == 2
     assert run(["build", "--type", "A2", "--a", "0"]) == 2
@@ -90,6 +90,20 @@ def test_usage_errors_exit_two(tmp_path):
     assert run([]) == 2
     # rank 2 cannot be meshed
     assert run(["export", "--type", "A2", "--format", "off"]) == 2
+    capsys.readouterr()
+    assert run(["build", "--type", "A2", "--a", "1/0"]) == 2
+    assert "invalid rational '1/0': zero denominator" in capsys.readouterr().err
+    assert run(["build", "--type", "A2", "--epsilons", "1,1/0"]) == 2
+    assert "invalid rational '1/0': zero denominator" in capsys.readouterr().err
+
+
+def test_group_cap_is_checked_before_the_root_system(monkeypatch, capsys):
+    def unreachable(spec):
+        raise AssertionError(f"built the root system of {spec}")
+
+    monkeypatch.setattr("pnh.cli.build_root_system", unreachable)
+    assert run(["fvector", "--type", "A99"]) == 2
+    assert "exceeds cap 50000" in capsys.readouterr().err
 
 
 def test_interval_building(tmp_path):
@@ -102,7 +116,7 @@ def test_interval_building(tmp_path):
     assert run(["build", "--type", "A2", "--building", "interval"]) == 2
 
 
-def test_building_from_file(tmp_path):
+def test_building_from_file(tmp_path, capsys):
     spec = tmp_path / "family.json"
     spec.write_text(json.dumps({
         "roots": [[1, 0], [0, 1], [1, 1]],
@@ -127,6 +141,14 @@ def test_building_from_file(tmp_path):
     }))
     assert run(["build", "--type", "A2",
                 "--building", f"file:{spec}"]) == 2
+    capsys.readouterr()
+    spec.write_text(json.dumps({
+        "roots": [["1/0", 0], [0, 1], [1, 1]],
+        "flats": [[0], [1], [2], [0, 1, 2]],
+    }))
+    assert run(["build", "--type", "A2",
+                "--building", f"file:{spec}"]) == 2
+    assert "invalid rational '1/0': zero denominator" in capsys.readouterr().err
 
 
 def test_poset_and_off_outputs(tmp_path):

@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from pnh.errors import BuildingNotInvariant, NotCrossingFacet, VerificationFailed
@@ -14,6 +17,8 @@ from pnh.halfspaces import primitive_key
 from pnh.linalg import mat_mul, mat_vec, primitive_vector
 from pnh.model import Permutonestohedron
 from pnh.roots import diagram_automorphisms
+
+from conftest import make_model
 
 
 def test_face_enumeration_matches_f_vector(a2, a3_min):
@@ -223,12 +228,70 @@ def _fraction_key_action(building, weyl, halfspaces, w_id, gamma):
     )
 
 
-def test_aut_action_equals_fraction_key_algorithm(a2, a3_min, a3_max):
-    for model in (a2, a3_min, a3_max):
+def test_aut_action_equals_fraction_key_algorithm(a2, a3_min, a3_max, b3_max):
+    a2xb2 = make_model("A2xB2", "minimal")
+    for model in (a2, a3_min, a3_max, b3_max, a2xb2):
         for gamma in diagram_automorphisms(model.rs):
             for w in range(model.weyl.order):
                 args = (model.building, model.weyl, model.halfspaces, w, gamma.matrix)
                 assert aut_action_on_halfspaces(*args) == _fraction_key_action(*args)
+
+
+def test_aut_action_equals_fraction_key_algorithm_on_d4(d4_min):
+    weyl = d4_min.weyl
+    autos = diagram_automorphisms(d4_min.rs)
+    assert len(autos) == 6
+    triality = next(a for a in autos if a.perm == (2, 1, 3, 0))
+    rng = random.Random(10)
+    pairs = [(weyl.identity_id, triality)]
+    pairs += [(rng.randrange(weyl.order), g) for g in autos for _ in range(8)]
+    # entries of +-2 in w gamma take the multiplying branch of the column sums
+    assert any(
+        abs(x) == 2
+        for w, g in pairs
+        for row in mat_mul(weyl.elements[w], g.matrix)
+        for x in row
+    )
+    for w, gamma in pairs:
+        args = (d4_min.building, weyl, d4_min.halfspaces, w, gamma.matrix)
+        assert aut_action_on_halfspaces(*args) == _fraction_key_action(*args)
+
+
+def _moved_by_a_reflection(model):
+    """(reflection id, identity diagram matrix, an inequality position the
+    reflection moves)."""
+    weyl = model.weyl
+    s0 = weyl.generator_ids[0]
+    autos = diagram_automorphisms(model.rs)
+    ident = next(a for a in autos if a.perm == tuple(range(model.rs.rank)))
+    perm = aut_action_on_halfspaces(
+        model.building, weyl, model.halfspaces, s0, ident.matrix
+    )
+    moved = next(i for i, j in enumerate(perm) if i != j)
+    return s0, ident.matrix, moved
+
+
+def test_aut_action_rejects_a_tampered_offset(a3_min):
+    s0, ident, i = _moved_by_a_reflection(a3_min)
+    halfspaces = list(a3_min.halfspaces)
+    halfspaces[i] = replace(halfspaces[i], offset=halfspaces[i].offset + 1)
+    with pytest.raises(VerificationFailed, match="is not a defining inequality"):
+        aut_action_on_halfspaces(a3_min.building, a3_min.weyl, halfspaces, s0, ident)
+
+
+def test_aut_action_rejects_a_dropped_inequality(a3_min):
+    s0, ident, i = _moved_by_a_reflection(a3_min)
+    halfspaces = list(a3_min.halfspaces)
+    del halfspaces[i]
+    with pytest.raises(VerificationFailed, match="is not a defining inequality"):
+        aut_action_on_halfspaces(a3_min.building, a3_min.weyl, halfspaces, s0, ident)
+
+
+def test_aut_action_rejects_an_inequality_listed_twice(a3_min):
+    s0, ident, i = _moved_by_a_reflection(a3_min)
+    halfspaces = list(a3_min.halfspaces) + [a3_min.halfspaces[i]]
+    with pytest.raises(VerificationFailed, match="not injective"):
+        aut_action_on_halfspaces(a3_min.building, a3_min.weyl, halfspaces, s0, ident)
 
 
 def test_aut_action_rejects_a_non_diagram_symmetry(a3_min):
