@@ -58,7 +58,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         metavar="R1,R2,...",
         help="comma-separated rational list; omitted = generated deterministically",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the JSON config; no check samples today")
     p.add_argument(
         "--group-cap",
         type=int,
@@ -186,8 +187,8 @@ def _emit(args, data: bytes) -> None:
         sys.stdout.buffer.flush()
 
 
-def _run_verification(model, level: str, seed: int, stream) -> int:
-    reports = model.verify(level=level, seed=seed)
+def _run_verification(model, level: str, stream) -> int:
+    reports = model.verify(level=level)
     for r in reports:
         print(r.line(), file=stream)
     return 0 if all(r.passed for r in reports) else 1
@@ -198,7 +199,7 @@ def _dispatch(args) -> int:
     if args.command == "build":
         if args.verify != "none":
             # report on stderr so the JSON on stdout stays parseable
-            code = _run_verification(model, args.verify, args.seed, sys.stderr)
+            code = _run_verification(model, args.verify, sys.stderr)
             if code != 0:
                 return code
         doc = build_document(model, _job_config(args, verify=args.verify))
@@ -210,8 +211,8 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                return _run_verification(model, args.level, args.seed, fh)
-        return _run_verification(model, args.level, args.seed, sys.stdout)
+                return _run_verification(model, args.level, fh)
+        return _run_verification(model, args.level, sys.stdout)
     if args.command == "export":
         if args.format == "off":
             _emit(args, off_text(model, precision=args.precision).encode("utf-8"))

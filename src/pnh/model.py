@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product as iproduct
 
 from .errors import NotCrossingFacet, VerificationFailed
 from .counting import maximal_face_count, minimal_face_count
@@ -40,7 +41,6 @@ from .halfspaces import (
 )
 from .nested import NestedSet, quotient_building_set
 from .polytope import (
-    FULL_CHECK_LIMIT,
     CheckReport,
     Incidence,
     VRep,
@@ -170,8 +170,6 @@ class Permutonestohedron:
     def verify(
         self,
         level: str = "fast",
-        seed: int = 0,
-        pair_limit: int = FULL_CHECK_LIMIT,
         raise_on_failure: bool = False,
     ) -> list[CheckReport]:
         """Run the verification battery; 'fast' skips the all-pairs checks."""
@@ -264,8 +262,6 @@ class Permutonestohedron:
                     self.halfspaces,
                     self.vrep,
                     self.subgroups_by_flat(),
-                    limit=pair_limit,
-                    seed=seed,
                     raise_on_failure=False,
                     incidence=self.incidence,
                 )
@@ -456,8 +452,6 @@ class FacetFactorisation:
             images[p] = self.image_of(p)
 
         expected = set()
-        from itertools import product as iproduct
-
         factor_faces = [tuple(f.faces) for f in self.factors]
         for nested in self.quotient.nested_sets():
             for combo in iproduct(*factor_faces):

@@ -4,8 +4,8 @@ Each maximal nested set S determines one vertex of the chamber nestohedron
 as the unique solution of (x, delta) = a together with
 (x, delta_perp_A) = a - eps_{dim A} for the proper members A of S; the
 full vertex set is the reflection-group orbit of these points.  The
-verifier then replays every defining inequality against every vertex and
-matches the observed equalities against the predicted pattern:
+verifier compares, inequality by inequality, the vertices observed tight
+on it with the vertices predicted tight:
 
 * an image tau of the chamber inequality is tight on sigma v_S iff
   sigma = tau;
@@ -16,18 +16,19 @@ matches the observed equalities against the predicted pattern:
   product of their parabolics.
 
 Tightness is decided by one exact integer kernel, ``Incidence``: vertices
-and Gram-normals are scaled to integers, and each hyperplane's tight set is
-kept as a bitmask over vertex ids.  The kernel only takes dot products, so
-the predicted pattern above and the observed one never share code.
+and Gram-normals are scaled to integers, and one scan per hyperplane keeps
+its tight set, as a bitmask over vertex ids, and whether any vertex
+violates it.  The predicted masks are built from cosets and maximal nested
+sets alone; the kernel only takes dot products, so the predicted pattern
+above and the observed one never share code.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, repeat
+from itertools import combinations, repeat
 from math import lcm
 from operator import add, mul
 
@@ -44,8 +45,6 @@ from .linalg import (
 )
 from .nested import NestedSet, enumerate_maximal_nested_sets, enumerate_nested_sets
 from .weyl import Subgroup, WeylGroup
-
-FULL_CHECK_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -159,9 +158,9 @@ class Incidence:
     denominators.  A hyperplane (x, normal) = offset becomes
     dot(int_normal, int_point) == bound, with the Gram-normal and the offset
     scaled by their own lcm; a larger dot product means the vertex violates
-    the inequality.  Tight sets are bitmasks over vertex ids, cached per
-    exact half-space key; a plane missing from the cache is scanned over
-    every vertex.
+    the inequality.  Each plane is scanned once over every vertex; its tight
+    set, a bitmask over vertex ids, and whether any vertex violates it are
+    cached per exact half-space key.
     """
 
     def __init__(self, rs, vrep: VRep):
@@ -178,7 +177,7 @@ class Incidence:
         # kept by coordinate, so scanning a plane is a few C-level passes;
         # zip(*columns) gives the scaled vertices back
         self.columns = tuple(zip(*points))
-        self._masks: dict[tuple, int] = {}
+        self._scans: dict[tuple, tuple[int, bool]] = {}
 
     def row(self, normal: Vec, offset) -> tuple[tuple[int, ...], int, int]:
         """(integer normal, bound, denominator) of (x, normal) <= offset.
@@ -196,7 +195,7 @@ class Incidence:
         """The tight mask of each inequality; every one must be nonempty."""
         out = []
         for hs in halfspaces:
-            mask = self._tight(hs.key(), hs.normal, hs.offset)
+            mask = self.scan(hs)[0]
             if not mask:
                 raise EmptyFacet(
                     f"{hs.kind} inequality of {hs.flat.describe(self.rs)} "
@@ -205,14 +204,13 @@ class Incidence:
             out.append(mask)
         return out
 
-    def _tight(self, key, normal: Vec, offset) -> int:
-        mask = self._masks.get(key)
-        if mask is None:
-            ints, bound, _ = self.row(normal, offset)
-            values = [0] * self.count
-            for a, column in zip(ints, self.columns):
-                if a:
-                    values = list(map(add, values, map(mul, repeat(a), column)))
+    def scan(self, hs: HalfSpace) -> tuple[int, bool]:
+        """(tight mask, whether some vertex violates) of one inequality."""
+        key = hs.key()
+        found = self._scans.get(key)
+        if found is None:
+            ints, bound, _ = self.row(hs.normal, hs.offset)
+            values = self.values(ints)
             mask = 0
             i = -1
             try:
@@ -221,8 +219,16 @@ class Incidence:
                     mask |= 1 << i
             except ValueError:
                 pass
-            self._masks[key] = mask
-        return mask
+            found = self._scans[key] = (mask, max(values) > bound)
+        return found
+
+    def values(self, ints: tuple[int, ...]) -> list[int]:
+        """dot(ints, point) for every scaled vertex, in vertex-id order."""
+        values = [0] * self.count
+        for a, column in zip(ints, self.columns):
+            if a:
+                values = list(map(add, values, map(mul, repeat(a), column)))
+        return values
 
 
 @dataclass
@@ -243,17 +249,36 @@ class CheckReport:
         return head
 
 
-def _equality_predicate(hs: HalfSpace, vert: Vertex, sub_parts) -> bool:
-    """Predicted tightness: the vertex's nested set holds the inequality's
-    parts and tau^-1 sigma lies in their parabolic, i.e. sigma and tau
-    share a left coset of it.  ``sub_parts`` is (parabolic, set of parts)
-    of the inequality's flat; chamber inequalities have none."""
-    if hs.kind == "chamber":
-        return hs.sigma_id == vert.sigma_id
-    sub, parts = sub_parts
-    if not parts <= vert.nested.flat_set:
-        return False
-    return sub.coset[hs.sigma_id] == sub.coset[vert.sigma_id]
+def _predicted_masks(
+    building: BuildingSet,
+    halfspaces: list[HalfSpace],
+    vrep: VRep,
+    subgroups: dict[Flat, Subgroup],
+) -> list[int]:
+    """Predicted tight mask of each inequality tau: the vertices sigma v_S
+    whose nested set S holds the inequality's parts and whose sigma shares
+    tau's left coset of their parabolic (``subgroups`` maps the flat to it).
+    A chamber inequality has no parts and is tight exactly where sigma =
+    tau.  Built from cosets and nested sets only, never from geometry."""
+    holding = {}
+    for flat, sub in subgroups.items():
+        parts = building.fund_decomposition(simple_index_set(building.rs, flat))
+        nested = [s for s in vrep.max_nested if s.flat_set.issuperset(parts)]
+        holding[flat] = (sub, nested)  # a member's parts: itself
+    index_of = vrep.index_of
+    masks = []
+    for hs in halfspaces:
+        if hs.kind == "chamber":
+            sigmas, nested = (hs.sigma_id,), vrep.max_nested
+        else:
+            sub, nested = holding[hs.flat]
+            sigmas = sub.cosets[sub.coset[hs.sigma_id]]
+        mask = 0
+        for sigma in sigmas:
+            for s in nested:
+                mask |= 1 << index_of(sigma, s)
+        masks.append(mask)
+    return masks
 
 
 def verify_hrep_vrep(
@@ -261,72 +286,52 @@ def verify_hrep_vrep(
     halfspaces: list[HalfSpace],
     vrep: VRep,
     subgroups: dict[Flat, Subgroup],
-    limit: int = FULL_CHECK_LIMIT,
-    seed: int = 0,
     raise_on_failure: bool = True,
     incidence: Incidence | None = None,
 ) -> CheckReport:
     """Membership and exact equality pattern for vertices vs inequalities.
 
-    Above ``limit`` pairs, ``limit`` seeded random pairs are checked, and
-    only the inequalities drawn are scaled to integers.
+    Each inequality's observed tight mask and violation flag, from the
+    incidence kernel's cached scan, are compared with its predicted mask.
+    Only an inequality that fails is evaluated vertex by vertex, to report
+    its failing pairs; a violation outranks a mismatch on the same pair.
     """
     rs = building.rs
     if incidence is None:
         incidence = Incidence(rs, vrep)
-    with_parts = {}
-    for flat, sub in subgroups.items():
-        parts = building.fund_decomposition(simple_index_set(rs, flat))
-        with_parts[flat] = (sub, frozenset(parts))  # a member's parts: itself
-    # per inequality, so the loop below hashes no flat per pair
-    sub_parts = [with_parts.get(hs.flat) for hs in halfspaces]
-
-    pairs = len(vrep.vertices) * len(halfspaces)
-    sampled = pairs > limit
-    if sampled:
-        rng = random.Random(seed)
-        chosen = [
-            (rng.randrange(len(vrep.vertices)), rng.randrange(len(halfspaces)))
-            for _ in range(limit)
-        ]
-    else:
-        chosen = product(range(len(vrep.vertices)), range(len(halfspaces)))
-
-    points = list(zip(*incidence.columns))
-    rows: dict[int, tuple] = {}
+    predicted = _predicted_masks(building, halfspaces, vrep, subgroups)
     failures = []
-    checked = 0
-    for vi, hi in chosen:
-        checked += 1
-        hs = halfspaces[hi]
-        vert = vrep.vertices[vi]
-        row = rows.get(hi)
-        if row is None:
-            row = rows[hi] = incidence.row(hs.normal, hs.offset)
-        ints, bound, denominator = row
-        value = sum(map(mul, ints, points[vi]))
-        expect_tight = _equality_predicate(hs, vert, sub_parts[hi])
-        if value > bound:
-            failures.append(
-                f"vertex (sigma={vert.sigma_id}) violates {hs.kind} inequality "
-                f"of {hs.flat.describe(rs)} (sigma={hs.sigma_id}): "
-                f"{Fraction(value, denominator)} > {hs.offset}"
-            )
-        elif (value == bound) != expect_tight:
-            failures.append(
-                f"equality mismatch: vertex (sigma={vert.sigma_id}, dims "
-                f"{tuple(f.dim for f in vert.nested)}) vs {hs.kind} of "
-                f"{hs.flat.describe(rs)} (sigma={hs.sigma_id}): tight="
-                f"{value == bound}, predicted={expect_tight}"
-            )
+    for hi, (hs, expected) in enumerate(zip(halfspaces, predicted)):
+        tight, violated = incidence.scan(hs)
+        if tight == expected and not violated:
+            continue
+        ints, bound, denominator = incidence.row(hs.normal, hs.offset)
+        values = incidence.values(ints)
+        for vi, (vert, value) in enumerate(zip(vrep.vertices, values)):
+            expect_tight = bool(expected >> vi & 1)
+            if value > bound:
+                line = (
+                    f"vertex (sigma={vert.sigma_id}) violates {hs.kind} inequality "
+                    f"of {hs.flat.describe(rs)} (sigma={hs.sigma_id}): "
+                    f"{Fraction(value, denominator)} > {hs.offset}"
+                )
+            elif (value == bound) != expect_tight:
+                line = (
+                    f"equality mismatch: vertex (sigma={vert.sigma_id}, dims "
+                    f"{tuple(f.dim for f in vert.nested)}) vs {hs.kind} of "
+                    f"{hs.flat.describe(rs)} (sigma={hs.sigma_id}): tight="
+                    f"{value == bound}, predicted={expect_tight}"
+                )
+            else:
+                continue
+            failures.append((vi, hi, line))
+    failures.sort()
 
     report = CheckReport(
         "vertex/halfspace incidence",
         not failures,
-        checked,
-        tuple(failures),
-        sampled=sampled,
-        seed=seed if sampled else None,
+        len(vrep.vertices) * len(halfspaces),
+        tuple(line for _, _, line in failures),
     )
     if failures and raise_on_failure:
         raise VerificationFailed(report.line(), report=report)
@@ -376,8 +381,6 @@ def nestohedron_check(
                     f"vertex of {tuple(g.dim for g in s)} not strictly inside "
                     f"member inequality of {f.describe(rs)}"
                 )
-
-    from itertools import combinations
 
     for combo in combinations(proper, n - 1):
         family = NestedSet(tuple(sorted(combo)) + (building.V,))
@@ -431,8 +434,6 @@ def nestohedron_check(
 def _sum_witnesses(building: BuildingSet, family: NestedSet) -> list[Flat]:
     """Fundamental members expressible as a non-redundant sum of >= 2
     family members (nonempty exactly when the family is not nested)."""
-    from itertools import combinations
-
     proper = [f for f in family if f != building.V]
     masks = [building.fund_index_sets[f] for f in proper]
     found = []
