@@ -105,7 +105,7 @@ def _parser() -> argparse.ArgumentParser:
         "--level",
         choices=("fast", "full"),
         default="full",
-        help="fast skips the all-pairs incidence checks (default full)",
+        help="fast skips the incidence, nestohedron and face checks (default full)",
     )
 
     p_export = sub.add_parser("export", help="emit JSON or a rank-3 OFF mesh")

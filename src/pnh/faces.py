@@ -255,12 +255,31 @@ def face_vertices_geometric(
 
 
 def is_simple(
-    ctx: FaceContext, halfspaces: list[HalfSpace], incidence: Incidence
+    ctx: FaceContext,
+    halfspaces: list[HalfSpace],
+    incidence: Incidence,
+    subgroups: dict[Flat, Subgroup],
 ) -> bool:
-    """True when every vertex is on exactly n defining inequalities."""
+    """True when every vertex is on exactly n defining inequalities.
+
+    With the orbit facts re-derived (``Incidence.strays`` and
+    ``orbit_facts``, with ``subgroups`` each flat's W_J), sigma maps the
+    inequalities on v_S one-to-one onto those on sigma v_S, so the base
+    vertices are counted.  Otherwise, or when some orbit is tight on no
+    base vertex (and so on no vertex), every inequality is scanned over
+    every vertex, and one that touches none raises EmptyFacet.
+    """
     n = ctx.building.rs.rank
-    per_vertex = [0] * incidence.count
-    for mask in incidence.facet_masks(halfspaces):
+    index, suspects = incidence.orbit_facts(halfspaces, subgroups)
+    masks = []
+    if not suspects and not incidence.strays:
+        masks = [incidence.scan(hs, base=True)[0] for hs in halfspaces]
+    if masks and all(any(map(masks.__getitem__, p)) for _, p in index.orbits.values()):
+        count = incidence.base
+    else:
+        masks, count = incidence.facet_masks(halfspaces), incidence.count
+    per_vertex = [0] * count
+    for mask in masks:
         for i in iter_bits(mask):
             per_vertex[i] += 1
     return all(c == n for c in per_vertex)

@@ -145,7 +145,9 @@ class Permutonestohedron:
         return self.building.contains_every_flat
 
     def simple(self) -> bool:
-        return is_simple(self.face_ctx, self.halfspaces, self.incidence)
+        return is_simple(
+            self.face_ctx, self.halfspaces, self.incidence, self.subgroups_by_flat()
+        )
 
     def face_vertex_ids(self, face: FacePair) -> frozenset[int]:
         return face_vertices(self.face_ctx, face, self.vrep)
@@ -172,7 +174,16 @@ class Permutonestohedron:
         level: str = "fast",
         raise_on_failure: bool = False,
     ) -> list[CheckReport]:
-        """Run the verification battery; 'fast' skips the all-pairs checks."""
+        """Run the verification battery.
+
+        'fast' runs the chamber-side, counting and simplicity checks; 'full'
+        adds the nestohedron characterisation, the vertex/inequality
+        incidence over all V·H pairs and the face vertex sets.  Simplicity,
+        incidence and faces are decided on the base vertices by the orbit
+        argument, after re-deriving the facts it rests on (see
+        ``pnh.polytope``); at both levels, pairs those facts do not cover
+        are evaluated one by one.
+        """
         reports: list[CheckReport] = []
 
         growth = check_increasing(
@@ -300,8 +311,36 @@ class Permutonestohedron:
         )
 
     def _face_vertex_report(self) -> CheckReport:
+        """Pair description vs supporting hyperplanes, face by face.
+
+        With the orbit facts re-derived, the faces of a type (S, L) are the
+        W-images of its face in W_L's identity coset, as pairs and as
+        geometry alike, so that face is checked for all of them; its
+        supporting hyperplanes are fundamental inequalities.  Otherwise, or
+        when one of those fails, every face is checked.
+        """
+        incidence = self.incidence
+        _, suspects = incidence.orbit_facts(self.halfspaces, self.subgroups_by_flat())
+        label_subgroup = self.face_ctx.label_subgroup
         failures = []
-        for face in self.faces:
+        if (
+            suspects
+            or incidence.strays
+            or self._face_failures(
+                f for f in self.faces if label_subgroup(f.labels).coset[f.rep] == 0
+            )
+        ):
+            failures = self._face_failures(self.faces)
+        return CheckReport(
+            "face vertices vs supporting hyperplanes",
+            not failures,
+            len(self.faces),
+            tuple(failures[:10]),
+        )
+
+    def _face_failures(self, faces) -> list[str]:
+        failures = []
+        for face in faces:
             combinatorial = self.face_vertex_ids(face)
             geometric = face_vertices_geometric(
                 self.face_ctx,
@@ -315,12 +354,7 @@ class Permutonestohedron:
                     f"face {face}: pair description gives {len(combinatorial)} "
                     f"vertices, supporting hyperplanes give {len(geometric)}"
                 )
-        return CheckReport(
-            "face vertices vs supporting hyperplanes",
-            not failures,
-            len(self.faces),
-            tuple(failures[:10]),
-        )
+        return failures
 
     # -- facet factorisation ----------------------------------------------
 

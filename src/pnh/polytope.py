@@ -16,11 +16,21 @@ on it with the vertices predicted tight:
   product of their parabolics.
 
 Tightness is decided by one exact integer kernel, ``Incidence``: vertices
-and Gram-normals are scaled to integers, and one scan per hyperplane keeps
+and Gram-normals are scaled to integers, and a scan of a hyperplane keeps
 its tight set, as a bitmask over vertex ids, and whether any vertex
-violates it.  The predicted masks are built from cosets and maximal nested
-sets alone; the kernel only takes dot products, so the predicted pattern
-above and the observed one never share code.
+violates it.  W acts by isometries, so tight(tau H, sigma v) iff
+tight(sigma^-1 tau H, v): scans of every inequality over the base vertices
+v_S (sigma = e) decide every pair, and the pattern above need only be
+checked at sigma = e.  The facts this rests on are re-derived, never
+assumed: every simple reflection preserves the Gram form; the vertices are
+listed sigma by sigma, each equal to M(sigma) v_S in scaled integers
+(``Incidence.strays``); and each coset of an inequality's stabiliser W_J
+holds exactly one inequality, whose key is M(sigma_id) times the key at
+the identity coset, which the generators of W_J fix
+(``Incidence.orbit_facts``).  Pairs these facts do not cover are
+evaluated one by one.  The predicted masks are built from cosets and
+maximal nested sets alone; the kernel only takes dot products, so the
+predicted pattern and the observed one never share code.
 """
 
 from __future__ import annotations
@@ -34,17 +44,25 @@ from operator import add, mul
 
 from .errors import EmptyFacet, NotInChamber, VerificationFailed
 from .flats import BuildingSet, Flat, iter_bits, simple_index_set
-from .halfspaces import FlatData, HalfSpace, SuitableList, flat_data
+from .halfspaces import (
+    FlatData,
+    HalfSpace,
+    HalfSpaceIndex,
+    SuitableList,
+    flat_data,
+    index_halfspaces,
+)
 from .linalg import (
     ScaledInts,
     Vec,
     int_mat_vec,
+    mat_mul,
     mat_vec,
     rank,
     solve_linear_system,
 )
-from .nested import NestedSet, enumerate_maximal_nested_sets, enumerate_nested_sets
-from .weyl import Subgroup, WeylGroup
+from .nested import NestedSet, enumerate_maximal_nested_sets
+from .weyl import Subgroup, WeylGroup, subgroup_product
 
 
 @dataclass(frozen=True)
@@ -56,11 +74,17 @@ class Vertex:
 
 @dataclass
 class VRep:
-    """All vertices, one per (group element, maximal nested set) pair."""
+    """All vertices, one per (group element, maximal nested set) pair.
+
+    Listed sigma by sigma in id order, and within each sigma in
+    ``max_nested`` order, so the first ``len(max_nested)`` are the base
+    vertices (sigma = e); ``weyl`` is the group whose matrices made them.
+    """
 
     vertices: tuple[Vertex, ...]
     max_nested: tuple[NestedSet, ...]
     coincidences: tuple[tuple[int, int], ...]
+    weyl: WeylGroup
 
     def index_of(self, sigma_id: int, nested: NestedSet) -> int:
         return self._index[(sigma_id, nested)]
@@ -148,24 +172,27 @@ def all_vertices(
         raise VerificationFailed(
             f"{len(coincidences)} coinciding vertex pairs; eps list unsuitable?"
         )
-    return VRep(tuple(vertices), max_nested, tuple(coincidences))
+    return VRep(tuple(vertices), max_nested, tuple(coincidences), weyl)
 
 
 class Incidence:
     """Exact vertex-on-hyperplane incidence in integer arithmetic.
 
     The vertices are scaled once by the lcm ``scale`` of their coordinate
-    denominators.  A hyperplane (x, normal) = offset becomes
-    dot(int_normal, int_point) == bound, with the Gram-normal and the offset
-    scaled by their own lcm; a larger dot product means the vertex violates
-    the inequality.  Each plane is scanned once over every vertex; its tight
-    set, a bitmask over vertex ids, and whether any vertex violates it are
-    cached per exact half-space key.
+    denominators, and the Gram matrix by the lcm of its own.  A hyperplane
+    (x, normal) = offset becomes dot(row, point) == bound, with the row
+    the integer Gram matrix times the primitive normal of the half-space's
+    key (``row``); a larger dot product means the vertex violates the
+    inequality.  A scan of a plane over every vertex, or over the base
+    vertices only, keeps its tight set, a bitmask over vertex ids, and
+    whether any vertex violates it, cached per exact half-space key.
     """
 
     def __init__(self, rs, vrep: VRep):
         self.rs = rs
+        self.vrep = vrep
         self.count = len(vrep.vertices)
+        self.base = len(vrep.max_nested)
         self.full = (1 << self.count) - 1
         self.scale = scale = lcm(
             *(c.denominator for v in vrep.vertices for c in v.point)
@@ -177,19 +204,23 @@ class Incidence:
         # kept by coordinate, so scanning a plane is a few C-level passes;
         # zip(*columns) gives the scaled vertices back
         self.columns = tuple(zip(*points))
+        self.base_columns = tuple(c[: self.base] for c in self.columns)
+        g = lcm(*(c.denominator for row in rs.gram for c in row))
+        self.gram = tuple(tuple(int(c * g) for c in row) for row in rs.gram)
+        self.unit = g * scale
         self._scans: dict[tuple, tuple[int, bool]] = {}
 
-    def row(self, normal: Vec, offset) -> tuple[tuple[int, ...], int, int]:
-        """(integer normal, bound, denominator) of (x, normal) <= offset.
+    def row(self, hs: HalfSpace) -> tuple[tuple[int, ...], int, Fraction]:
+        """(integer row, bound, denominator) of (x, normal) <= offset.
 
-        dot(integer normal, point) / denominator is the exact value of
+        dot(integer row, point) / denominator is the exact value of
         (x, normal) at the point, and bound / denominator is the offset.
         """
-        gn = mat_vec(self.rs.gram, normal)
-        m = lcm(offset.denominator, *(c.denominator for c in gn))
-        ints = tuple(c.numerator * (m // c.denominator) for c in gn)
-        bound = offset.numerator * (m // offset.denominator) * self.scale
-        return ints, bound, m * self.scale
+        prim, offset = hs.key()
+        ints = tuple(offset.denominator * sum(map(mul, g, prim)) for g in self.gram)
+        # prim = c * normal with c > 0, and the key's offset is c * offset
+        c = next(Fraction(p) / x for p, x in zip(prim, hs.normal) if x)
+        return ints, offset.numerator * self.unit, offset.denominator * self.unit * c
 
     def facet_masks(self, halfspaces: list[HalfSpace]) -> list[int]:
         """The tight mask of each inequality; every one must be nonempty."""
@@ -204,13 +235,14 @@ class Incidence:
             out.append(mask)
         return out
 
-    def scan(self, hs: HalfSpace) -> tuple[int, bool]:
-        """(tight mask, whether some vertex violates) of one inequality."""
-        key = hs.key()
+    def scan(self, hs: HalfSpace, base: bool = False) -> tuple[int, bool]:
+        """(tight mask, whether some vertex violates) of one inequality,
+        over every vertex or, with ``base``, over the base vertices."""
+        key = hs.key(), base
         found = self._scans.get(key)
         if found is None:
-            ints, bound, _ = self.row(hs.normal, hs.offset)
-            values = self.values(ints)
+            ints, bound, _ = self.row(hs)
+            values = self.values(ints, base)
             mask = 0
             i = -1
             try:
@@ -219,16 +251,73 @@ class Incidence:
                     mask |= 1 << i
             except ValueError:
                 pass
-            found = self._scans[key] = (mask, max(values) > bound)
+            found = self._scans[key] = (mask, max(values, default=bound) > bound)
         return found
 
-    def values(self, ints: tuple[int, ...]) -> list[int]:
-        """dot(ints, point) for every scaled vertex, in vertex-id order."""
-        values = [0] * self.count
-        for a, column in zip(ints, self.columns):
+    def values(self, ints: tuple[int, ...], base: bool = False) -> list[int]:
+        """dot(ints, point) for every scaled vertex, or every base vertex,
+        in vertex-id order."""
+        values = [0] * (self.base if base else self.count)
+        for a, column in zip(ints, self.base_columns if base else self.columns):
             if a:
                 values = list(map(add, values, map(mul, repeat(a), column)))
         return values
+
+    @cached_property
+    def strays(self) -> tuple[int, ...]:
+        """Ids of the vertices that the base scans do not decide: all of
+        them unless every simple reflection preserves the Gram form and
+        there is one vertex per (sigma, S); else those not listed where
+        ``all_vertices`` lists (sigma, S) or not equal, in scaled integers,
+        to M(sigma) times the base vertex of S."""
+        vrep, gram, m = self.vrep, self.gram, self.base
+        elements = vrep.weyl.elements
+        if self.count != len(elements) * m or any(
+            mat_mul(tuple(zip(*s)), mat_mul(gram, s)) != gram
+            for s in map(elements.__getitem__, vrep.weyl.generator_ids)
+        ):
+            return tuple(range(self.count))
+        points = list(zip(*self.columns))
+        return tuple(
+            i
+            for i, (v, point) in enumerate(zip(vrep.vertices, points))
+            if v.sigma_id != i // m
+            or v.nested != vrep.max_nested[i % m]
+            or int_mat_vec(elements[i // m], points[i % m]) != point
+        )
+
+    def orbit_facts(
+        self, halfspaces: list[HalfSpace], subgroups: dict[Flat, Subgroup]
+    ) -> tuple[HalfSpaceIndex | None, set[int]]:
+        """The inequalities' orbit index and the positions that the base
+        scans do not decide.
+
+        ``subgroups`` maps each member or non-member flat to its W_J.  An
+        orbit is decided when each coset of W_J holds exactly one
+        inequality (``index_halfspaces``; else there is no index and no
+        position is), every generator of W_J fixes the primitive normal of
+        the inequality at the identity coset, and every key in the orbit is
+        M(sigma_id) times that one.
+        """
+        weyl = self.vrep.weyl
+        try:
+            index = index_halfspaces(
+                self.rs, halfspaces, subgroups, subgroup_product(weyl, [])
+            )
+        except VerificationFailed:
+            return None, set(range(len(halfspaces)))
+        suspects = set()
+        for sub, positions in index.orbits.values():
+            prim, offset = halfspaces[positions[0]].key()
+            if any(
+                int_mat_vec(weyl.elements[weyl.generator_ids[j]], prim) != prim
+                for j in iter_bits(sub.mask)
+            ) or any(
+                hs.key() != (int_mat_vec(weyl.elements[hs.sigma_id], prim), offset)
+                for hs in map(halfspaces.__getitem__, positions)
+            ):
+                suspects.update(positions)
+        return index, suspects
 
 
 @dataclass
@@ -249,38 +338,6 @@ class CheckReport:
         return head
 
 
-def _predicted_masks(
-    building: BuildingSet,
-    halfspaces: list[HalfSpace],
-    vrep: VRep,
-    subgroups: dict[Flat, Subgroup],
-) -> list[int]:
-    """Predicted tight mask of each inequality tau: the vertices sigma v_S
-    whose nested set S holds the inequality's parts and whose sigma shares
-    tau's left coset of their parabolic (``subgroups`` maps the flat to it).
-    A chamber inequality has no parts and is tight exactly where sigma =
-    tau.  Built from cosets and nested sets only, never from geometry."""
-    holding = {}
-    for flat, sub in subgroups.items():
-        parts = building.fund_decomposition(simple_index_set(building.rs, flat))
-        nested = [s for s in vrep.max_nested if s.flat_set.issuperset(parts)]
-        holding[flat] = (sub, nested)  # a member's parts: itself
-    index_of = vrep.index_of
-    masks = []
-    for hs in halfspaces:
-        if hs.kind == "chamber":
-            sigmas, nested = (hs.sigma_id,), vrep.max_nested
-        else:
-            sub, nested = holding[hs.flat]
-            sigmas = sub.cosets[sub.coset[hs.sigma_id]]
-        mask = 0
-        for sigma in sigmas:
-            for s in nested:
-                mask |= 1 << index_of(sigma, s)
-        masks.append(mask)
-    return masks
-
-
 def verify_hrep_vrep(
     building: BuildingSet,
     halfspaces: list[HalfSpace],
@@ -291,24 +348,56 @@ def verify_hrep_vrep(
 ) -> CheckReport:
     """Membership and exact equality pattern for vertices vs inequalities.
 
-    Each inequality's observed tight mask and violation flag, from the
-    incidence kernel's cached scan, are compared with its predicted mask.
-    Only an inequality that fails is evaluated vertex by vertex, to report
-    its failing pairs; a violation outranks a mismatch on the same pair.
+    Each inequality's tight mask and violation flag over the base vertices
+    are compared with its predicted base mask; with the orbit facts
+    re-derived (module docstring) that decides all V·H pairs.  Only the
+    pairs left undecided -- every inequality of an orbit that fails a fact
+    or that comparison, against every vertex, and every stray vertex --
+    are evaluated one by one, to report the failing pairs; a violation
+    outranks a mismatch on the same pair.
     """
     rs = building.rs
     if incidence is None:
         incidence = Incidence(rs, vrep)
-    predicted = _predicted_masks(building, halfspaces, vrep, subgroups)
+    index, suspects = incidence.orbit_facts(halfspaces, subgroups)
+    for mask, (_, positions) in index.orbits.items() if index else ():
+        # predicted, from nested sets alone: the identity coset's inequality
+        # is tight on the v_S whose S holds its flat's parts (every S, for
+        # the chamber inequality's whole space), every other on none
+        parts = building.fund_decomposition(mask)
+        expected = sum(
+            1 << k
+            for k, s in enumerate(vrep.max_nested)
+            if s.flat_set.issuperset(parts)
+        )
+        for p in positions:
+            if incidence.scan(halfspaces[p], base=True) != (expected, False):
+                suspects.update(positions)
+                break
+            expected = 0
+    strays = incidence.strays
     failures = []
-    for hi, (hs, expected) in enumerate(zip(halfspaces, predicted)):
-        tight, violated = incidence.scan(hs)
-        if tight == expected and not violated:
+    trivial = subgroup_product(vrep.weyl, []) if suspects or strays else None
+    for hi, hs in enumerate(halfspaces):
+        if hi not in suspects and not strays:
             continue
-        ints, bound, denominator = incidence.row(hs.normal, hs.offset)
-        values = incidence.values(ints)
-        for vi, (vert, value) in enumerate(zip(vrep.vertices, values)):
-            expect_tight = bool(expected >> vi & 1)
+        sub = trivial if hs.kind == "chamber" else subgroups[hs.flat]
+        parts = building.fund_decomposition(simple_index_set(rs, hs.flat))
+        coset = sub.coset[hs.sigma_id]
+        ints, bound, denominator = incidence.row(hs)
+        if hi in suspects:
+            pairs = enumerate(incidence.values(ints))
+        else:
+            pairs = (
+                (vi, sum(a * col[vi] for a, col in zip(ints, incidence.columns)))
+                for vi in strays
+            )
+        for vi, value in pairs:
+            vert = vrep.vertices[vi]
+            expect_tight = (
+                sub.coset[vert.sigma_id] == coset
+                and vert.nested.flat_set.issuperset(parts)
+            )
             if value > bound:
                 line = (
                     f"vertex (sigma={vert.sigma_id}) violates {hs.kind} inequality "

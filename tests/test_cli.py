@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -22,6 +23,39 @@ def test_verify_pass_and_fail(tmp_path):
     assert run(["verify", "--type", "A2", "--epsilons", "1/3,1",
                 "--output", str(out)]) == 1
     assert "FAIL" in out.read_text()
+
+
+def test_verify_fast_a5_decides_on_base_vertices(tmp_path):
+    # 30,240 vertices and 4,682 inequalities, decided on the 42 base
+    # vertices; scanning every pair took about a minute on a 2-vCPU machine
+    out = tmp_path / "a5.txt"
+    t0 = time.perf_counter()
+    code = run(["verify", "--level", "fast", "--type", "A5",
+                "--building", "minimal", "--output", str(out)])
+    elapsed = time.perf_counter() - t0
+    heads = [line for line in out.read_text().splitlines()
+             if not line.startswith(" ")]
+    assert code == 0
+    assert heads and all(line.startswith("PASS ") for line in heads), heads
+    assert elapsed < 20, f"{elapsed:.1f}s"
+
+
+def test_verify_full_counts_every_pair(tmp_path):
+    out = tmp_path / "b4.txt"
+    assert run(["verify", "--level", "full", "--type", "B4",
+                "--building", "minimal", "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "PASS vertex/halfspace incidence: 9117696 checks" in lines
+    assert not [line for line in lines if line.startswith("FAIL")]
+
+
+def test_verify_full_output_is_byte_identical(tmp_path):
+    out = tmp_path / "a4.txt"
+    assert run(["verify", "--level", "full", "--type", "A4",
+                "--building", "minimal", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e4cf359474b6c731f75ad210a9681caebdc0971acc6c2c21463c586283f1c080"
+    )
 
 
 def test_build_emits_parseable_json(tmp_path):

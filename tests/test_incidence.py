@@ -1,5 +1,7 @@
-"""The integer incidence kernel against the Fraction loops it replaced."""
+"""The integer incidence kernel against the Fraction loops it replaced, and
+the base-vertex decisions against the all-pairs path they replaced."""
 
+from copy import copy
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,10 +9,17 @@ import pytest
 
 from conftest import make_model
 from pnh.errors import EmptyFacet, VerificationFailed
-from pnh.faces import face_vertices_geometric, support_halfspaces
-from pnh.flats import simple_index_set
-from pnh.linalg import mat_vec
-from pnh.polytope import Vertex, VRep, facet_vertex_sets, verify_hrep_vrep
+from pnh.faces import face_vertices_geometric, is_simple, support_halfspaces
+from pnh.flats import iter_bits, simple_index_set
+from pnh.linalg import identity, int_mat_vec, mat_vec
+from pnh.model import Permutonestohedron
+from pnh.polytope import (
+    Incidence,
+    Vertex,
+    all_vertices,
+    facet_vertex_sets,
+    verify_hrep_vrep,
+)
 
 
 def _values(model, normal, vertices=None):
@@ -74,7 +83,207 @@ def _moved(vrep, factor=Fraction(1001, 1000)):
     """A copy of ``vrep`` with vertex 0 pushed outward by a small rational."""
     v = vrep.vertices[0]
     moved = Vertex(tuple(c * factor for c in v.point), v.sigma_id, v.nested)
-    return VRep((moved,) + vrep.vertices[1:], vrep.max_nested, vrep.coincidences)
+    return replace(vrep, vertices=(moved,) + vrep.vertices[1:])
+
+
+# -- the all-pairs path, kept as the oracle of the base-vertex decisions -----
+
+
+def _all_pairs_simple(model):
+    """Every inequality scanned over every vertex, tight ones counted."""
+    incidence = Incidence(model.rs, model.vrep)
+    per_vertex = [0] * incidence.count
+    for mask in incidence.facet_masks(model.halfspaces):
+        for i in iter_bits(mask):
+            per_vertex[i] += 1
+    return all(c == model.rs.rank for c in per_vertex)
+
+
+def _all_pairs_predicted(model):
+    """Each inequality's predicted tight mask over every vertex, by
+    looking up each (sigma, S) of its coset and nested sets."""
+    building, vrep = model.building, model.vrep
+    masks = []
+    for hs in model.halfspaces:
+        if hs.kind == "chamber":
+            sigmas, nested = (hs.sigma_id,), vrep.max_nested
+        else:
+            sub = model.subgroups_by_flat()[hs.flat]
+            parts = building.fund_decomposition(simple_index_set(model.rs, hs.flat))
+            sigmas = sub.cosets[sub.coset[hs.sigma_id]]
+            nested = [s for s in vrep.max_nested if s.flat_set.issuperset(parts)]
+        masks.append(sum(1 << vrep.index_of(g, s) for g in sigmas for s in nested))
+    return masks
+
+
+def _all_pairs_hrep(model):
+    """(passed, checked, details) of the incidence report, with every
+    inequality scanned over every vertex; the lines of a failing one from
+    Fraction values."""
+    incidence = Incidence(model.rs, model.vrep)
+    failing = [
+        hs
+        for hs, expected in zip(model.halfspaces, _all_pairs_predicted(model))
+        if incidence.scan(hs) != (expected, False)
+    ]
+    lines = _details(model, failing, model.vrep.vertices)
+    pairs = model.vertex_count * model.facet_count
+    return not failing, pairs, lines
+
+
+def _all_pairs_faces(model):
+    """(passed, checked, details) of the face report, every face checked."""
+    incidence = Incidence(model.rs, model.vrep)
+    lines = []
+    for face in model.faces:
+        combinatorial = model.face_vertex_ids(face)
+        geometric = face_vertices_geometric(
+            model.face_ctx, face, model.vrep, model.halfspace_index, incidence
+        )
+        if combinatorial != geometric:
+            lines.append(
+                f"face {face}: pair description gives {len(combinatorial)} "
+                f"vertices, supporting hyperplanes give {len(geometric)}"
+            )
+    return not lines, len(model.faces), tuple(lines[:10])
+
+
+def _hrep(model):
+    report = verify_hrep_vrep(
+        model.building,
+        model.halfspaces,
+        model.vrep,
+        model.subgroups_by_flat(),
+        raise_on_failure=False,
+        incidence=model.incidence,
+    )
+    return report.passed, report.checked, list(report.details)
+
+
+def _faces(model):
+    report = model._face_vertex_report()
+    return report.passed, report.checked, report.details
+
+
+def test_base_decisions_match_the_all_pairs_path(
+    a2, b2, a3_min, a3_max, b3_min, b3_max, a13_min
+):
+    a2xb2 = make_model("A2xB2", "minimal")
+    for model in (a2, b2, a3_min, a3_max, b3_min, b3_max, a13_min, a2xb2):
+        assert not model.incidence.strays
+        index, suspects = model.incidence.orbit_facts(
+            model.halfspaces, model.subgroups_by_flat()
+        )
+        assert index is not None and not suspects
+        assert model.simple() == _all_pairs_simple(model)
+        assert _hrep(model) == (True, model.vertex_count * model.facet_count, [])
+        assert _hrep(model) == _all_pairs_hrep(model)
+        assert _faces(model) == _all_pairs_faces(model)
+        assert _faces(model)[0]
+
+
+def test_passing_checks_scan_base_vertices_only(a3_min, b3_max):
+    # a run that passes never evaluates an inequality over all of V
+    for model in (a3_min, b3_max):
+        incidence = Incidence(model.rs, model.vrep)
+        scanned = []
+        values = incidence.values
+        incidence.values = lambda ints, base=False: scanned.append(base) or values(
+            ints, base
+        )
+        subgroups = model.subgroups_by_flat()
+        args = (model.building, model.halfspaces, model.vrep, subgroups)
+        assert verify_hrep_vrep(*args, incidence=incidence).passed
+        is_simple(model.face_ctx, model.halfspaces, incidence, subgroups)
+        assert len(scanned) == model.facet_count and all(scanned)
+
+
+def _outcome(check, model):
+    """The check's result, or the message of the EmptyFacet it raised."""
+    try:
+        return check(model)
+    except EmptyFacet as exc:
+        return str(exc)
+
+
+def _check_mutant(model):
+    """The base-vertex decisions of a broken copy equal the all-pairs ones,
+    and the broken copy fails."""
+    simple = _outcome(Permutonestohedron.simple, model)
+    assert simple == _outcome(_all_pairs_simple, model)
+    hrep = _hrep(model)
+    assert hrep == _all_pairs_hrep(model)
+    assert hrep[2] == _details(model, model.halfspaces, model.vrep.vertices)
+    assert not hrep[0]
+    faces = _outcome(_faces, model)
+    assert faces == _outcome(_all_pairs_faces, model)
+    assert isinstance(faces, str) or not faces[0]
+
+
+def test_moved_non_base_vertex_is_a_stray():
+    model = make_model("A3", "minimal")
+    vi = len(model.vrep.max_nested) + 3
+    v = model.vrep.vertices[vi]
+    moved = replace(v, point=tuple(c * Fraction(1001, 1000) for c in v.point))
+    vertices = list(model.vrep.vertices)
+    vertices[vi] = moved
+    model.vrep = replace(model.vrep, vertices=tuple(vertices))
+    assert model.incidence.strays == (vi,)
+    _check_mutant(model)
+
+
+def test_relabelled_vertex_sigmas_are_strays():
+    # two vertices of one nested set swap their sigma labels: every label
+    # is still listed once, but neither point is M(sigma) v_S any more
+    model = make_model("A3", "minimal")
+    m = len(model.vrep.max_nested)
+    i, j = m + 2, 5 * m + 2
+    vertices = list(model.vrep.vertices)
+    a, b = vertices[i], vertices[j]
+    vertices[i] = replace(a, sigma_id=b.sigma_id)
+    vertices[j] = replace(b, sigma_id=a.sigma_id)
+    model.vrep = replace(model.vrep, vertices=tuple(vertices))
+    assert model.incidence.strays == (i, j)
+    _check_mutant(model)
+
+
+def test_generator_breaking_the_gram_form_strays_every_vertex():
+    # the vertices are made with the broken matrix, so each one is still
+    # M(sigma) v_S; only the Gram check can refuse the orbit argument
+    model = make_model("A3", "minimal")
+    broken = copy(model.weyl)
+    g = broken.generator_ids[0]
+    elements = list(broken.elements)
+    elements[g] = tuple(tuple(2 * x for x in row) for row in identity(3))
+    broken.elements = tuple(elements)
+    vrep = all_vertices(model.building, model.suitable, broken, require_distinct=False)
+    m = len(vrep.max_nested)
+    base = [v.point for v in vrep.vertices[:m]]
+    assert all(
+        v.point == int_mat_vec(broken.elements[v.sigma_id], base[i % m])
+        for i, v in enumerate(vrep.vertices)
+    )
+    model.vrep = vrep
+    assert model.incidence.strays == tuple(range(model.vertex_count))
+    _check_mutant(model)
+
+
+def test_inequality_key_off_its_orbit_is_a_suspect(a3_min):
+    # a member inequality takes the normal of another coset's image of the
+    # same fundamental inequality, keeping its own sigma label
+    model = make_model("A3", "minimal")
+    halfspaces = list(model.halfspaces)
+    index = a3_min.halfspace_index
+    member = next(h.flat for h in halfspaces if h.kind == "member")
+    mask = simple_index_set(model.rs, member)
+    positions = index.orbits[mask][1]
+    p, q = positions[1], positions[2]
+    halfspaces[p] = replace(halfspaces[p], normal=halfspaces[q].normal)
+    model.halfspaces = halfspaces
+    _, suspects = model.incidence.orbit_facts(halfspaces, model.subgroups_by_flat())
+    assert suspects == set(positions)
+    assert not model.incidence.strays
+    _check_mutant(model)
 
 
 def test_facet_sets_match_fraction_reference(
@@ -109,7 +318,7 @@ def test_hrep_vrep_matches_fraction_reference(a3_min):
     incidence = model.incidence
     passed = True
     for hs in model.halfspaces:
-        ints, bound, denominator = incidence.row(hs.normal, hs.offset)
+        ints, bound, denominator = incidence.row(hs)
         assert Fraction(bound, denominator) == hs.offset
         for vert, value, point in zip(
             model.vrep.vertices, _values(model, hs.normal), zip(*incidence.columns)
