@@ -101,6 +101,23 @@ def minimal_face_count(n: int, k: int) -> int:
     return total
 
 
+def closed_form_counts(rs, kind: str) -> dict[int, int] | None:
+    """Closed-form face count by dimension, codimension 1 first, for an
+    irreducible type-A root system with the minimal or maximal building
+    set; None for any other."""
+    components = rs.components
+    if (
+        components is None
+        or len(components) != 1
+        or components[0][0] != "A"
+        or kind not in ("minimal", "maximal")
+    ):
+        return None
+    n = components[0][1] + 1
+    count = minimal_face_count if kind == "minimal" else maximal_face_count
+    return {rs.rank - 1 - k: count(n, k) for k in range(n - 1)}
+
+
 def maximal_face_count(n: int, k: int) -> int:
     """Codimension-(k+1) faces of the maximal type-A permutonestohedron."""
     if n < 2 or not 0 <= k <= n - 2:

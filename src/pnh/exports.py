@@ -19,9 +19,9 @@ from fractions import Fraction
 from .errors import OutOfRange, UnsupportedType
 from .faces import covering_edges
 from .flats import Flat, flat_closure, validate_building_set
-from .linalg import Vec
+from .linalg import ScaledInts, Vec
 from .model import Permutonestohedron
-from .counting import maximal_face_count, minimal_face_count
+from .counting import closed_form_counts
 
 JSON_INDENT = 2
 
@@ -87,6 +87,9 @@ def building_json(model: Permutonestohedron, lists: _IndexLists) -> dict:
 def build_document(model: Permutonestohedron, config: dict | None = None) -> dict:
     """The full H/V-representation document for the ``build`` command."""
     lists = _IndexLists()
+    vrep = model.vrep
+    m = len(vrep.max_nested)
+    point_of = ScaledInts(Fraction(1, vrep.scale)).__getitem__
     return {
         "config": config or {},
         "root_system": root_system_json(model),
@@ -107,11 +110,11 @@ def build_document(model: Permutonestohedron, config: dict | None = None) -> dic
         ],
         "vrep": [
             {
-                "point": vec_strs(v.point),
-                "sigma_id": v.sigma_id,
-                "nested": lists[v.nested],
+                "point": vec_strs(map(point_of, v)),
+                "sigma_id": i // m,
+                "nested": lists[vrep.max_nested[i % m]],
             }
-            for v in model.vrep.vertices
+            for i, v in enumerate(vrep.vertices)
         ],
     }
 
@@ -288,16 +291,7 @@ def fvector_table(model: Permutonestohedron) -> str:
     side by side with the enumeration."""
     rs = model.rs
     fvec = model.f_vector
-    formula = None
-    if (
-        rs.components is not None
-        and len(rs.components) == 1
-        and rs.components[0][0] == "A"
-        and model.building.kind in ("minimal", "maximal")
-    ):
-        n = rs.components[0][1] + 1
-        fn = minimal_face_count if model.building.kind == "minimal" else maximal_face_count
-        formula = {rs.rank - 1 - k: fn(n, k) for k in range(0, n - 1)}
+    formula = closed_form_counts(rs, model.building.kind)
     name = rs.type_name() or f"rank-{rs.rank} custom"
     lines = [
         f"f-vector: {name}, {model.building.kind} building set",
@@ -360,7 +354,9 @@ def off_text(model: Permutonestohedron, precision: int = 12) -> str:
     if precision < 1:
         raise OutOfRange("precision must be a positive digit count")
     L = _cholesky(rs.gram)
-    points = [_embed(L, v.point) for v in model.vrep.vertices]
+    scale = model.vrep.scale
+    # c / scale is the correctly rounded float of the exact coordinate
+    points = [_embed(L, [c / scale for c in v]) for v in model.vrep.vertices]
     fvec = model.f_vector
     lines = [
         "OFF",

@@ -97,10 +97,6 @@ def enumerate_faces(
     return out
 
 
-def face_dimension(ctx: FaceContext, face: FacePair) -> int:
-    return ctx.dimension(face)
-
-
 def f_vector(ctx: FaceContext) -> tuple[int, ...]:
     """Face counts by dimension, via coset indices (no enumeration)."""
     n = ctx.building.rs.rank
@@ -183,12 +179,11 @@ def face_vertices(ctx: FaceContext, face: FacePair, vrep: VRep) -> frozenset[int
     sub = ctx.label_subgroup(face.labels)
     coset = sub.cosets[sub.coset[face.rep]]
     flats = face.nested.flat_set
+    m = len(vrep.max_nested)
     out = set()
-    for t in vrep.max_nested:
-        if not flats <= t.flat_set:
-            continue
-        for sigma in coset:
-            out.add(vrep.index_of(sigma, t))
+    for k, t in enumerate(vrep.max_nested):
+        if flats <= t.flat_set:
+            out.update(sigma * m + k for sigma in coset)
     if not out:
         raise EmptyFacet(f"face {face} has no vertices")
     return frozenset(out)

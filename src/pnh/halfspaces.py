@@ -88,14 +88,13 @@ def flat_data(rs, flat: Flat, building: BuildingSet | None = None) -> FlatData:
 class RatioTable:
     """Max/min coefficient ratios between nested fundamental members.
 
-    For fundamental members B strictly inside A, the entry for (A, B) is
+    For fundamental members B strictly inside A, the ratio of (A, B) is
     max simple-root coefficient of pi_A over min (support) coefficient of
-    pi_B; entries aggregate to dimension pairs by maximum.  Missing
+    pi_B; only its maximum over each pair of dimensions is kept.  Missing
     dimension pairs default to 1.
     """
 
-    def __init__(self, per_pair: dict, per_dim: dict):
-        self.per_pair = per_pair
+    def __init__(self, per_dim: dict):
         self.per_dim = per_dim
 
     def ratio(self, dim_a: int, dim_b: int) -> Fraction:
@@ -108,18 +107,16 @@ def ratio_table(building: BuildingSet, data: dict[Flat, FlatData] | None = None)
     for f in building.fund:
         support = [c for c in data[f].pi if c != 0]
         stats[f] = (max(data[f].pi), min(support))
-    per_pair = {}
     per_dim: dict[tuple[int, int], Fraction] = {}
     for a in building.fund:
         for b in building.fund:
             if b.dim >= a.dim or not a.contains(b) or a == b:
                 continue
             r = stats[a][0] / stats[b][1]
-            per_pair[(a, b)] = r
             key = (a.dim, b.dim)
             if key not in per_dim or per_dim[key] < r:
                 per_dim[key] = r
-    return RatioTable(per_pair, per_dim)
+    return RatioTable(per_dim)
 
 
 @dataclass(frozen=True)

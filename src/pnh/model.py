@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import product as iproduct
 
 from .errors import NotCrossingFacet, VerificationFailed
-from .counting import maximal_face_count, minimal_face_count
+from .counting import closed_form_counts
 from .faces import (
     FaceContext,
     FacePair,
@@ -286,28 +286,19 @@ class Permutonestohedron:
         return reports
 
     def _formula_report(self) -> CheckReport:
-        if (
-            self.rs.components is None
-            or len(self.rs.components) != 1
-            or self.rs.components[0][0] != "A"
-            or self.building.kind not in ("minimal", "maximal")
-        ):
-            return CheckReport("closed-form face counts (type A only)", True, 0)
-        n = self.rs.components[0][1] + 1
-        formula = (
-            minimal_face_count if self.building.kind == "minimal" else maximal_face_count
-        )
+        name = "closed-form face counts (type A only)"
+        formula = closed_form_counts(self.rs, self.building.kind)
+        if formula is None:
+            return CheckReport(name, True, 0)
         fvec = self.f_vector
-        details = []
-        ok = True
-        for k in range(0, n - 1):
-            expected = formula(n, k)
-            got = fvec[self.rs.rank - 1 - k]
-            details.append(f"codim {k + 1}: formula {expected}, enumerated {got}")
-            if expected != got:
-                ok = False
         return CheckReport(
-            "closed-form face counts (type A only)", ok, n - 1, tuple(details)
+            name,
+            all(fvec[d] == count for d, count in formula.items()),
+            len(formula),
+            tuple(
+                f"codim {self.rs.rank - d}: formula {count}, enumerated {fvec[d]}"
+                for d, count in formula.items()
+            ),
         )
 
     def _face_vertex_report(self) -> CheckReport:

@@ -44,9 +44,6 @@ class NestedSet:
         ``flat_set`` reuse the stored hashes."""
         return frozenset(self.flats)
 
-    def proper(self) -> tuple[Flat, ...]:
-        return self.flats[:-1]
-
     def minimal_elements(self) -> tuple[Flat, ...]:
         return tuple(
             f

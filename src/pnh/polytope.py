@@ -53,7 +53,6 @@ from .halfspaces import (
     index_halfspaces,
 )
 from .linalg import (
-    ScaledInts,
     Vec,
     int_mat_vec,
     mat_mul,
@@ -65,35 +64,23 @@ from .nested import NestedSet, enumerate_maximal_nested_sets
 from .weyl import Subgroup, WeylGroup, subgroup_product
 
 
-@dataclass(frozen=True)
-class Vertex:
-    point: Vec
-    sigma_id: int
-    nested: NestedSet
-
-
 @dataclass
 class VRep:
-    """All vertices, one per (group element, maximal nested set) pair.
+    """All vertices: the W-orbit of the chamber vertices, in integers.
 
-    Listed sigma by sigma in id order, and within each sigma in
-    ``max_nested`` order, so the first ``len(max_nested)`` are the base
-    vertices (sigma = e); ``weyl`` is the group whose matrices made them.
+    Vertex i is M(sigma) v_S with sigma = i // m and S = max_nested[i % m]
+    (m = ``len(max_nested)``): listed sigma by sigma in id order, so the
+    first m are the base vertices (sigma = e) and a vertex's label is its
+    position.  Each point is a tuple of integers whose exact coordinates
+    are those integers over ``scale``, the one common denominator; ``weyl``
+    is the group whose matrices made them.
     """
 
-    vertices: tuple[Vertex, ...]
+    vertices: tuple[tuple[int, ...], ...]
+    scale: int
     max_nested: tuple[NestedSet, ...]
     coincidences: tuple[tuple[int, int], ...]
     weyl: WeylGroup
-
-    def index_of(self, sigma_id: int, nested: NestedSet) -> int:
-        return self._index[(sigma_id, nested)]
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, NestedSet], int]:
-        # built on first lookup: hashing every nested set costs a third of
-        # the orbit walk, and building or counting never looks one up
-        return {(v.sigma_id, v.nested): i for i, v in enumerate(self.vertices)}
 
 
 def vertex(
@@ -142,11 +129,10 @@ def all_vertices(
     """Orbit of the chamber vertices; one entry per (sigma, nested) pair.
 
     The chamber vertices are scaled once to integers by the lcm of their
-    denominators, and W's integer matrices act on those; a ``Fraction``
-    point is made only for each image's ``Vertex``.  Pairs mapping to the
-    same point are recorded as coincidences; with ``require_distinct`` (the
-    default, appropriate for suitable lists) any coincidence raises
-    VerificationFailed.
+    denominators, and W's integer matrices act on those; the images are the
+    stored form (``VRep``).  Pairs mapping to the same point are recorded as
+    coincidences; with ``require_distinct`` (the default, appropriate for
+    suitable lists) any coincidence raises VerificationFailed.
     """
     rs = building.rs
     data = data if data is not None else {}
@@ -156,36 +142,35 @@ def all_vertices(
     base_ints = [
         tuple(c.numerator * (scale // c.denominator) for c in p) for p in base_points
     ]
-    point_of = ScaledInts(Fraction(1, scale)).__getitem__
-    vertices = []
-    by_point: dict[tuple[int, ...], int] = {}
+    vertices = tuple(
+        int_mat_vec(matrix, p) for matrix in weyl.elements for p in base_ints
+    )
     coincidences = []
-    for sigma, m in enumerate(weyl.elements):
-        for s, p in zip(max_nested, base_ints):
-            q = int_mat_vec(m, p)
-            idx = len(vertices)
-            vertices.append(Vertex(tuple(map(point_of, q)), sigma, s))
-            prev = by_point.setdefault(q, idx)
+    if len(set(vertices)) != len(vertices):
+        first: dict[tuple[int, ...], int] = {}
+        for idx, q in enumerate(vertices):
+            prev = first.setdefault(q, idx)
             if prev != idx:
                 coincidences.append((prev, idx))
-    if coincidences and require_distinct:
-        raise VerificationFailed(
-            f"{len(coincidences)} coinciding vertex pairs; eps list unsuitable?"
-        )
-    return VRep(tuple(vertices), max_nested, tuple(coincidences), weyl)
+        if require_distinct:
+            raise VerificationFailed(
+                f"{len(coincidences)} coinciding vertex pairs; eps list unsuitable?"
+            )
+    return VRep(vertices, scale, max_nested, tuple(coincidences), weyl)
 
 
 class Incidence:
     """Exact vertex-on-hyperplane incidence in integer arithmetic.
 
-    The vertices are scaled once by the lcm ``scale`` of their coordinate
-    denominators, and the Gram matrix by the lcm of its own.  A hyperplane
-    (x, normal) = offset becomes dot(row, point) == bound, with the row
-    the integer Gram matrix times the primitive normal of the half-space's
-    key (``row``); a larger dot product means the vertex violates the
-    inequality.  A scan of a plane over every vertex, or over the base
-    vertices only, keeps its tight set, a bitmask over vertex ids, and
-    whether any vertex violates it, cached per exact half-space key.
+    The vertices are read as ``VRep`` stores them, integers over one
+    ``scale``, and the Gram matrix is scaled by the lcm of its own
+    denominators.  A hyperplane (x, normal) = offset becomes
+    dot(row, point) == bound, with the row the integer Gram matrix times
+    the primitive normal of the half-space's key (``row``); a larger dot
+    product means the vertex violates the inequality.  A scan of a plane
+    over every vertex, or over the base vertices only, keeps its tight set,
+    a bitmask over vertex ids, and whether any vertex violates it, cached
+    per exact half-space key.
     """
 
     def __init__(self, rs, vrep: VRep):
@@ -194,20 +179,12 @@ class Incidence:
         self.count = len(vrep.vertices)
         self.base = len(vrep.max_nested)
         self.full = (1 << self.count) - 1
-        self.scale = scale = lcm(
-            *(c.denominator for v in vrep.vertices for c in v.point)
-        )
-        points = (
-            tuple(c.numerator * (scale // c.denominator) for c in v.point)
-            for v in vrep.vertices
-        )
-        # kept by coordinate, so scanning a plane is a few C-level passes;
-        # zip(*columns) gives the scaled vertices back
-        self.columns = tuple(zip(*points))
+        # kept by coordinate, so scanning a plane is a few C-level passes
+        self.columns = tuple(zip(*vrep.vertices))
         self.base_columns = tuple(c[: self.base] for c in self.columns)
         g = lcm(*(c.denominator for row in rs.gram for c in row))
         self.gram = tuple(tuple(int(c * g) for c in row) for row in rs.gram)
-        self.unit = g * scale
+        self.unit = g * vrep.scale
         self._scans: dict[tuple, tuple[int, bool]] = {}
 
     def row(self, hs: HalfSpace) -> tuple[tuple[int, ...], int, Fraction]:
@@ -267,9 +244,8 @@ class Incidence:
     def strays(self) -> tuple[int, ...]:
         """Ids of the vertices that the base scans do not decide: all of
         them unless every simple reflection preserves the Gram form and
-        there is one vertex per (sigma, S); else those not listed where
-        ``all_vertices`` lists (sigma, S) or not equal, in scaled integers,
-        to M(sigma) times the base vertex of S."""
+        there is one vertex per (sigma, S); else those whose point i is not
+        M(sigma) times base point i % m, with sigma = i // m."""
         vrep, gram, m = self.vrep, self.gram, self.base
         elements = vrep.weyl.elements
         if self.count != len(elements) * m or any(
@@ -277,13 +253,11 @@ class Incidence:
             for s in map(elements.__getitem__, vrep.weyl.generator_ids)
         ):
             return tuple(range(self.count))
-        points = list(zip(*self.columns))
+        points = vrep.vertices
         return tuple(
             i
-            for i, (v, point) in enumerate(zip(vrep.vertices, points))
-            if v.sigma_id != i // m
-            or v.nested != vrep.max_nested[i % m]
-            or int_mat_vec(elements[i // m], points[i % m]) != point
+            for i, point in enumerate(points)
+            if int_mat_vec(elements[i // m], points[i % m]) != point
         )
 
     def orbit_facts(
@@ -326,13 +300,10 @@ class CheckReport:
     passed: bool
     checked: int
     details: tuple[str, ...] = ()
-    sampled: bool = False
-    seed: int | None = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        extra = f" [sampled seed={self.seed}]" if self.sampled else ""
-        head = f"{status} {self.name}: {self.checked} checks{extra}"
+        head = f"{status} {self.name}: {self.checked} checks"
         if self.details:
             head += "\n  " + "\n  ".join(self.details[:10])
         return head
@@ -360,6 +331,7 @@ def verify_hrep_vrep(
     if incidence is None:
         incidence = Incidence(rs, vrep)
     index, suspects = incidence.orbit_facts(halfspaces, subgroups)
+    m = len(vrep.max_nested)
     for mask, (_, positions) in index.orbits.items() if index else ():
         # predicted, from nested sets alone: the identity coset's inequality
         # is tight on the v_S whose S holds its flat's parts (every S, for
@@ -393,21 +365,20 @@ def verify_hrep_vrep(
                 for vi in strays
             )
         for vi, value in pairs:
-            vert = vrep.vertices[vi]
+            sigma, nested = vi // m, vrep.max_nested[vi % m]
             expect_tight = (
-                sub.coset[vert.sigma_id] == coset
-                and vert.nested.flat_set.issuperset(parts)
+                sub.coset[sigma] == coset and nested.flat_set.issuperset(parts)
             )
             if value > bound:
                 line = (
-                    f"vertex (sigma={vert.sigma_id}) violates {hs.kind} inequality "
+                    f"vertex (sigma={sigma}) violates {hs.kind} inequality "
                     f"of {hs.flat.describe(rs)} (sigma={hs.sigma_id}): "
                     f"{Fraction(value, denominator)} > {hs.offset}"
                 )
             elif (value == bound) != expect_tight:
                 line = (
-                    f"equality mismatch: vertex (sigma={vert.sigma_id}, dims "
-                    f"{tuple(f.dim for f in vert.nested)}) vs {hs.kind} of "
+                    f"equality mismatch: vertex (sigma={sigma}, dims "
+                    f"{tuple(f.dim for f in nested)}) vs {hs.kind} of "
                     f"{hs.flat.describe(rs)} (sigma={hs.sigma_id}): tight="
                     f"{value == bound}, predicted={expect_tight}"
                 )

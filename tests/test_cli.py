@@ -78,6 +78,14 @@ def test_build_emits_parseable_json(tmp_path):
             ["--type", "B3", "--building", "maximal", "--a", "1"],
             "728498ee1f8659981fbfe1e278a80caeff558e7d3fd526f9566fb77fe149dd6d",
         ),
+        (
+            ["--type", "B4", "--building", "minimal"],
+            "d5fb135c9e12b15be1132ffcb2907529cb41c07db9a0e346604d81c917528947",
+        ),
+        (
+            ["--type", "D4", "--building", "minimal"],
+            "24c9a1e7fc58977788d9c63a1f202917e96c71b5c2473f4fd332ce7b752a6e94",
+        ),
     ],
 )
 def test_build_output_is_byte_identical(tmp_path, argv, digest):
@@ -105,6 +113,27 @@ def test_poset_output_is_byte_identical(tmp_path, argv, digest):
     # frozen SHA-256 of the face poset with its covering edges
     out = tmp_path / "frozen.json"
     assert run(["poset", *argv, "--edges", "yes", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--type", "B3", "--building", "maximal"],
+            "7e2f8b4f07d23c71f09264609fa5ef1d1b0d7f38680b5371ace9441550dcd99b",
+        ),
+        (
+            ["--type", "A3", "--building", "minimal"],
+            "ca6e5ccda75004f44c97c1589221bc7f0d57d36499fd681c84065ec28f7789eb",
+        ),
+    ],
+)
+def test_off_output_is_byte_identical(tmp_path, argv, digest):
+    # frozen SHA-256 of the OFF mesh: its decimals are rounded from the
+    # exact coordinates, so a changed coordinate path shows here
+    out = tmp_path / "frozen.off"
+    assert run(["export", *argv, "--format", "off", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -9,7 +9,6 @@ from pnh.faces import (
     covering_edges,
     crossing_facet_parts,
     enumerate_faces,
-    face_dimension,
     support_halfspaces,
 )
 from pnh.flats import interval_building_set, simple_index_set
@@ -28,8 +27,8 @@ def test_face_enumeration_matches_f_vector(a2, a3_min):
         assert len(faces) == sum(fvec)
         by_dim = {}
         for f in faces:
-            by_dim.setdefault(face_dimension(model.face_ctx, f), 0)
-            by_dim[face_dimension(model.face_ctx, f)] += 1
+            by_dim.setdefault(model.face_ctx.dimension(f), 0)
+            by_dim[model.face_ctx.dimension(f)] += 1
         assert tuple(by_dim[d] for d in range(len(fvec))) == fvec
 
 
@@ -83,7 +82,7 @@ def test_top_face_has_no_supporting_hyperplanes(a2):
     top = next(
         f
         for f in a2.faces
-        if face_dimension(a2.face_ctx, f) == a2.rs.rank
+        if a2.face_ctx.dimension(f) == a2.rs.rank
     )
     assert support_halfspaces(a2.face_ctx, top, a2.halfspace_index) == []
 
@@ -105,7 +104,7 @@ def test_crossing_facet_detection(a3_min):
     facets = [
         f
         for f in a3_min.faces
-        if face_dimension(a3_min.face_ctx, f) == a3_min.rs.rank - 1
+        if a3_min.face_ctx.dimension(f) == a3_min.rs.rank - 1
     ]
     crossing, chamber = [], []
     for f in facets:

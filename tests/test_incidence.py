@@ -13,20 +13,17 @@ from pnh.faces import face_vertices_geometric, is_simple, support_halfspaces
 from pnh.flats import iter_bits, simple_index_set
 from pnh.linalg import identity, int_mat_vec, mat_vec
 from pnh.model import Permutonestohedron
-from pnh.polytope import (
-    Incidence,
-    Vertex,
-    all_vertices,
-    facet_vertex_sets,
-    verify_hrep_vrep,
-)
+from pnh.polytope import Incidence, all_vertices, facet_vertex_sets, verify_hrep_vrep
 
 
-def _values(model, normal, vertices=None):
+def _values(model, normal, vrep=None):
     """Exact (x, normal) at every vertex, in Fractions."""
     gn = mat_vec(model.rs.gram, normal)
-    vertices = model.vrep.vertices if vertices is None else vertices
-    return [sum(a * b for a, b in zip(gn, v.point)) for v in vertices]
+    vrep = model.vrep if vrep is None else vrep
+    return [
+        sum(a * Fraction(c, vrep.scale) for a, c in zip(gn, point))
+        for point in vrep.vertices
+    ]
 
 
 def _tight(model, normal, offset):
@@ -39,51 +36,58 @@ def _predictor(model):
     subgroups = model.subgroups_by_flat()
     members = {flat: sub.members() for flat, sub in subgroups.items()}
 
-    def predicted(hs, vert):
+    def predicted(hs, sigma, nested):
         if hs.kind == "chamber":
-            return hs.sigma_id == vert.sigma_id
+            return hs.sigma_id == sigma
         if hs.kind == "member":
             parts = (hs.flat,)
         else:
             mask = simple_index_set(model.rs, hs.flat)
             parts = model.building.fund_decomposition(mask)
-        rel = weyl.mul(weyl.inv(hs.sigma_id), vert.sigma_id)
-        return all(p in vert.nested for p in parts) and rel in members[hs.flat]
+        rel = weyl.mul(weyl.inv(hs.sigma_id), sigma)
+        return all(p in nested for p in parts) and rel in members[hs.flat]
 
     return predicted
 
 
-def _details(model, halfspaces, vertices):
+def _details(model, halfspaces, vrep):
     """The incidence report's lines, pair by pair in (vertex, inequality)
-    order, from Fraction values and group products."""
+    order, from Fraction values and group products; vertex i is labelled
+    (i // m, max_nested[i % m])."""
     rs = model.rs
     predicted = _predictor(model)
-    values = [_values(model, hs.normal, vertices) for hs in halfspaces]
+    values = [_values(model, hs.normal, vrep) for hs in halfspaces]
+    m = len(vrep.max_nested)
     lines = []
-    for vi, vert in enumerate(vertices):
+    for vi in range(len(vrep.vertices)):
+        sigma, nested = vi // m, vrep.max_nested[vi % m]
         for hs, row in zip(halfspaces, values):
-            value, expect = row[vi], predicted(hs, vert)
+            value, expect = row[vi], predicted(hs, sigma, nested)
             if value > hs.offset:
                 lines.append(
-                    f"vertex (sigma={vert.sigma_id}) violates {hs.kind} inequality "
+                    f"vertex (sigma={sigma}) violates {hs.kind} inequality "
                     f"of {hs.flat.describe(rs)} (sigma={hs.sigma_id}): "
                     f"{value} > {hs.offset}"
                 )
             elif (value == hs.offset) != expect:
                 lines.append(
-                    f"equality mismatch: vertex (sigma={vert.sigma_id}, dims "
-                    f"{tuple(f.dim for f in vert.nested)}) vs {hs.kind} of "
+                    f"equality mismatch: vertex (sigma={sigma}, dims "
+                    f"{tuple(f.dim for f in nested)}) vs {hs.kind} of "
                     f"{hs.flat.describe(rs)} (sigma={hs.sigma_id}): tight="
                     f"{value == hs.offset}, predicted={expect}"
                 )
     return lines
 
 
-def _moved(vrep, factor=Fraction(1001, 1000)):
-    """A copy of ``vrep`` with vertex 0 pushed outward by a small rational."""
-    v = vrep.vertices[0]
-    moved = Vertex(tuple(c * factor for c in v.point), v.sigma_id, v.nested)
-    return replace(vrep, vertices=(moved,) + vrep.vertices[1:])
+def _moved(vrep, factor=Fraction(1001, 1000), index=0):
+    """A copy of ``vrep`` with vertex ``index`` pushed outward by a rational:
+    every point is scaled by the factor's denominator, that one by its
+    numerator, and the common denominator by the factor's denominator."""
+    vertices = [tuple(c * factor.denominator for c in v) for v in vrep.vertices]
+    vertices[index] = tuple(c * factor.numerator for c in vrep.vertices[index])
+    return replace(
+        vrep, vertices=tuple(vertices), scale=vrep.scale * factor.denominator
+    )
 
 
 # -- the all-pairs path, kept as the oracle of the base-vertex decisions -----
@@ -103,16 +107,19 @@ def _all_pairs_predicted(model):
     """Each inequality's predicted tight mask over every vertex, by
     looking up each (sigma, S) of its coset and nested sets."""
     building, vrep = model.building, model.vrep
+    m = len(vrep.max_nested)
     masks = []
     for hs in model.halfspaces:
         if hs.kind == "chamber":
-            sigmas, nested = (hs.sigma_id,), vrep.max_nested
+            sigmas, nested = (hs.sigma_id,), range(m)
         else:
             sub = model.subgroups_by_flat()[hs.flat]
             parts = building.fund_decomposition(simple_index_set(model.rs, hs.flat))
             sigmas = sub.cosets[sub.coset[hs.sigma_id]]
-            nested = [s for s in vrep.max_nested if s.flat_set.issuperset(parts)]
-        masks.append(sum(1 << vrep.index_of(g, s) for g in sigmas for s in nested))
+            nested = [
+                k for k, s in enumerate(vrep.max_nested) if s.flat_set.issuperset(parts)
+            ]
+        masks.append(sum(1 << (g * m + k) for g in sigmas for k in nested))
     return masks
 
 
@@ -126,7 +133,7 @@ def _all_pairs_hrep(model):
         for hs, expected in zip(model.halfspaces, _all_pairs_predicted(model))
         if incidence.scan(hs) != (expected, False)
     ]
-    lines = _details(model, failing, model.vrep.vertices)
+    lines = _details(model, failing, model.vrep)
     pairs = model.vertex_count * model.facet_count
     return not failing, pairs, lines
 
@@ -213,7 +220,7 @@ def _check_mutant(model):
     assert simple == _outcome(_all_pairs_simple, model)
     hrep = _hrep(model)
     assert hrep == _all_pairs_hrep(model)
-    assert hrep[2] == _details(model, model.halfspaces, model.vrep.vertices)
+    assert hrep[2] == _details(model, model.halfspaces, model.vrep)
     assert not hrep[0]
     faces = _outcome(_faces, model)
     assert faces == _outcome(_all_pairs_faces, model)
@@ -223,25 +230,19 @@ def _check_mutant(model):
 def test_moved_non_base_vertex_is_a_stray():
     model = make_model("A3", "minimal")
     vi = len(model.vrep.max_nested) + 3
-    v = model.vrep.vertices[vi]
-    moved = replace(v, point=tuple(c * Fraction(1001, 1000) for c in v.point))
-    vertices = list(model.vrep.vertices)
-    vertices[vi] = moved
-    model.vrep = replace(model.vrep, vertices=tuple(vertices))
+    model.vrep = _moved(model.vrep, index=vi)
     assert model.incidence.strays == (vi,)
     _check_mutant(model)
 
 
-def test_relabelled_vertex_sigmas_are_strays():
-    # two vertices of one nested set swap their sigma labels: every label
-    # is still listed once, but neither point is M(sigma) v_S any more
+def test_swapped_vertex_points_are_strays():
+    # two vertices of one nested set swap their points: every point is
+    # still listed once, but neither is M(sigma) v_S at its position
     model = make_model("A3", "minimal")
     m = len(model.vrep.max_nested)
     i, j = m + 2, 5 * m + 2
     vertices = list(model.vrep.vertices)
-    a, b = vertices[i], vertices[j]
-    vertices[i] = replace(a, sigma_id=b.sigma_id)
-    vertices[j] = replace(b, sigma_id=a.sigma_id)
+    vertices[i], vertices[j] = vertices[j], vertices[i]
     model.vrep = replace(model.vrep, vertices=tuple(vertices))
     assert model.incidence.strays == (i, j)
     _check_mutant(model)
@@ -258,10 +259,10 @@ def test_generator_breaking_the_gram_form_strays_every_vertex():
     broken.elements = tuple(elements)
     vrep = all_vertices(model.building, model.suitable, broken, require_distinct=False)
     m = len(vrep.max_nested)
-    base = [v.point for v in vrep.vertices[:m]]
+    base = vrep.vertices[:m]
     assert all(
-        v.point == int_mat_vec(broken.elements[v.sigma_id], base[i % m])
-        for i, v in enumerate(vrep.vertices)
+        point == int_mat_vec(broken.elements[i // m], base[i % m])
+        for i, point in enumerate(vrep.vertices)
     )
     model.vrep = vrep
     assert model.incidence.strays == tuple(range(model.vertex_count))
@@ -316,21 +317,24 @@ def test_hrep_vrep_matches_fraction_reference(a3_min):
     model = a3_min
     predicted = _predictor(model)
     incidence = model.incidence
+    vrep = model.vrep
+    m = len(vrep.max_nested)
     passed = True
     for hs in model.halfspaces:
         ints, bound, denominator = incidence.row(hs)
         assert Fraction(bound, denominator) == hs.offset
-        for vert, value, point in zip(
-            model.vrep.vertices, _values(model, hs.normal), zip(*incidence.columns)
+        for vi, (value, point) in enumerate(
+            zip(_values(model, hs.normal), zip(*incidence.columns))
         ):
             assert Fraction(sum(a * b for a, b in zip(ints, point)), denominator) == value
             tight = value == hs.offset
-            passed = passed and value <= hs.offset and tight == predicted(hs, vert)
+            expect = predicted(hs, vi // m, vrep.max_nested[vi % m])
+            passed = passed and value <= hs.offset and tight == expect
     report = verify_hrep_vrep(
         model.building, model.halfspaces, model.vrep, model.subgroups_by_flat()
     )
     pairs = model.vertex_count * model.facet_count
-    assert (report.passed, report.checked, report.sampled) == (passed, pairs, False)
+    assert (report.passed, report.checked) == (passed, pairs)
 
 
 def test_relabelled_inequality_fails_with_equality_mismatch(a3_min):
@@ -360,7 +364,7 @@ def test_relabelled_inequality_fails_with_equality_mismatch(a3_min):
     assert not report.passed
     assert report.checked == model.vertex_count * model.facet_count
     assert all(line.startswith("equality mismatch: ") for line in report.details)
-    assert list(report.details) == _details(model, halfspaces, model.vrep.vertices)
+    assert list(report.details) == _details(model, halfspaces, model.vrep)
     assert any("tight=True, predicted=False" in line for line in report.details)
     assert any("tight=False, predicted=True" in line for line in report.details)
 
@@ -385,7 +389,7 @@ def test_moved_vertex_fails_with_exact_values(a2):
         for hs in on_vertex:
             text = f": {hs.offset * factor} > {hs.offset}"
             assert any(line.endswith(text) for line in report.details), text
-        assert list(report.details) == _details(a2, a2.halfspaces, moved.vertices)
+        assert list(report.details) == _details(a2, a2.halfspaces, moved)
     assert len(report.details) > len(on_vertex)
 
     fresh = make_model("A2", "minimal")
@@ -415,7 +419,7 @@ def test_shifted_inequality_fails_the_incidence_report(a2):
     report = verify_hrep_vrep(*args, raise_on_failure=False, incidence=a2.incidence)
     assert not report.passed
     assert report.details
-    assert list(report.details) == _details(a2, shifted, a2.vrep.vertices)
+    assert list(report.details) == _details(a2, shifted, a2.vrep)
     with pytest.raises(VerificationFailed) as raised:
         verify_hrep_vrep(*args)
     assert raised.value.report == report

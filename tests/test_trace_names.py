@@ -44,6 +44,8 @@ def test_traced_commands_run_their_post_hooks(a2, tmp_path):
         codes = [
             cli.run(["verify", "--level", "full", "--type", "A2", "--output", out]),
             cli.run(["poset", "--edges", "yes", "--type", "A2", "--output", out]),
+            cli.run(["build", "--type", "A2", "--output", out]),
+            cli.run(["export", "--format", "off", "--type", "A3", "--output", out]),
         ]
         # looked up on the module, where the tracer installed its wrapper
         faces = importlib.import_module("pnh.faces")
@@ -53,6 +55,9 @@ def test_traced_commands_run_their_post_hooks(a2, tmp_path):
         )
     finally:
         tracer.uninstall()
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0, 0]
+    assert tracer.counters["polytope.vertex_count"] > 0
+    assert tracer.counters["polytope.facet_sets_pairs"] > 0
+    assert tracer.counters["exports.json_bytes"] > 0
     assert tracer.counters["faces.vertices_geometric_hits"] > 0
     assert tracer.counters["faces.aut_action_calls"] == 1
