@@ -136,23 +136,25 @@ def _parser() -> argparse.ArgumentParser:
 
 def _make_model(args):
     # the root system of a type whose group is over the cap is not built
-    check_group_cap(parse_type_spec(args.type), args.group_cap)
-    rs = build_root_system(args.type)
-    weyl = enumerate_group(rs, cap=args.group_cap)
+    components = parse_type_spec(args.type)
+    check_group_cap(components, args.group_cap)
     spec = args.building
+    if spec == "interval":
+        if any(c != ("A", 1) for c in components):
+            raise ValueError("--building interval needs --type A1^n")
+        # the building set carries its own A1^n root system
+        building = interval_building_set(len(components))
+        rs = building.rs
+    else:
+        rs = build_root_system(args.type)
+    weyl = enumerate_group(rs, cap=args.group_cap)
     if spec == "minimal":
         building = build_minimal(rs, weyl)
     elif spec == "maximal":
         building = build_maximal(rs, weyl)
-    elif spec == "interval":
-        if any(c != ("A", 1) for c in parse_type_spec(args.type)):
-            raise ValueError("--building interval needs --type A1^n")
-        building = interval_building_set(rs.rank)
-        rs = building.rs
-        weyl = enumerate_group(rs, cap=args.group_cap)
     elif spec.startswith("file:"):
         building = load_building_set(rs, spec[5:], weyl=weyl)
-    else:
+    elif spec != "interval":
         raise ValueError(f"--building must be {_BUILDING_CHOICES}, got {spec!r}")
     a = parse_rat(args.a)
     if a <= 0:

@@ -22,10 +22,6 @@ Vec = tuple
 Mat = tuple
 
 
-def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

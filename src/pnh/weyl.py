@@ -3,7 +3,10 @@
 Group elements are integer matrices (tuples of row tuples) acting on
 coordinate columns.  The group is enumerated once by breadth-first closure
 over the simple reflections; elements are then referred to by their index
-in that enumeration, which is deterministic.  Label subgroups are standard
+in that enumeration, which is deterministic.  The closure walks in integer
+columns: right-multiplying M by s_g negates column g and subtracts
+C[g][r] times column g from each column r of a Dynkin neighbour of g, and
+leaves every other column as it is.  Label subgroups are standard
 parabolics W_J, each stored as a map from elements to left cosets.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 
 from .errors import GroupTooLarge
 from .flats import iter_bits, simple_index_set
@@ -69,36 +73,51 @@ class WeylGroup:
         self.rs = rs
         predicted = check_group_cap(rs.components, cap)
 
-        gens = [simple_reflection_matrix(rs.cartan, i) for i in range(rs.rank)]
-        elements = [identity(rs.rank)]
-        index = {elements[0]: 0}
-        frontier = [elements[0]]
+        n = rs.rank
+        # per generator g, (r, C[g][r]) for each Dynkin neighbour r of g
+        neighbours = [
+            [(r, c) for r, c in enumerate(row) if r != g and c]
+            for g, row in enumerate(rs.cartan)
+        ]
+        start = identity(n)  # symmetric: its rows are its columns
+        seen = {start: None}  # column tuples, in discovery order
+        frontier = [start]
         while frontier:
             new = []
-            for m in frontier:
-                for g in gens:
-                    prod = mat_mul(m, g)
-                    if prod not in index:
-                        index[prod] = len(elements)
-                        elements.append(prod)
+            for cols in frontier:
+                for g, nbrs in enumerate(neighbours):
+                    col_g = cols[g]
+                    prod = list(cols)
+                    prod[g] = tuple([-x for x in col_g])
+                    for r, c in nbrs:
+                        prod[r] = tuple([x - c * y for x, y in zip(cols[r], col_g)])
+                    prod = tuple(prod)
+                    if prod not in seen:
+                        seen[prod] = None
                         new.append(prod)
-            if len(elements) > cap:
+            if len(seen) > cap:
                 raise GroupTooLarge(f"group enumeration passed cap {cap}")
             frontier = new
 
-        if predicted is not None and len(elements) != predicted:
+        if predicted is not None and len(seen) != predicted:
             raise GroupTooLarge(
-                f"enumerated {len(elements)} elements, expected {predicted}"
+                f"enumerated {len(seen)} elements, expected {predicted}"
             )
 
-        self.elements: tuple[Mat, ...] = tuple(elements)
-        self.index: dict[Mat, int] = index
-        self.order = len(elements)
+        self.elements: tuple[Mat, ...] = tuple([tuple(zip(*cols)) for cols in seen])
+        del seen
+        self.index: dict[Mat, int] = {m: a for a, m in enumerate(self.elements)}
+        self.order = len(self.elements)
         self.identity_id = 0
-        self.generator_ids = tuple(index[g] for g in gens)
+        self.generator_ids = tuple(
+            self.index[simple_reflection_matrix(rs.cartan, g)] for g in range(n)
+        )
 
         self._inverse: list[int | None] = [None] * self.order
         self._root_perm: list[tuple[int, ...] | None] = [None] * self.order
+        # per element a and index i, a·ω̂_i as its number in the orbit of ω̂_i;
+        # made by the first _standard_parabolic call
+        self._weight_images: list[tuple[int, ...]] | None = None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -147,13 +166,16 @@ class Subgroup:
     """A standard parabolic subgroup W_J and its left cosets.
 
     W_J is generated by the simple reflections s_j, j in J, and is the
-    stabiliser of x_J = sum of the fundamental weights omega_i, i not in J
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.12).  So a and b lie
-    in the same left coset exactly when a x_J = b x_J, and one pass over the
-    group names every coset.  ``coset`` gives the coset number of each
-    element, numbered by first appearance in id order (the identity's coset
-    is 0); ``cosets`` holds each coset's member ids ascending, and ``reps``
-    its member with the lexicographically least matrix.
+    intersection of the stabilisers of the fundamental weights omega_i,
+    i not in J (Humphreys, Reflection Groups and Coxeter Groups, 1.10-1.12).
+    So a and b lie in the same left coset exactly when a omega_i = b omega_i
+    for every i not in J.  The images of the primitive fundamental weights
+    are made once per group, each numbered by its first appearance in its
+    orbit, and one pass over them names every coset.  ``coset`` gives the
+    coset number of each element, numbered by first appearance in id order
+    (the identity's coset is 0); ``cosets`` holds each coset's member ids
+    ascending, and ``reps`` its member with the lexicographically least
+    matrix.
     """
 
     mask: int
@@ -175,22 +197,25 @@ class Subgroup:
 
 def _standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
     """W_J for the simple-index set J given as a bitmask."""
-    rs = weyl.rs
-    x = primitive_vector(
-        tuple(
-            sum(w[c] for i, w in enumerate(rs.weights) if not mask >> i & 1)
-            for c in range(rs.rank)
-        )
-    )
-    number: dict[Vec, int] = {}
-    coset = []
-    cosets: list[list[int]] = []
-    for a, m in enumerate(weyl.elements):
-        c = number.setdefault(int_mat_vec(m, x), len(number))
-        if c == len(cosets):
-            cosets.append([])
+    images = weyl._weight_images
+    if images is None:
+        weights = [primitive_vector(w) for w in weyl.rs.weights]
+        orbits: list[dict[Vec, int]] = [{} for _ in weights]
+        images = weyl._weight_images = [
+            tuple([
+                orbit.setdefault(int_mat_vec(m, w), len(orbit))
+                for w, orbit in zip(weights, orbits)
+            ])
+            for m in weyl.elements
+        ]
+    kept = [i for i in range(weyl.rs.rank) if not mask >> i & 1]
+    # with one kept index, itemgetter gives the number itself, not a 1-tuple
+    keys = map(itemgetter(*kept), images) if kept else [()] * weyl.order
+    number: dict[int | tuple[int, ...], int] = {}
+    coset = [number.setdefault(key, len(number)) for key in keys]
+    cosets: list[list[int]] = [[] for _ in number]
+    for a, c in enumerate(coset):
         cosets[c].append(a)
-        coset.append(c)
     reps = tuple(min(ids, key=weyl.elements.__getitem__) for ids in cosets)
     return Subgroup(mask, tuple(coset), tuple(map(tuple, cosets)), reps)
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import pnh.cli
 from pnh.cli import run
 
 
@@ -86,6 +87,14 @@ def test_build_emits_parseable_json(tmp_path):
             ["--type", "D4", "--building", "minimal"],
             "24c9a1e7fc58977788d9c63a1f202917e96c71b5c2473f4fd332ce7b752a6e94",
         ),
+        (
+            ["--type", "A4", "--building", "maximal", "--a", "1"],
+            "a0081489b834e1ad005a9f1d7a27437bed86e9e55e1d9bd616882b42aed9dd98",
+        ),
+        (
+            ["--type", "A2xB2", "--building", "minimal", "--a", "1"],
+            "6e15b2b423b6720c27dc94b1ca344437707267e3c5339de63956e55ae941c73a",
+        ),
     ],
 )
 def test_build_output_is_byte_identical(tmp_path, argv, digest):
@@ -106,6 +115,10 @@ def test_build_output_is_byte_identical(tmp_path, argv, digest):
         (
             ["--type", "A1^4", "--building", "interval", "--a", "5/2"],
             "db3b9c357e8a7c2c6202ca55e312265fcad7ee6f5e3b627b79e16c35a332ba62",
+        ),
+        (
+            ["--type", "A2xB2", "--building", "minimal", "--a", "1"],
+            "8da046f82b7ae905a042e1bfb08e87858f1a861aaca2ba6565d25a9cef88fe2e",
         ),
     ],
 )
@@ -177,6 +190,22 @@ def test_interval_building(tmp_path):
     # associahedron per chamber: 5 maximal nested sets, 8 chambers
     assert doc["f_vector"][0] == 40
     assert run(["build", "--type", "A2", "--building", "interval"]) == 2
+
+
+def test_interval_building_enumerates_one_group(monkeypatch, tmp_path):
+    # the group of the building's own A1^n system, not a second one for --type
+    calls = []
+    real = pnh.cli.enumerate_group
+
+    def counted(rs, cap):
+        calls.append(rs.components)
+        return real(rs, cap=cap)
+
+    monkeypatch.setattr("pnh.cli.enumerate_group", counted)
+    out = tmp_path / "iv.json"
+    assert run(["poset", "--type", "A1^4", "--building", "interval",
+                "--output", str(out)]) == 0
+    assert calls == [(("A", 1),) * 4]
 
 
 def test_building_from_file(tmp_path, capsys):

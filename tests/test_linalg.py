@@ -10,8 +10,12 @@ from pnh.linalg import (
     rank,
     solve_columns,
     solve_linear_system,
-    vec,
 )
+
+
+def vec(entries):
+    """A vector of ``Fraction`` entries, so the rational paths are taken."""
+    return tuple(Fraction(x) for x in entries)
 
 
 def test_primitive_vector_clears_denominators_and_common_factors():

@@ -1,15 +1,91 @@
 import pytest
 
 from pnh.errors import GroupTooLarge
-from pnh.flats import build_minimal, flat_closure
+from pnh.flats import build_minimal, flat_closure, standard_flat
+from pnh.linalg import identity, mat_mul, mat_vec, primitive_vector
 from pnh.roots import build_root_system
 from pnh.weyl import (
     canonical_coset_rep,
     enumerate_group,
     left_cosets,
     parabolic_subgroup,
+    simple_reflection_matrix,
     subgroup_product,
 )
+
+ORACLE_TYPES = [
+    "A1", "A2", "B2", "A3", "B3", "C3", "A4", "B4", "D4", "A2xA1", "A2xB2", "A1^4",
+]
+
+
+def _product_walk(rs):
+    """Reference enumeration: the breadth-first closure by full matrix
+    products M @ s_g, generators in index order."""
+    gens = [simple_reflection_matrix(rs.cartan, i) for i in range(rs.rank)]
+    elements = [identity(rs.rank)]
+    index = {elements[0]: 0}
+    frontier = [elements[0]]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(m, g)
+                if prod not in index:
+                    index[prod] = len(elements)
+                    elements.append(prod)
+                    new.append(prod)
+        frontier = new
+    return tuple(elements), index, tuple(index[g] for g in gens)
+
+
+def _orbit_point_cosets(w, mask):
+    """Reference coset pass: a named by a x_J, x_J = sum of the fundamental
+    weights omega_i, i not in J, which W_J fixes."""
+    rs = w.rs
+    x = primitive_vector(
+        tuple(
+            sum(wt[c] for i, wt in enumerate(rs.weights) if not mask >> i & 1)
+            for c in range(rs.rank)
+        )
+    )
+    number = {}
+    coset = []
+    cosets = []
+    for a, m in enumerate(w.elements):
+        c = number.setdefault(mat_vec(m, x), len(number))
+        if c == len(cosets):
+            cosets.append([])
+        cosets[c].append(a)
+        coset.append(c)
+    reps = tuple(min(ids, key=w.elements.__getitem__) for ids in cosets)
+    return tuple(coset), tuple(map(tuple, cosets)), reps
+
+
+@pytest.mark.parametrize("spec", ORACLE_TYPES)
+def test_column_walk_matches_product_walk(spec):
+    rs = build_root_system(spec)
+    w = enumerate_group(rs)
+    elements, index, generator_ids = _product_walk(rs)
+    assert w.elements == elements
+    assert w.index == index
+    assert w.generator_ids == generator_ids
+    assert w.order == len(elements) and w.identity_id == 0
+
+
+@pytest.mark.parametrize("spec", ORACLE_TYPES)
+def test_weight_image_cosets_match_orbit_point_cosets(spec):
+    rs = build_root_system(spec)
+    w = enumerate_group(rs)
+    for mask in range(1 << rs.rank):
+        sub = parabolic_subgroup(w, standard_flat(rs, mask))
+        assert sub.mask == mask
+        assert (sub.coset, sub.cosets, sub.reps) == _orbit_point_cosets(w, mask)
+
+
+def test_walk_cap_fires_without_a_predicted_order(monkeypatch):
+    monkeypatch.setattr("pnh.weyl.expected_group_order", lambda components: None)
+    with pytest.raises(GroupTooLarge, match="passed cap 10"):
+        enumerate_group(build_root_system("A3"), cap=10)
 
 
 def test_group_orders():
