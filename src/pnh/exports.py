@@ -15,11 +15,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import partial
+from itertools import chain, groupby, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import OutOfRange, UnsupportedType
 from .faces import covering_edges
 from .flats import Flat, flat_closure, validate_building_set
-from .linalg import ScaledInts, Vec
 from .model import Permutonestohedron
 from .counting import closed_form_counts
 
@@ -31,9 +33,7 @@ JSON_INDENT = 2
 
 def rat_str(x) -> str:
     """Render a rational as "p" or "p/q" (lowest terms, q > 0)."""
-    if type(x) is int or type(x) is Fraction:
-        return str(x)
-    return str(Fraction(x))
+    return str(x if type(x) is int or type(x) is Fraction else Fraction(x))
 
 
 def parse_rat(text: str) -> Fraction:
@@ -43,44 +43,39 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"invalid rational {text!r}: zero denominator") from None
 
 
-def vec_strs(v: Vec) -> list[str]:
-    return [rat_str(x) for x in v]
-
-
 class _IndexLists(dict):
-    """The JSON index list of each flat, and the list of those lists for
-    each nested set or tuple of label flats, made once: every
-    document entry that names the same flats holds the same list object,
-    which `to_json_bytes` then renders once per depth."""
+    """The JSON index list of each flat, and the list of those lists for each
+    nested set or tuple of label flats, made once: every document entry that
+    names the same flats holds the same list object, which `to_json_bytes`
+    then renders once per depth."""
 
     def __missing__(self, key):
-        if type(key) is Flat:
-            value = list(key.indices())
-        else:
-            value = [self[f] for f in key]
-        self[key] = value
+        flat = type(key) is Flat
+        value = self[key] = list(key.indices()) if flat else [self[f] for f in key]
         return value
 
 
 # -- JSON documents -----------------------------------------------------
 
 
-def root_system_json(model: Permutonestohedron) -> dict:
-    rs = model.rs
+def _common(model: Permutonestohedron, config: dict | None, lists: _IndexLists) -> dict:
+    """The entries of both documents: config, root system, building set and
+    f-vector."""
+    rs, b = model.rs, model.building
     return {
-        "type": rs.type_name(),
-        "rank": rs.rank,
-        "gram": [vec_strs(row) for row in rs.gram],
-        "positive_roots": [vec_strs(r) for r in rs.positive_roots],
-    }
-
-
-def building_json(model: Permutonestohedron, lists: _IndexLists) -> dict:
-    b = model.building
-    return {
-        "kind": b.kind,
-        "flats": [lists[f] for f in b.sorted_flats],
-        "fundamental": [lists[f] for f in b.fund],
+        "config": config or {},
+        "root_system": {
+            "type": rs.type_name(),
+            "rank": rs.rank,
+            "gram": [list(map(rat_str, row)) for row in rs.gram],
+            "positive_roots": [list(map(rat_str, r)) for r in rs.positive_roots],
+        },
+        "building": {
+            "kind": b.kind,
+            "flats": [lists[f] for f in b.sorted_flats],
+            "fundamental": [lists[f] for f in b.fund],
+        },
+        "f_vector": list(model.f_vector),
     }
 
 
@@ -89,18 +84,18 @@ def build_document(model: Permutonestohedron, config: dict | None = None) -> dic
     lists = _IndexLists()
     vrep = model.vrep
     m = len(vrep.max_nested)
-    point_of = ScaledInts(Fraction(1, vrep.scale)).__getitem__
+    nested = [lists[s] for s in vrep.max_nested]
+    # an orbit of integer points repeats few coordinates: one text for each
+    coords = set(chain.from_iterable(vrep.vertices))
+    coord = {c: str(Fraction(c, vrep.scale)) for c in coords}.__getitem__
     return {
-        "config": config or {},
-        "root_system": root_system_json(model),
-        "building": building_json(model, lists),
+        **_common(model, config, lists),
         "group_order": model.weyl.order,
         "a": rat_str(model.suitable.a),
         "epsilons": [rat_str(e) for e in model.suitable.eps],
-        "f_vector": list(model.f_vector),
         "hrep": [
             {
-                "normal": vec_strs(h.normal),
+                "normal": list(map(rat_str, h.normal)),
                 "offset": rat_str(h.offset),
                 "kind": h.kind,
                 "flat": lists[h.flat],
@@ -108,11 +103,12 @@ def build_document(model: Permutonestohedron, config: dict | None = None) -> dic
             }
             for h in model.halfspaces
         ],
+        # vertex i is labelled (i // m, max_nested[i % m])
         "vrep": [
             {
-                "point": vec_strs(map(point_of, v)),
+                "point": list(map(coord, v)),
                 "sigma_id": i // m,
-                "nested": lists[vrep.max_nested[i % m]],
+                "nested": nested[i % m],
             }
             for i, v in enumerate(vrep.vertices)
         ],
@@ -132,22 +128,17 @@ def poset_document(
         include_edges = model.rs.rank <= 3
     faces = model.faces
     lists = _IndexLists()
-    nodes = [
-        {
-            "dim": model.rs.rank - len(f.nested) + len(f.labels),
-            "coset_rep_id": f.rep,
-            "flats": lists[f.nested],
-            "labels": lists[f.labels],
-        }
-        for f in faces
-    ]
-    doc = {
-        "config": config or {},
-        "root_system": root_system_json(model),
-        "building": building_json(model, lists),
-        "f_vector": list(model.f_vector),
-        "nodes": nodes,
-    }
+    nodes = []
+    # the faces of one type (S, L) are consecutive and share the objects
+    # S and L, so each run looks up its lists and dimension once
+    for (s, labels), run in groupby(faces, attrgetter("nested", "labels")):
+        dim = model.rs.rank - len(s) + len(labels)
+        flats, named = lists[s], lists[labels]
+        nodes += [
+            {"dim": dim, "coset_rep_id": f.rep, "flats": flats, "labels": named}
+            for f in run
+        ]
+    doc = {**_common(model, config, lists), "nodes": nodes}
     if include_edges:
         doc["edges"] = covering_edges(model.face_ctx, faces)
     return doc
@@ -163,9 +154,10 @@ def to_json_bytes(doc: dict) -> bytes:
     pure-Python indent encoder.
 
     Only dict (with str keys), list, str, int, bool and None are written;
-    anything else, a float included, raises TypeError.  The text of each
-    index list (a list of ints or of lists) is rendered once per depth and
-    reused, so a list shared by many entries costs one rendering."""
+    anything else, a float included, raises TypeError.  A list is written
+    a column at a time: a list of dicts with one key set sorts its keys
+    once, a list of only str or only int leaves is joined in one pass, and
+    an index list that recurs in a column is rendered once per depth."""
     memo: dict[tuple[int, int], str] = {}
     return (_render(doc, 0, memo) + "\n").encode("utf-8")
 
@@ -181,47 +173,67 @@ def _render(value, depth: int, memo: dict) -> str:
     if kind is int:
         return str(value)
     if kind is list:
-        # only index lists (of ints, or of index lists) are shared between
-        # entries; a coordinate list or a list of dicts is written once
-        if not value or type(value[0]) not in (int, list):
-            return _list_text(value, depth, memo)
-        key = (id(value), depth)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _list_text(value, depth, memo)
-        return text
+        return next(_list_texts([value], depth, memo)) if value else "[]"
     if kind is dict:
-        # a key that is not a str fails in sorted() or in _escape
-        items = [
-            f"{_escape(k)}: {_render(x, depth + 1, memo)}"
-            for k, x in sorted(value.items())
-        ]
-        return _bracket("{", items, depth, "}")
+        return next(_dict_texts([value], depth, memo)) if value else "{}"
+    if kind is bool:
+        return "true" if value else "false"
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     raise TypeError(f"{kind.__name__} is not written to exact JSON: {value!r}")
 
 
-def _list_text(value: list, depth: int, memo: dict) -> str:
-    # coordinates, the bulk of the leaves, skip the recursive call
-    items = [
-        _escape(x) if type(x) is str else _render(x, depth + 1, memo)
-        for x in value
-    ]
-    return _bracket("[", items, depth, "]")
+def _texts(values: list, depth: int, memo: dict):
+    """The text of each of ``values`` (a non-empty list) at ``depth``."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        return map(_escape, values)
+    if kind is int:
+        return map(str, values)
+    if kind is list:
+        return _list_texts(values, depth, memo)
+    if kind is dict:
+        keys = values[0].keys()
+        if keys and all(map(keys.__eq__, map(dict.keys, values))):
+            return _dict_texts(values, depth, memo)
+    return [_render(x, depth, memo) for x in values]
 
 
-def _bracket(opening: str, items: list[str], depth: int, closing: str) -> str:
-    """Items one per line, indented one level deeper than the brackets."""
-    if not items:
-        return opening + closing
+def _list_texts(lists: list, depth: int, memo: dict):
+    """The text of each of ``lists`` at ``depth``."""
+    once = dict(zip(map(id, lists), lists))
+    if len(once) < len(lists):
+        # shared index lists: each object is rendered once per depth
+        for key, x in once.items():
+            if (key, depth) not in memo:
+                memo[key, depth] = _render(x, depth, memo)
+        return [memo[key, depth] for key in map(id, lists)]
+    if not all(lists):
+        return [_render(x, depth, memo) for x in lists]
     pad = "\n" + " " * (JSON_INDENT * depth)
     inner = pad + " " * JSON_INDENT
-    return opening + inner + ("," + inner).join(items) + pad + closing
+    leaves = set(map(type, chain.from_iterable(lists)))
+    if leaves == {str} or leaves == {int}:
+        items = map(partial(map, _escape if str in leaves else str), lists)
+    else:
+        items = [_texts(x, depth + 1, memo) for x in lists]
+    return map(("[" + inner + "{}" + pad + "]").format, map(("," + inner).join, items))
+
+
+def _dict_texts(dicts: list, depth: int, memo: dict):
+    """The text of each of ``dicts``, which share one non-empty key set, at
+    ``depth``: one column per key, each row joined from precomputed heads."""
+    # a key that is not a str fails in sorted() or in _escape
+    keys = sorted(dicts[0])
+    field = "\n" + " " * (JSON_INDENT * (depth + 1))
+    heads = ["," + field + _escape(k) + ": " for k in keys]
+    heads[0] = "{" + heads[0][1:]
+    columns = [
+        map(head.__add__, _texts(list(map(itemgetter(k), dicts)), depth + 1, memo))
+        for head, k in zip(heads, keys)
+    ]
+    return map("".join, zip(*columns, repeat(field[:-JSON_INDENT] + "}")))
 
 
 # -- building-set input files --------------------------------------------
@@ -278,8 +290,7 @@ def building_from_json(rs, doc: dict, weyl=None):
 
 def load_building_set(rs, path: str, weyl=None):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return building_from_json(rs, doc, weyl=weyl)
+        return building_from_json(rs, json.load(fh), weyl=weyl)
 
 
 # -- f-vector table -------------------------------------------------------
@@ -295,8 +306,7 @@ def fvector_table(model: Permutonestohedron) -> str:
     name = rs.type_name() or f"rank-{rs.rank} custom"
     lines = [
         f"f-vector: {name}, {model.building.kind} building set",
-        f"group order {model.weyl.order}, "
-        f"{len(model.halfspaces)} defining half-spaces",
+        f"group order {model.weyl.order}, {fvec[-2]} defining half-spaces",
         "",
     ]
     header = f"{'dim':>4} {'faces':>10}"
@@ -331,13 +341,7 @@ def _cholesky(gram) -> list[list[float]]:
 
 def _embed(L, x) -> tuple[float, ...]:
     n = len(L)
-    return tuple(
-        sum(L[i][j] * float(x[i]) for i in range(n)) for j in range(n)
-    )
-
-
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
+    return tuple(sum(L[i][j] * float(x[i]) for i in range(n)) for j in range(n))
 
 
 def off_text(model: Permutonestohedron, precision: int = 12) -> str:
@@ -365,15 +369,13 @@ def off_text(model: Permutonestohedron, precision: int = 12) -> str:
         f"{len(points)} {fvec[2]} {fvec[1]}",
     ]
     for p in points:
-        lines.append(" ".join(_fmt(c, precision) for c in p))
+        lines.append(" ".join(f"{c:.{precision}g}" for c in p))
     for half, vert_ids in zip(model.halfspaces, model.facet_sets):
         ids = sorted(vert_ids)
         normal = _embed(L, half.normal)
         nlen = math.sqrt(sum(c * c for c in normal))
         normal = tuple(c / nlen for c in normal)
-        centroid = tuple(
-            sum(points[i][c] for i in ids) / len(ids) for c in range(3)
-        )
+        centroid = tuple(sum(points[i][c] for i in ids) / len(ids) for c in range(3))
         u = None
         for i in ids:
             d = tuple(points[i][c] - centroid[c] for c in range(3))
@@ -397,7 +399,5 @@ def off_text(model: Permutonestohedron, precision: int = 12) -> str:
             )
 
         ordered = sorted(ids, key=angle)
-        lines.append(
-            f"{len(ordered)} " + " ".join(str(i) for i in ordered)
-        )
+        lines.append(f"{len(ordered)} " + " ".join(map(str, ordered)))
     return "\n".join(lines) + "\n"

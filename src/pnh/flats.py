@@ -74,10 +74,6 @@ def flat_closure(rs: RootSystem, root_indices: Iterable[int]) -> Flat:
     return Flat(ech.rank, bits)
 
 
-def flat_sum(rs: RootSystem, a: Flat, b: Flat) -> Flat:
-    return flat_closure(rs, iter_bits(a.bits | b.bits))
-
-
 def full_flat(rs: RootSystem) -> Flat:
     return Flat(rs.rank, (1 << len(rs.positive_roots)) - 1)
 
@@ -102,25 +98,6 @@ def _component_masks(rs: RootSystem, bits: int) -> list[int]:
         bits &= ~comp
         masks.append(comp)
     return masks
-
-
-def irreducible_components(rs: RootSystem, flat: Flat) -> list[Flat]:
-    """Orthogonal irreducible pieces of the root system inside ``flat``.
-
-    Each piece is a closed root subsystem with the positive roots it holds;
-    its dimension is its number of simple roots, the positive roots of the
-    piece that are not the sum of two others."""
-    out = []
-    for comp in _component_masks(rs, flat.bits):
-        roots = [rs.positive_roots[i] for i in iter_bits(comp)]
-        inside = set(roots)
-        dim = sum(
-            1
-            for r in roots
-            if not any(tuple(a - b for a, b in zip(r, s)) in inside for s in roots)
-        )
-        out.append(Flat(dim, comp))
-    return sorted(out)
 
 
 def is_irreducible(rs: RootSystem, flat: Flat) -> bool:

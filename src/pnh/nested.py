@@ -219,17 +219,6 @@ class CombinatorialBuildingSet:
         return sorted(out, key=lambda s: (len(s), sorted(sorted(m) for m in s)))
 
 
-def to_combinatorial(building: BuildingSet) -> CombinatorialBuildingSet:
-    """Index-set image of the fundamental part of a geometric building set."""
-    ground = frozenset(range(building.rs.rank))
-    members = frozenset(
-        frozenset(iter_bits(m)) for m in building.fund_index_sets.values()
-    )
-    out = CombinatorialBuildingSet(ground, members)
-    out.validate()
-    return out
-
-
 def quotient_building_set(building: BuildingSet, parts: tuple[Flat, ...]) -> CombinatorialBuildingSet:
     """Residual building set after collapsing the orthogonal flats ``parts``.
 

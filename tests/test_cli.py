@@ -109,6 +109,55 @@ def test_build_output_is_byte_identical(tmp_path, argv, digest):
     "argv, digest",
     [
         (
+            ["build", "--type", "A4", "--building", "minimal", "--a", "2"],
+            "274a26c5ddef7ae9b913155460c81e38edfd982e1f46cd47c7833cc9b994f0a1",
+        ),
+        (
+            ["build", "--type", "A1^4", "--building", "interval", "--a", "3"],
+            "88d09a5614b3bc702b14eb9e1de9ff2593ee2735986dc0ef0f056a2cae49680d",
+        ),
+        (
+            # the second build_document call site: export's JSON format
+            ["export", "--type", "B3", "--building", "maximal", "--format", "json"],
+            "2c384997c301a2e1838d71837e7182681fb19a290112adff40780157ee868818",
+        ),
+    ],
+)
+def test_construct_json_is_byte_identical(tmp_path, argv, digest):
+    # frozen SHA-256 of the JSON of the benchmark's build types and of export
+    out = tmp_path / "frozen.json"
+    assert run([*argv, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--type", "A3", "--building", "minimal"],
+            "0e990cc5ac140f5cadd638db76e688ca824f58c0d21c56167e2135ddc0606658",
+        ),
+        (
+            ["--type", "A4", "--building", "maximal"],
+            "1e93f53eea20c4d03ba0cdd7b3dcbdfef2e431f378456f924105d647f40050ce",
+        ),
+        (
+            ["--type", "D4", "--building", "minimal"],
+            "058e2c28ca213cd3e8f9e976322ebb6d09367e5cbe0aca59563cf36c0dc45b4b",
+        ),
+    ],
+)
+def test_fvector_output_is_byte_identical(tmp_path, argv, digest):
+    # frozen SHA-256 of the table, whose H line is read from the f-vector
+    out = tmp_path / "frozen.txt"
+    assert run(["fvector", *argv, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
             ["--type", "B3", "--building", "maximal", "--a", "2"],
             "4dbb89328034c2c4ca320ed4b87eeec89d9be9bb43a700bf9e23820636502faf",
         ),

@@ -98,6 +98,104 @@ def test_json_writer_equals_stdlib_on_random_documents(doc):
     assert to_json_bytes(doc) == _reference_bytes(doc)
 
 
+def _same_as_stdlib(doc):
+    """The writer gives the stdlib's bytes, or raises TypeError where the
+    stdlib does (a key that cannot be sorted beside the others)."""
+    try:
+        expected = _reference_bytes(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            to_json_bytes(doc)
+    else:
+        assert to_json_bytes(doc) == expected
+
+
+@st.composite
+def _shaped_lists(draw, depth=0):
+    """A list of dicts with one key set, the shape of the documents' entries:
+    each key holds one kind of value in every entry, and the index lists come
+    from one pool, so entries share them by identity."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    index_lists = st.lists(st.integers(-3, 40), max_size=4)
+    pool = draw(st.lists(index_lists, min_size=1, max_size=3))
+    positions = st.integers(0, len(pool) - 1)
+    pool.append([pool[i] for i in draw(st.lists(positions, max_size=3))])
+    kinds = ["int", "str", "shared", "dict", "any"] + (["shaped"] if depth < 2 else [])
+    columns = [draw(st.sampled_from(kinds)) for _ in keys]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = {}
+        for key, kind in zip(keys, columns):
+            if kind == "int":
+                row[key] = draw(st.integers())
+            elif kind == "str":
+                row[key] = draw(st.text(max_size=5))
+            elif kind == "shared":
+                row[key] = pool[draw(st.integers(0, len(pool) - 1))]
+            elif kind == "dict":
+                row[key] = {"p": draw(st.integers()), "q": pool[0]}
+            elif kind == "shaped":
+                row[key] = draw(_shaped_lists(depth + 1))
+            else:
+                row[key] = draw(_json_values)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shaped_lists())
+def test_json_writer_equals_stdlib_on_shaped_lists(rows):
+    # the same rows at two depths: a shared index list is rendered per depth
+    _same_as_stdlib({"rows": rows, "deeper": [rows, {"again": rows}]})
+
+
+@st.composite
+def _broken_shaped_lists(draw):
+    """A shaped list with one entry that breaks the shape."""
+    rows = draw(_shaped_lists())
+    at = draw(st.integers(0, len(rows)))
+    first = rows[0]
+    how = draw(st.sampled_from(["extra", "missing", "empty", "non-dict", "int-key"]))
+    if how == "extra":
+        # keys are at most 3 characters, so this one is new
+        rows.insert(at, {**first, "extra": 1})
+    elif how == "missing":
+        rows.insert(at, dict(list(first.items())[1:]))
+    elif how == "empty":
+        rows.insert(at, {})
+    elif how == "non-dict":
+        rows.insert(at, draw(_json_leaves | st.lists(_json_leaves, max_size=3)))
+    else:
+        rows.insert(max(at, 1), {**first, 7: "x"})
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_broken_shaped_lists())
+def test_json_writer_equals_stdlib_on_broken_shaped_lists(rows):
+    _same_as_stdlib({"rows": rows})
+
+
+@pytest.mark.parametrize(
+    "leaves",
+    [[1, "a", 2], ["a", 1], [1, True, None], [1, True], [True, 1], ["a", None]],
+)
+def test_json_writer_equals_stdlib_on_mixed_leaf_lists(leaves):
+    # as a list, and as one column of a shaped list
+    doc = {"list": leaves, "rows": [{"x": leaf} for leaf in leaves]}
+    assert to_json_bytes(doc) == _reference_bytes(doc)
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("field", ["value", "list", "dict"])
+def test_json_writer_rejects_non_exact_values_in_any_entry(bad, at, field):
+    rows = [{"value": i, "list": [i, i + 1], "dict": {"v": i}} for i in range(5)]
+    rows[at][field] = {"value": bad, "list": [1, bad], "dict": {"v": bad}}[field]
+    with pytest.raises(TypeError):
+        to_json_bytes({"rows": rows})
+
+
 def test_build_document_shape(a2):
     doc = build_document(a2, {"type": "A2"})
     assert doc["f_vector"] == [12, 12, 1]
@@ -221,6 +319,25 @@ def test_fvector_table_lists_formula_column(a3_min):
     table = fvector_table(a3_min)
     assert "120" in table and "192" in table and "74" in table
     assert "closed form" in table
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "a2", "b2", "a3_min", "a3_max", "a4_min",
+        "b3_min", "b3_max", "a13_min", "d4_min",
+    ],
+)
+def test_defining_halfspaces_equal_the_facet_count(name, request):
+    # fvector_table prints f_{n-1} as the number of defining half-spaces
+    model = request.getfixturevalue(name)
+    assert len(model.halfspaces) == model.f_vector[-2]
+
+
+def test_fvector_table_builds_no_halfspace():
+    model = make_model("A3", "minimal")
+    assert "74 defining half-spaces" in fvector_table(model)
+    assert "halfspaces" not in vars(model)
 
 
 def test_off_requires_rank_three(a2, a3_min):

@@ -11,17 +11,16 @@ from pnh.flats import (
     build_maximal,
     build_minimal,
     flat_closure,
-    flat_sum,
     full_flat,
     fundamental_flats,
     interval_building_set,
-    irreducible_components,
     is_irreducible,
     iter_bits,
     line_flats,
     restricted_building_set,
     simple_index_set,
     validate_building_set,
+    _component_masks,
     _validated,
 )
 from pnh.linalg import Echelon
@@ -34,6 +33,32 @@ ORACLE_TYPES = (
 )
 # and one system given by its Gram matrix alone, cut out of B4
 ORACLE_NAMES = ORACLE_TYPES + ("B4-restricted",)
+
+
+# -- helpers that only the tests use
+
+
+def flat_sum(rs, a, b):
+    return flat_closure(rs, iter_bits(a.bits | b.bits))
+
+
+def irreducible_components(rs, flat):
+    """Orthogonal irreducible pieces of the root system inside ``flat``.
+
+    Each piece is a closed root subsystem with the positive roots it holds;
+    its dimension is its number of simple roots, the positive roots of the
+    piece that are not the sum of two others."""
+    out = []
+    for comp in _component_masks(rs, flat.bits):
+        roots = [rs.positive_roots[i] for i in iter_bits(comp)]
+        inside = set(roots)
+        dim = sum(
+            1
+            for r in roots
+            if not any(tuple(a - b for a, b in zip(r, s)) in inside for s in roots)
+        )
+        out.append(Flat(dim, comp))
+    return sorted(out)
 
 
 # -- the geometric references: closures of joins and Fraction inner products

@@ -7,6 +7,7 @@ from pnh.flats import (
     flat_closure,
     full_flat,
     interval_building_set,
+    iter_bits,
 )
 from pnh.nested import (
     CombinatorialBuildingSet,
@@ -14,13 +15,23 @@ from pnh.nested import (
     enumerate_nested_sets,
     is_nested,
     quotient_building_set,
-    to_combinatorial,
 )
 from pnh.roots import build_root_system
 
 
 def _flats(rs, *index_lists):
     return [flat_closure(rs, idxs) for idxs in index_lists]
+
+
+def to_combinatorial(building):
+    """Index-set image of the fundamental part of a geometric building set."""
+    ground = frozenset(range(building.rs.rank))
+    members = frozenset(
+        frozenset(iter_bits(m)) for m in building.fund_index_sets.values()
+    )
+    out = CombinatorialBuildingSet(ground, members)
+    out.validate()
+    return out
 
 
 def test_nested_set_counts():
