@@ -136,7 +136,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _make_model(args):
     # the root system of a type whose group is over the cap is not built
-    components = parse_type_spec(args.type)
+    components = parse_type_spec(args.type, args.group_cap)
     check_group_cap(components, args.group_cap)
     spec = args.building
     if spec == "interval":

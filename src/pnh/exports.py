@@ -43,6 +43,19 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"invalid rational {text!r}: zero denominator") from None
 
 
+class _ScaledTexts(dict):
+    """The texts of one orbit of inequalities: ``offset``, and ratio * p for
+    each primitive coordinate p, made on first use.  Kept per flat, never
+    keyed by a ``Fraction``, whose hash runs in Python on every lookup."""
+
+    def __init__(self, h):
+        self.ratio, self.offset = h.ratio, rat_str(h.offset)
+
+    def __missing__(self, p: int) -> str:
+        text = self[p] = str(self.ratio * p)
+        return text
+
+
 class _IndexLists(dict):
     """The JSON index list of each flat, and the list of those lists for each
     nested set or tuple of label flats, made once: every document entry that
@@ -88,21 +101,28 @@ def build_document(model: Permutonestohedron, config: dict | None = None) -> dic
     # an orbit of integer points repeats few coordinates: one text for each
     coords = set(chain.from_iterable(vrep.vertices))
     coord = {c: str(Fraction(c, vrep.scale)) for c in coords}.__getitem__
+    # the inequalities of one flat are one orbit, sharing one ratio
+    orbits: dict[Flat, _ScaledTexts] = {}
+    hrep = []
+    for h in model.halfspaces:
+        texts = orbits.get(h.flat)
+        if texts is None:
+            texts = orbits[h.flat] = _ScaledTexts(h)
+        hrep.append(
+            {
+                "normal": list(map(texts.__getitem__, h.prim)),
+                "offset": texts.offset,
+                "kind": h.kind,
+                "flat": lists[h.flat],
+                "sigma_id": h.sigma_id,
+            }
+        )
     return {
         **_common(model, config, lists),
         "group_order": model.weyl.order,
         "a": rat_str(model.suitable.a),
         "epsilons": [rat_str(e) for e in model.suitable.eps],
-        "hrep": [
-            {
-                "normal": list(map(rat_str, h.normal)),
-                "offset": rat_str(h.offset),
-                "kind": h.kind,
-                "flat": lists[h.flat],
-                "sigma_id": h.sigma_id,
-            }
-            for h in model.halfspaces
-        ],
+        "hrep": hrep,
         # vertex i is labelled (i // m, max_nested[i % m])
         "vrep": [
             {

@@ -306,13 +306,13 @@ def aut_action_on_halfspaces(
     Raises BuildingNotInvariant unless gamma is a diagram automorphism that
     validation recorded as preserving the building set.  w gamma is
     unimodular, so each primitive integer normal maps to the primitive
-    normal of its image, looked up exactly; with the offset and injectivity
+    normal of its image, looked up exactly; with the bound and injectivity
     checks, a return proves the inequality set maps onto itself.
 
     The images are made column by column: row i of the image normals is
     the sum of M_ij times column j of the listed normals, one lazy pass per
     nonzero entry of M = w gamma, consumed as the image tuples are looked
-    up.  Offsets are compared by exact value class: each distinct offset
+    up.  Bounds are compared by exact value class: each distinct ``bound``
     object is hashed once (the orbit walk shares one per fundamental
     inequality), and each inequality's class must equal its image's.
     """
@@ -324,8 +324,7 @@ def aut_action_on_halfspaces(
     if not halfspaces:
         return ()
     matrix = mat_mul(weyl.elements[w_id], gamma_rows)
-    # HalfSpace.key() read without a Python-level call per inequality
-    prims, offsets = zip(*map(attrgetter("_key"), halfspaces))
+    prims, bounds = zip(*map(attrgetter("prim", "bound"), halfspaces))
     h = len(prims)
     position = dict(zip(prims, range(h)))
     columns = list(zip(*prims))
@@ -343,12 +342,12 @@ def aut_action_on_halfspaces(
             acc = col if acc is None else map(add, acc, col)
         rows.append(acc)  # w gamma is invertible: no row is zero
     perm = list(map(position.get, zip(*rows)))
-    ids = list(map(id, offsets))
-    by_object = dict(zip(ids, offsets))
+    ids = list(map(id, bounds))
+    by_object = dict(zip(ids, bounds))
     classes = {}
     class_of = {k: classes.setdefault(v, len(classes)) for k, v in by_object.items()}
-    offset_class = list(map(class_of.__getitem__, ids))
-    if None in perm or list(map(offset_class.__getitem__, perm)) != offset_class:
+    bound_class = list(map(class_of.__getitem__, ids))
+    if None in perm or list(map(bound_class.__getitem__, perm)) != bound_class:
         raise VerificationFailed(
             "symmetry image of a defining inequality is not a defining inequality"
         )

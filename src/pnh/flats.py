@@ -22,6 +22,8 @@ the maximal one (all flats).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -29,8 +31,9 @@ from .errors import (
     NotBuilding,
     NotWInvariant,
     TooManyFlats,
+    VerificationFailed,
 )
-from .linalg import Echelon, int_mat_vec, solve_columns
+from .linalg import Echelon, Vec, int_mat_vec, solve_columns, vsub
 from .roots import RootSystem, diagram_automorphisms
 
 DEFAULT_FLAT_CAP = 2**20
@@ -159,6 +162,54 @@ def simple_index_set(rs: RootSystem, flat: Flat) -> int | None:
     return mask if count == flat.dim else None
 
 
+@dataclass(frozen=True)
+class FlatData:
+    """Half-sum of the roots of a flat and the complementary part of delta."""
+
+    flat: Flat
+    pi: Vec
+    delta_perp: Vec
+
+
+def flat_data(rs: RootSystem, flat: Flat, building=None) -> FlatData:
+    """Exact pi and delta_perp for a fundamental flat (or the whole space).
+
+    For the whole space the convention is pi = delta_perp = delta.  The
+    computed data is checked: delta_perp vanishes against every root of the
+    flat, and its weight-basis coefficients off the flat's simple indices
+    are >= 1.  ``building`` is accepted and unused.
+    """
+    n = rs.rank
+    half = Fraction(1, 2)
+    pi = tuple(
+        sum(rs.positive_roots[i][c] for i in flat.indices()) * half
+        for c in range(n)
+    )
+    if flat.dim == n:
+        data = FlatData(flat, pi, pi)
+        if pi != rs.delta:
+            raise VerificationFailed("half-sum over the whole space is not delta")
+        return data
+    dperp = vsub(rs.delta, pi)
+    for i in flat.indices():
+        if rs.inner(dperp, rs.positive_roots[i]) != 0:
+            raise VerificationFailed(
+                f"delta_perp not orthogonal to flat {flat.describe(rs)}"
+            )
+    coeffs = rs.omega_coefficients(dperp)
+    simple_mask = simple_index_set(rs, flat)
+    if simple_mask is not None:
+        for s in range(n):
+            inside = simple_mask >> s & 1
+            if inside and coeffs[s] != 0:
+                raise VerificationFailed("delta_perp has weight on its own flat")
+            if not inside and coeffs[s] < 1:
+                raise VerificationFailed(
+                    "delta_perp weight-coefficient below 1 off the flat"
+                )
+    return FlatData(flat, pi, dperp)
+
+
 class BuildingSet:
     """A validated building set of flats over a root system."""
 
@@ -185,6 +236,13 @@ class BuildingSet:
 
     def __contains__(self, flat: Flat) -> bool:
         return flat in self.flats
+
+    @cached_property
+    def fund_data(self) -> dict[Flat, FlatData]:
+        """``flat_data`` of each fundamental member, the whole space included:
+        the one table that the epsilon list, the inequalities, the vertices
+        and the nestohedron check of a model read."""
+        return {f: flat_data(self.rs, f) for f in self.fund}
 
     def fund_flat_for_indices(self, mask: int) -> Flat | None:
         return self._fund_by_indices.get(mask)

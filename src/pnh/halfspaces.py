@@ -2,7 +2,9 @@
 
 For a fundamental flat A, ``pi`` is the half-sum of the positive roots
 lying in A and ``delta_perp = delta - pi`` is the orthogonal projection of
-delta away from A.  The polytope is cut out, inside the chamber fan, by
+delta away from A (``flats.flat_data``, made once per building set as
+``BuildingSet.fund_data``).  The polytope is cut out, inside the chamber
+fan, by
 
 * (x, delta)        <= a                      (one per chamber),
 * (x, delta_perp_A) <= a - eps_{dim A}        for fundamental members A,
@@ -13,76 +15,32 @@ and delta_perp_B = delta - pi_{A_1} - ... - pi_{A_k}; all images under the
 reflection group.  An inequality with flat J has one image per left coset
 of the standard parabolic W_J, and ``all_halfspaces`` enumerates each orbit
 by those cosets, acting with W's integer matrices on primitive integer
-normals.  The positive list eps_1 < ... < eps_n = a must grow
-fast enough relative to the ratio table below for the construction to
-close up; ``suitable_list`` builds such a list and
-``verify_epsilon_lemma`` checks the required inequalities exhaustively.
+normals.  A ``HalfSpace`` stores that integer form, (x, prim) <= bound,
+and one exact ratio per orbit that gives back the ``Fraction`` normal and
+offset of the statement above; ``fundamental_halfspaces`` is the one place
+that turns a ``Fraction`` normal into it.  The positive list
+eps_1 < ... < eps_n = a must grow fast enough relative to the ratio table
+below for the construction to close up; ``suitable_list`` builds such a
+list and ``verify_epsilon_lemma`` checks the required inequalities
+exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import LemmaViolated, NotBuilding, VerificationFailed
 from .flats import (
     BuildingSet,
     Flat,
+    flat_data,  # noqa: F401 - imported from here by callers
     fundamental_flats,
     iter_bits,
     simple_index_set,
 )
-from .linalg import ScaledInts, Vec, int_mat_vec, primitive_vector, vsub
+from .linalg import Vec, int_mat_vec, primitive_vector, vsub
 from .weyl import Subgroup, WeylGroup
-
-
-@dataclass(frozen=True)
-class FlatData:
-    """Half-sum of the roots of a flat and the complementary part of delta."""
-
-    flat: Flat
-    pi: Vec
-    delta_perp: Vec
-
-
-def flat_data(rs, flat: Flat, building: BuildingSet | None = None) -> FlatData:
-    """Exact pi and delta_perp for a fundamental flat (or the whole space).
-
-    For the whole space the convention is pi = delta_perp = delta.  The
-    computed data is checked: delta_perp vanishes against every root of the
-    flat, and its weight-basis coefficients off the flat's simple indices
-    are >= 1.
-    """
-    n = rs.rank
-    half = Fraction(1, 2)
-    pi = tuple(
-        sum(rs.positive_roots[i][c] for i in flat.indices()) * half
-        for c in range(n)
-    )
-    if flat.dim == n:
-        data = FlatData(flat, pi, pi)
-        if pi != rs.delta:
-            raise VerificationFailed("half-sum over the whole space is not delta")
-        return data
-    dperp = vsub(rs.delta, pi)
-    for i in flat.indices():
-        if rs.inner(dperp, rs.positive_roots[i]) != 0:
-            raise VerificationFailed(
-                f"delta_perp not orthogonal to flat {flat.describe(rs)}"
-            )
-    coeffs = rs.omega_coefficients(dperp)
-    simple_mask = simple_index_set(rs, flat)
-    if simple_mask is not None:
-        for s in range(n):
-            inside = simple_mask >> s & 1
-            if inside and coeffs[s] != 0:
-                raise VerificationFailed("delta_perp has weight on its own flat")
-            if not inside and coeffs[s] < 1:
-                raise VerificationFailed(
-                    "delta_perp weight-coefficient below 1 off the flat"
-                )
-    return FlatData(flat, pi, dperp)
 
 
 class RatioTable:
@@ -101,8 +59,8 @@ class RatioTable:
         return self.per_dim.get((dim_a, dim_b), Fraction(1))
 
 
-def ratio_table(building: BuildingSet, data: dict[Flat, FlatData] | None = None) -> RatioTable:
-    data = data or {f: flat_data(building.rs, f, building) for f in building.fund}
+def ratio_table(building: BuildingSet) -> RatioTable:
+    data = building.fund_data
     stats: dict[Flat, tuple[Fraction, Fraction]] = {}
     for f in building.fund:
         support = [c for c in data[f].pi if c != 0]
@@ -247,67 +205,60 @@ def verify_epsilon_lemma(
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """One defining inequality (x, normal) <= offset.
+    """One defining inequality (x, prim) <= bound.
 
-    ``kind`` is "chamber" for images of the delta inequality, "member" for
-    images of a fundamental-member inequality, "nonmember" for images of a
-    fundamental non-member inequality.  ``flat`` is the fundamental flat of
-    origin and ``sigma_id`` a group element mapping the fundamental
-    inequality to this one (the least such id).
+    ``prim`` is the primitive integer normal and ``bound`` the offset
+    rescaled to it; ``ratio`` > 0 is the exact ratio of the inequality as
+    the construction states it, (x, normal) <= offset with normal =
+    ratio * prim and offset = ratio * bound.  The images of one fundamental
+    inequality share its ``bound`` and ``ratio`` objects.  ``kind`` is
+    "chamber" for images of the delta inequality, "member" for images of a
+    fundamental-member inequality, "nonmember" for images of a fundamental
+    non-member inequality.  ``flat`` is the fundamental flat of origin and
+    ``sigma_id`` a group element mapping the fundamental inequality to this
+    one (the least such id).
     """
 
-    normal: Vec
-    offset: Fraction
+    prim: tuple[int, ...]
+    bound: Fraction
+    ratio: Fraction
     kind: str
     flat: Flat
     sigma_id: int
 
+    @property
+    def normal(self) -> Vec:
+        return tuple(self.ratio * p for p in self.prim)
+
+    @property
+    def offset(self) -> Fraction:
+        return self.ratio * self.bound
+
     def key(self):
         """(primitive integer normal, offset rescaled to match), the exact key."""
-        return self._key
-
-    @cached_property
-    def _key(self):
-        # computed once per instance: the symmetry action looks up every
-        # inequality's key on each call
-        return primitive_key(self.normal, self.offset)
+        return self.prim, self.bound
 
 
-def primitive_key(normal: Vec, offset) -> tuple:
-    """Exact key of the half-space (x, normal) <= offset: the primitive
-    integer normal and the offset rescaled to match."""
+def _fundamental(normal: Vec, offset, kind: str, flat: Flat) -> HalfSpace:
+    """(x, normal) <= offset in the stored form, at the identity."""
     prim = primitive_vector(normal)
-    scale = None
-    for p, x in zip(prim, normal):
-        if x != 0:
-            scale = Fraction(p) / x
-            break
-    return prim, offset * scale
+    ratio = next(Fraction(x) / p for p, x in zip(prim, normal) if p)
+    return HalfSpace(prim, offset / ratio, ratio, kind, flat, 0)
 
 
 def fundamental_halfspaces(
-    building: BuildingSet,
-    suitable: SuitableList,
-    data: dict[Flat, FlatData] | None = None,
+    building: BuildingSet, suitable: SuitableList
 ) -> list[HalfSpace]:
     """The defining inequalities attached to the fundamental chamber."""
     rs = building.rs
-    data = data or {f: flat_data(rs, f, building) for f in building.fund}
-    out = [
-        HalfSpace(rs.delta, suitable.a, "chamber", building.V, 0)
-    ]
+    data = building.fund_data
+    out = [_fundamental(rs.delta, suitable.a, "chamber", building.V)]
     fund_members = set(building.fund)
     for f in building.fund:
         if f == building.V:
             continue
-        hs = HalfSpace(
-            data[f].delta_perp,
-            suitable.a - suitable.for_dim(f.dim),
-            "member",
-            f,
-            0,
-        )
-        out.append(hs)
+        offset = suitable.a - suitable.for_dim(f.dim)
+        out.append(_fundamental(data[f].delta_perp, offset, "member", f))
     for b in fundamental_flats(rs):
         if b in fund_members:
             continue
@@ -319,11 +270,7 @@ def fundamental_halfspaces(
         normal = rs.delta
         offset = suitable.a
         for p in parts:
-            pd = data.get(p)
-            if pd is None:
-                pd = flat_data(rs, p, building)
-                data[p] = pd
-            normal = vsub(normal, pd.pi)
+            normal = vsub(normal, data[p].pi)
             offset -= suitable.for_dim(p.dim)
         coeffs = rs.omega_coefficients(normal)
         for s in range(rs.rank):
@@ -338,7 +285,7 @@ def fundamental_halfspaces(
             raise VerificationFailed(
                 f"nonpositive offset {offset} for nonmember {b.describe(rs)}"
             )
-        out.append(HalfSpace(normal, offset, "nonmember", b, 0))
+        out.append(_fundamental(normal, offset, "nonmember", b))
     return out
 
 
@@ -369,10 +316,11 @@ def all_halfspaces(
     W_J of its flat (J is empty for the chamber inequality), so its images
     are indexed by the left cosets of W_J and each is made once, by the
     coset's least id.  W's matrices are unimodular: acting on the primitive
-    integer normal gives each image's exact key with no gcd, and the
-    ``Fraction`` normal is made from that key.  ``label_subgroup`` maps a
-    tuple of flats to their label subgroup (``FaceContext.label_subgroup``);
-    it is given the flat's decomposition, a member's being the member itself.
+    integer normal gives each image's primitive normal with no gcd, and
+    each image shares its base's ``bound`` and ``ratio`` objects.
+    ``label_subgroup`` maps a tuple of flats to their label subgroup
+    (``FaceContext.label_subgroup``); it is given the flat's decomposition,
+    a member's being the member itself.
 
     Two checks pin the stabiliser down, each raising VerificationFailed:
     every simple reflection s_j, j in J, fixes the primitive normal, so the
@@ -382,10 +330,8 @@ def all_halfspaces(
     rs = building.rs
     out: list[HalfSpace] = []
     for base in fundamental_halfspaces(building, suitable):
-        if base.offset <= 0:
+        if base.bound <= 0:
             raise VerificationFailed(f"nonpositive offset in {base.kind} inequality")
-        prim, offset = primitive_key(base.normal, base.offset)
-        normal_of = ScaledInts(base.offset / offset).__getitem__
         if base.kind == "chamber":
             sigmas = range(weyl.order)
         else:
@@ -393,24 +339,23 @@ def all_halfspaces(
             sub = label_subgroup(building.fund_decomposition(mask))
             for j in iter_bits(sub.mask):
                 s_j = weyl.elements[weyl.generator_ids[j]]
-                if int_mat_vec(s_j, prim) != prim:
+                if int_mat_vec(s_j, base.prim) != base.prim:
                     raise VerificationFailed(
                         f"s_{j} moves the {base.kind} normal of "
                         f"{base.flat.describe(rs)}"
                     )
             sigmas = [ids[0] for ids in sub.cosets]
-        for sigma in sigmas:
-            normal = int_mat_vec(weyl.elements[sigma], prim)
-            hs = HalfSpace(
-                tuple(map(normal_of, normal)),
-                base.offset,
+        out += [
+            HalfSpace(
+                int_mat_vec(weyl.elements[sigma], base.prim),
+                base.bound,
+                base.ratio,
                 base.kind,
                 base.flat,
                 sigma,
             )
-            # seeds the cached_property; dataclasses.replace re-derives it
-            hs.__dict__["_key"] = (normal, offset)
-            out.append(hs)
+            for sigma in sigmas
+        ]
     out.sort(key=HalfSpace.key)
     for prev, hs in zip(out, out[1:]):
         if prev.key() == hs.key():

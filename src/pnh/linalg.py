@@ -44,19 +44,6 @@ def int_mat_vec(m: Mat, x: Sequence[int]) -> tuple[int, ...]:
     return tuple([sum(map(mul, row, x)) for row in m])
 
 
-class ScaledInts(dict):
-    """Memoised ``x -> scale * x`` for int x: an orbit of integer vectors
-    repeats few coordinate values, so each ``Fraction`` is made once."""
-
-    def __init__(self, scale: Fraction):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, x: int) -> Fraction:
-        got = self[x] = self.scale * x
-        return got
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = tuple(zip(*b))
     return tuple(tuple(vdot(row, col) for col in cols) for row in a)

@@ -74,7 +74,6 @@ class Permutonestohedron:
         self._weyl = weyl
         self._suitable = suitable
         self._a = Fraction(a)
-        self._flat_data: dict[Flat, object] = {}
         self._restricted: dict[Flat, Permutonestohedron] = {}
 
     # -- layers ---------------------------------------------------------
@@ -93,7 +92,7 @@ class Permutonestohedron:
 
     @cached_property
     def fundamental_hs(self) -> list[HalfSpace]:
-        return fundamental_halfspaces(self.building, self.suitable, self._flat_data)
+        return fundamental_halfspaces(self.building, self.suitable)
 
     @cached_property
     def halfspaces(self) -> list[HalfSpace]:
@@ -112,7 +111,7 @@ class Permutonestohedron:
 
     @cached_property
     def vrep(self) -> VRep:
-        return all_vertices(self.building, self.suitable, self.weyl, self._flat_data)
+        return all_vertices(self.building, self.suitable, self.weyl)
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -263,9 +262,7 @@ class Permutonestohedron:
 
         if level == "full":
             reports.append(
-                nestohedron_check(
-                    self.building, self.suitable, self._flat_data, False
-                )
+                nestohedron_check(self.building, self.suitable, raise_on_failure=False)
             )
             reports.append(
                 verify_hrep_vrep(
@@ -526,6 +523,11 @@ def build_model(
 ) -> Permutonestohedron:
     suitable = None
     if epsilons is not None:
+        n = building.rs.rank
+        if len(epsilons) != n:
+            raise ValueError(
+                f"the epsilon list has {len(epsilons)} entries; rank {n} needs {n}"
+            )
         suitable = SuitableList(Fraction(a), tuple(Fraction(e) for e in epsilons))
     return Permutonestohedron(
         building, suitable=suitable, a=a, weyl=weyl, group_cap=group_cap

@@ -16,7 +16,8 @@ on it with the vertices predicted tight:
   product of their parabolics.
 
 Tightness is decided by one exact integer kernel, ``Incidence``: vertices
-and Gram-normals are scaled to integers, and a scan of a hyperplane keeps
+and Gram-normals are scaled to integers, each inequality read in its stored
+form (x, prim) <= bound, and a scan of a hyperplane keeps
 its tight set, as a bitmask over vertex ids, and whether any vertex
 violates it.  W acts by isometries, so tight(tau H, sigma v) iff
 tight(sigma^-1 tau H, v): scans of every inequality over the base vertices
@@ -44,14 +45,7 @@ from operator import add, mul
 
 from .errors import EmptyFacet, NotInChamber, VerificationFailed
 from .flats import BuildingSet, Flat, iter_bits, simple_index_set
-from .halfspaces import (
-    FlatData,
-    HalfSpace,
-    HalfSpaceIndex,
-    SuitableList,
-    flat_data,
-    index_halfspaces,
-)
+from .halfspaces import HalfSpace, HalfSpaceIndex, SuitableList, index_halfspaces
 from .linalg import (
     Vec,
     int_mat_vec,
@@ -87,8 +81,7 @@ def vertex(
     rs,
     nested: NestedSet,
     suitable: SuitableList,
-    data: dict[Flat, FlatData] | None = None,
-    building: BuildingSet | None = None,
+    building: BuildingSet,
 ) -> Vec:
     """The chamber vertex attached to a maximal nested set.
 
@@ -98,17 +91,13 @@ def vertex(
     n = rs.rank
     if len(nested) != n:
         raise ValueError("vertex requires a maximal nested set")
-    data = data if data is not None else {}
+    data = building.fund_data
     rows = [mat_vec(rs.gram, rs.delta)]
     rhs = [suitable.a]
     for f in nested:
         if f.dim == n:
             continue
-        fd = data.get(f)
-        if fd is None:
-            fd = flat_data(rs, f, building)
-            data[f] = fd
-        rows.append(mat_vec(rs.gram, fd.delta_perp))
+        rows.append(mat_vec(rs.gram, data[f].delta_perp))
         rhs.append(suitable.a - suitable.for_dim(f.dim))
     point = solve_linear_system(tuple(rows), tuple(rhs))
     gx = mat_vec(rs.gram, point)
@@ -123,7 +112,6 @@ def all_vertices(
     building: BuildingSet,
     suitable: SuitableList,
     weyl: WeylGroup,
-    data: dict[Flat, FlatData] | None = None,
     require_distinct: bool = True,
 ) -> VRep:
     """Orbit of the chamber vertices; one entry per (sigma, nested) pair.
@@ -135,9 +123,8 @@ def all_vertices(
     suitable lists) any coincidence raises VerificationFailed.
     """
     rs = building.rs
-    data = data if data is not None else {}
     max_nested = tuple(enumerate_maximal_nested_sets(building))
-    base_points = [vertex(rs, s, suitable, data, building) for s in max_nested]
+    base_points = [vertex(rs, s, suitable, building) for s in max_nested]
     scale = lcm(*(c.denominator for p in base_points for c in p))
     base_ints = [
         tuple(c.numerator * (scale // c.denominator) for c in p) for p in base_points
@@ -164,10 +151,10 @@ class Incidence:
 
     The vertices are read as ``VRep`` stores them, integers over one
     ``scale``, and the Gram matrix is scaled by the lcm of its own
-    denominators.  A hyperplane (x, normal) = offset becomes
-    dot(row, point) == bound, with the row the integer Gram matrix times
-    the primitive normal of the half-space's key (``row``); a larger dot
-    product means the vertex violates the inequality.  A scan of a plane
+    denominators.  A hyperplane (x, prim) = bound, as ``HalfSpace`` stores
+    it, becomes dot(row, point) == bound over one denominator, with the row
+    the integer Gram matrix times the primitive normal (``row``); a larger
+    dot product means the vertex violates the inequality.  A scan of a plane
     over every vertex, or over the base vertices only, keeps its tight set,
     a bitmask over vertex ids, and whether any vertex violates it, cached
     per exact half-space key.
@@ -187,17 +174,15 @@ class Incidence:
         self.unit = g * vrep.scale
         self._scans: dict[tuple, tuple[int, bool]] = {}
 
-    def row(self, hs: HalfSpace) -> tuple[tuple[int, ...], int, Fraction]:
-        """(integer row, bound, denominator) of (x, normal) <= offset.
+    def row(self, hs: HalfSpace) -> tuple[tuple[int, ...], int, int]:
+        """(integer row, bound, denominator) of (x, prim) <= bound.
 
         dot(integer row, point) / denominator is the exact value of
-        (x, normal) at the point, and bound / denominator is the offset.
+        (x, prim) at the point, and bound / denominator is ``hs.bound``.
         """
-        prim, offset = hs.key()
-        ints = tuple(offset.denominator * sum(map(mul, g, prim)) for g in self.gram)
-        # prim = c * normal with c > 0, and the key's offset is c * offset
-        c = next(Fraction(p) / x for p, x in zip(prim, hs.normal) if x)
-        return ints, offset.numerator * self.unit, offset.denominator * self.unit * c
+        d = hs.bound.denominator
+        ints = tuple(d * sum(map(mul, g, hs.prim)) for g in self.gram)
+        return ints, hs.bound.numerator * self.unit, d * self.unit
 
     def facet_masks(self, halfspaces: list[HalfSpace]) -> list[int]:
         """The tight mask of each inequality; every one must be nonempty."""
@@ -282,12 +267,12 @@ class Incidence:
             return None, set(range(len(halfspaces)))
         suspects = set()
         for sub, positions in index.orbits.values():
-            prim, offset = halfspaces[positions[0]].key()
+            prim, bound = halfspaces[positions[0]].key()
             if any(
                 int_mat_vec(weyl.elements[weyl.generator_ids[j]], prim) != prim
                 for j in iter_bits(sub.mask)
             ) or any(
-                hs.key() != (int_mat_vec(weyl.elements[hs.sigma_id], prim), offset)
+                hs.key() != (int_mat_vec(weyl.elements[hs.sigma_id], prim), bound)
                 for hs in map(halfspaces.__getitem__, positions)
             ):
                 suspects.update(positions)
@@ -373,7 +358,7 @@ def verify_hrep_vrep(
                 line = (
                     f"vertex (sigma={sigma}) violates {hs.kind} inequality "
                     f"of {hs.flat.describe(rs)} (sigma={hs.sigma_id}): "
-                    f"{Fraction(value, denominator)} > {hs.offset}"
+                    f"{hs.ratio * Fraction(value, denominator)} > {hs.offset}"
                 )
             elif (value == bound) != expect_tight:
                 line = (
@@ -401,7 +386,6 @@ def verify_hrep_vrep(
 def nestohedron_check(
     building: BuildingSet,
     suitable: SuitableList,
-    data: dict[Flat, FlatData] | None = None,
     raise_on_failure: bool = True,
 ) -> CheckReport:
     """Chamber-side characterisation of the nestohedron vertices.
@@ -413,25 +397,18 @@ def nestohedron_check(
     """
     rs = building.rs
     n = rs.rank
-    data = data if data is not None else {}
+    data = building.fund_data
     failures = []
     checked = 0
 
     proper = [f for f in building.fund if f != building.V]
     nested_ok = set(enumerate_maximal_nested_sets(building))
 
-    def datum(f: Flat) -> FlatData:
-        fd = data.get(f)
-        if fd is None:
-            fd = flat_data(rs, f, building)
-            data[f] = fd
-        return fd
-
     for s in sorted(nested_ok):
-        point = vertex(rs, s, suitable, data, building)
+        point = vertex(rs, s, suitable, building)
         for f in proper:
             checked += 1
-            value = rs.inner(point, datum(f).delta_perp)
+            value = rs.inner(point, data[f].delta_perp)
             bound = suitable.a - suitable.for_dim(f.dim)
             if f in s:
                 if value != bound:
@@ -446,14 +423,14 @@ def nestohedron_check(
         family = NestedSet(tuple(sorted(combo)) + (building.V,))
         if family in nested_ok:
             continue
-        dperps = [datum(f).delta_perp for f in combo] + [rs.delta]
+        dperps = [data[f].delta_perp for f in combo] + [rs.delta]
         if rank(dperps) < n:
             continue
         checked += 1
         rows = [mat_vec(rs.gram, rs.delta)]
         rhs = [suitable.a]
         for f in combo:
-            rows.append(mat_vec(rs.gram, datum(f).delta_perp))
+            rows.append(mat_vec(rs.gram, data[f].delta_perp))
             rhs.append(suitable.a - suitable.for_dim(f.dim))
         point = solve_linear_system(tuple(rows), tuple(rhs))
         gx = mat_vec(rs.gram, point)
@@ -462,7 +439,7 @@ def nestohedron_check(
             # exclude the point strictly
             i = next(i for i, c in enumerate(gx) if c <= 0)
             line = building.fund_flat_for_indices(1 << i)
-            value = rs.inner(point, datum(line).delta_perp)
+            value = rs.inner(point, data[line].delta_perp)
             if value <= suitable.a - suitable.for_dim(1):
                 failures.append(
                     f"chamber-violating point of {family} not excluded by the "
@@ -477,7 +454,7 @@ def nestohedron_check(
                 f"dims {tuple(f.dim for f in combo)}"
             )
             continue
-        value = rs.inner(point, datum(witness).delta_perp)
+        value = rs.inner(point, data[witness].delta_perp)
         if value <= suitable.a - suitable.for_dim(witness.dim):
             failures.append(
                 f"point of non-nested family (dims "

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedType
+from .errors import GroupTooLarge, UnsupportedType
 from .linalg import Mat, Vec, int_mat_vec, mat_vec, rank, solve_columns, vdot, vsub
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -27,9 +27,15 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _COMPONENT_RE = re.compile(r"^([ABCD])([0-9]+)(?:\^([0-9]+))?$")
 
 
-def parse_type_spec(text: str) -> tuple[tuple[str, int], ...]:
-    """Parse a type string like ``"A3"``, ``"B4"``, ``"A1^5"`` or ``"A2xA1"``."""
-    components: list[tuple[str, int]] = []
+def parse_type_spec(
+    text: str, group_cap: int | None = None
+) -> tuple[tuple[str, int], ...]:
+    """Parse a type string like ``"A3"``, ``"B4"``, ``"A1^5"`` or ``"A2xA1"``.
+
+    With ``group_cap``, raises GroupTooLarge when the total rank alone puts
+    the group over it (|W| >= 2^rank), before any power is expanded.
+    """
+    parsed = []
     for part in text.replace(" ", "").upper().split("X"):
         m = _COMPONENT_RE.match(part)
         if not m:
@@ -39,10 +45,11 @@ def parse_type_spec(text: str) -> tuple[tuple[str, int], ...]:
             raise UnsupportedType(f"{letter}{rk}: rank must be >= {_MIN_RANK[letter]}")
         if power < 1:
             raise UnsupportedType(f"{part}: power must be >= 1")
-        components.extend([(letter, rk)] * power)
-    if not components:
-        raise UnsupportedType(f"empty type spec {text!r}")
-    return tuple(components)
+        parsed.append((letter, rk, power))
+    total = sum(rk * power for _, rk, power in parsed)
+    if group_cap is not None and total >= max(group_cap, 0).bit_length():
+        raise GroupTooLarge(f"rank {total}: |W| >= 2^{total} exceeds cap {group_cap}")
+    return tuple((letter, rk) for letter, rk, power in parsed for _ in range(power))
 
 
 def _component_gram(letter: str, m: int) -> list[list[int]]:

@@ -1,11 +1,23 @@
-"""Session-scoped model fixtures shared by the unit and acceptance tests."""
+"""Session-scoped model fixtures shared by the unit and acceptance tests,
+and the ``Fraction`` oracle of a half-space's stored form."""
+
+from fractions import Fraction
 
 import pytest
 
 from pnh.flats import build_maximal, build_minimal
+from pnh.linalg import primitive_vector
 from pnh.model import Permutonestohedron
 from pnh.roots import build_root_system
 from pnh.weyl import enumerate_group
+
+
+def primitive_key(normal, offset) -> tuple:
+    """(x, normal) <= offset as (primitive integer normal, offset rescaled to
+    match), made from the ``Fraction`` normal."""
+    prim = primitive_vector(normal)
+    scale = next(Fraction(p) / x for p, x in zip(prim, normal) if x)
+    return prim, offset * scale
 
 
 def make_model(spec: str, kind: str) -> Permutonestohedron:

@@ -231,6 +231,39 @@ def test_group_cap_is_checked_before_the_root_system(monkeypatch, capsys):
     assert "exceeds cap 50000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "A99999999999999999999",
+        "A1^99999999999999",
+        "B99999999999999999999",
+        "D99999999999999999999",
+    ],
+)
+def test_oversized_type_exits_two_before_any_expansion(spec, capsys):
+    # |W| >= 2^rank decides the cap before a factorial, power or list
+    t0 = time.perf_counter()
+    assert run(["fvector", "--type", spec]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("pnh: error: rank ") and "exceeds cap 50000" in err
+
+
+def test_epsilon_list_of_the_wrong_length_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["verify", "--type", "A3", "--epsilons", "1/100,1",
+                "--output", str(out)]) == 2
+    assert "epsilon list has 2 entries; rank 3 needs 3" in capsys.readouterr().err
+    assert run(["build", "--type", "A3", "--epsilons=1/100,1/10,1,2",
+                "--output", str(out)]) == 2
+    assert "epsilon list has 4 entries; rank 3 needs 3" in capsys.readouterr().err
+    assert not out.exists()
+    # the right length failing the growth conditions is a FAIL, not a usage error
+    assert run(["verify", "--type", "A3", "--epsilons", "1/10,1/3,1",
+                "--output", str(out)]) == 1
+    assert "FAIL epsilon growth conditions" in out.read_text()
+
+
 def test_interval_building(tmp_path):
     out = tmp_path / "iv.json"
     assert run(["build", "--type", "A1^3", "--building", "interval",

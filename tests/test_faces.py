@@ -12,12 +12,11 @@ from pnh.faces import (
     support_halfspaces,
 )
 from pnh.flats import interval_building_set, simple_index_set
-from pnh.halfspaces import primitive_key
 from pnh.linalg import mat_mul, mat_vec, primitive_vector
 from pnh.model import Permutonestohedron
 from pnh.roots import diagram_automorphisms
 
-from conftest import make_model
+from conftest import make_model, primitive_key
 
 
 def test_face_enumeration_matches_f_vector(a2, a3_min):
@@ -273,7 +272,7 @@ def _moved_by_a_reflection(model):
 def test_aut_action_rejects_a_tampered_offset(a3_min):
     s0, ident, i = _moved_by_a_reflection(a3_min)
     halfspaces = list(a3_min.halfspaces)
-    halfspaces[i] = replace(halfspaces[i], offset=halfspaces[i].offset + 1)
+    halfspaces[i] = replace(halfspaces[i], bound=halfspaces[i].bound + 1)
     with pytest.raises(VerificationFailed, match="is not a defining inequality"):
         aut_action_on_halfspaces(a3_min.building, a3_min.weyl, halfspaces, s0, ident)
 

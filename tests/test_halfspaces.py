@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from conftest import primitive_key
+from pnh.cli import run
 from pnh.errors import LemmaViolated, VerificationFailed
 from pnh.flats import build_minimal, flat_closure, full_flat, simple_index_set
 from pnh.halfspaces import (
@@ -11,7 +14,6 @@ from pnh.halfspaces import (
     flat_data,
     fundamental_halfspaces,
     orthogonal_flats,
-    primitive_key,
     ratio_table,
     suitable_list,
     verify_epsilon_lemma,
@@ -32,6 +34,29 @@ def test_flat_data_a2():
     v = full_flat(rs)
     vd = flat_data(rs, v, b)
     assert vd.pi == rs.delta == vd.delta_perp
+
+
+@pytest.mark.parametrize(
+    "argv, members",
+    [
+        (["build", "--type", "A4"], 10),
+        (["verify", "--level", "full", "--type", "A3"], 6),
+        (["verify", "--level", "full", "--type", "B3", "--building", "maximal"], 7),
+    ],
+)
+def test_flat_data_runs_once_per_fundamental_member(
+    argv, members, monkeypatch, tmp_path
+):
+    # every layer of a model reads the building set's one table
+    made = []
+
+    def counted(rs, flat, building=None):
+        made.append(flat)
+        return flat_data(rs, flat, building)
+
+    monkeypatch.setattr("pnh.flats.flat_data", counted)
+    assert run(argv + ["--output", str(tmp_path / "out")]) == 0
+    assert len(made) == len(set(made)) == members
 
 
 def test_ratio_table_a3_minimal():
@@ -147,12 +172,20 @@ def _orbit_over_all_of_w(model):
 )
 def test_coset_orbits_equal_the_walk_over_all_of_w(name, request):
     model = request.getfixturevalue(name)
+    # ratio * prim is the normal that W's Fraction action gives
     got = [
         (h.normal, h.offset, h.kind, h.flat, h.sigma_id) for h in model.halfspaces
     ]
     assert got == _orbit_over_all_of_w(model)
-    # the key seeded from the integer action is the one derived from scratch
+    # the stored form made by the integer action is the one derived from scratch
     assert all(h.key() == primitive_key(h.normal, h.offset) for h in model.halfspaces)
+    assert all(gcd(*h.prim) == 1 and h.ratio > 0 for h in model.halfspaces)
+    # one bound object and one ratio object per orbit, a flat naming each
+    shared = {}
+    for h in model.halfspaces:
+        shared.setdefault(h.flat, set()).add((id(h.bound), id(h.ratio)))
+    assert len(shared) == len(model.fundamental_hs)
+    assert all(len(ids) == 1 for ids in shared.values())
 
 
 def _member_subgroups(model, change):

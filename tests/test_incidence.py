@@ -279,7 +279,7 @@ def test_inequality_key_off_its_orbit_is_a_suspect(a3_min):
     mask = simple_index_set(model.rs, member)
     positions = index.orbits[mask][1]
     p, q = positions[1], positions[2]
-    halfspaces[p] = replace(halfspaces[p], normal=halfspaces[q].normal)
+    halfspaces[p] = replace(halfspaces[p], prim=halfspaces[q].prim)
     model.halfspaces = halfspaces
     _, suspects = model.incidence.orbit_facts(halfspaces, model.subgroups_by_flat())
     assert suspects == set(positions)
@@ -322,11 +322,12 @@ def test_hrep_vrep_matches_fraction_reference(a3_min):
     passed = True
     for hs in model.halfspaces:
         ints, bound, denominator = incidence.row(hs)
-        assert Fraction(bound, denominator) == hs.offset
+        assert Fraction(bound, denominator) == hs.bound
         for vi, (value, point) in enumerate(
             zip(_values(model, hs.normal), zip(*incidence.columns))
         ):
-            assert Fraction(sum(a * b for a, b in zip(ints, point)), denominator) == value
+            dot = sum(a * b for a, b in zip(ints, point))
+            assert hs.ratio * Fraction(dot, denominator) == value
             tight = value == hs.offset
             expect = predicted(hs, vi // m, vrep.max_nested[vi % m])
             passed = passed and value <= hs.offset and tight == expect
@@ -399,7 +400,7 @@ def test_moved_vertex_fails_with_exact_values(a2):
 
 def test_shifted_inequality_raises_empty_facet(a2):
     shifted = list(a2.halfspaces)
-    shifted[3] = replace(shifted[3], offset=shifted[3].offset + 1)
+    shifted[3] = replace(shifted[3], bound=shifted[3].bound + 1)
     with pytest.raises(EmptyFacet):
         facet_vertex_sets(a2.rs, shifted, a2.vrep)
     # a plane the shared cache has never seen is scanned, not assumed
@@ -414,7 +415,7 @@ def test_shifted_inequality_raises_empty_facet(a2):
 def test_shifted_inequality_fails_the_incidence_report(a2):
     # an empty tight set is a reported mismatch here, not an EmptyFacet
     shifted = list(a2.halfspaces)
-    shifted[3] = replace(shifted[3], offset=shifted[3].offset + 1)
+    shifted[3] = replace(shifted[3], bound=shifted[3].bound + 1)
     args = (a2.building, shifted, a2.vrep, a2.subgroups_by_flat())
     report = verify_hrep_vrep(*args, raise_on_failure=False, incidence=a2.incidence)
     assert not report.passed

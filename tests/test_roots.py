@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pnh.errors import UnsupportedType
+from pnh.errors import GroupTooLarge, UnsupportedType
 from pnh.roots import (
     RootSystem,
     build_root_system,
@@ -18,6 +18,10 @@ def test_parse_type_spec():
     for bad in ["Q9", "A0", "B1", "C1", "D2", "", "A1^0"]:
         with pytest.raises(UnsupportedType):
             parse_type_spec(bad)
+    # |W| >= 2^rank: rank 16 is over a cap below 2^16 before any expansion
+    with pytest.raises(GroupTooLarge, match="rank 16: "):
+        parse_type_spec("A1^16", group_cap=2**16 - 1)
+    assert parse_type_spec("A1^16", group_cap=2**16) == (("A", 1),) * 16
 
 
 def test_a2_roots_weights_delta():
