@@ -24,8 +24,9 @@ and from the supporting hyperplanes and insists they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby, repeat
-from operator import add, attrgetter, mul, sub
+from itertools import combinations, groupby
+from operator import is_, mul
+from sys import byteorder
 
 from .errors import (
     BuildingNotInvariant,
@@ -35,7 +36,6 @@ from .errors import (
 )
 from .flats import BuildingSet, Flat, iter_bits
 from .halfspaces import HalfSpace, HalfSpaceIndex, orthogonal_flats
-from .linalg import mat_mul
 from .nested import NestedSet, enumerate_nested_sets
 from .polytope import Incidence, VRep
 from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_subgroup, subgroup_product
@@ -294,6 +294,71 @@ def crossing_facet_parts(ctx: FaceContext, face: FacePair) -> tuple[Flat, ...]:
     return tuple(sorted(face.labels))
 
 
+class _PackedKeys:
+    """An inequality list prepared for the symmetry action.
+
+    (x, p) <= b is keyed by class(b) + c * sum_k (p_k + half) * base^k, with
+    c bound classes, half = reach * max|p| and base = 2 half + 1: no image
+    under an M whose rows have absolute sums <= reach aliases another key.
+    The key is linear in p, so the lanes of ``fixed`` + sum_j ``columns[j]``
+    * (sum_k ``powers[k]`` * M_kj), ``width`` bytes each, are the keys of
+    the images.  ``reach`` is widened as far as 64-bit keys allow.
+    """
+
+    def __init__(self, halfspaces: list[HalfSpace], reach: int):
+        self.halfspaces = tuple(halfspaces)
+        h = len(self.halfspaces)
+        columns = list(zip(*[hs.prim for hs in self.halfspaces]))
+        bounds = [hs.bound for hs in self.halfspaces]
+        # bounds are classed by exact value, each distinct object hashed
+        # once: the orbit walk shares one per fundamental inequality
+        ids = list(map(id, bounds))
+        classes: dict = {}
+        class_of = {
+            k: classes.setdefault(b, len(classes))
+            for k, b in dict(zip(ids, bounds)).items()
+        }
+        c, n = len(classes), len(columns)
+        top = max(max(map(max, columns)), -min(map(min, columns)), 1)
+        fit = ((1 << (64 - c.bit_length()) // n) - 1) // (2 * top)
+        self.reach = reach = max(reach, fit)
+        base = 2 * reach * top + 1
+        self.width = width = max(8, ((c * base**n - 1).bit_length() + 7) // 8)
+        self.powers = [c * base**k for k in range(n)]
+
+        def pack(values: list[int]) -> int:  # each value below 2^(8 width)
+            buf = bytearray(width * h)
+            for k in range(0, max(values).bit_length(), 8):
+                buf[k // 8 :: width] = [v >> k & 255 for v in values]
+            return int.from_bytes(buf, "little")
+
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * h, "little")
+        self.columns = [pack([p + top for p in col]) - top * ones for col in columns]
+        self.fixed = pack(list(map(class_of.__getitem__, ids)))
+        self.fixed += reach * top * sum(self.powers) * ones
+        self.position = dict(zip(self.keys(self.powers), range(h)))
+        # w gamma is invertible, so distinct keys make the action injective
+        self.distinct = len(self.position) == h
+
+    def serves(self, halfspaces: list[HalfSpace], reach: int) -> bool:
+        return (
+            reach <= self.reach
+            and len(halfspaces) == len(self.halfspaces)
+            and all(map(is_, halfspaces, self.halfspaces))
+        )
+
+    def keys(self, weights: list[int]):
+        """The keys of the images under the M with m_j = ``weights[j]``."""
+        acc = self.fixed
+        for column, m in zip(self.columns, weights):
+            acc += column * m
+        width = self.width
+        data = acc.to_bytes(width * len(self.halfspaces), byteorder)
+        if width == 8:
+            return memoryview(data).cast("Q")
+        return [data[k : k + width] for k in range(0, len(data), width)]
+
+
 def aut_action_on_halfspaces(
     building: BuildingSet,
     weyl: WeylGroup,
@@ -306,15 +371,14 @@ def aut_action_on_halfspaces(
     Raises BuildingNotInvariant unless gamma is a diagram automorphism that
     validation recorded as preserving the building set.  w gamma is
     unimodular, so each primitive integer normal maps to the primitive
-    normal of its image, looked up exactly; with the bound and injectivity
-    checks, a return proves the inequality set maps onto itself.
+    normal of its image, looked up exactly with its bound's value class;
+    with the injectivity check, a return proves the inequality set maps
+    onto itself.
 
-    The images are made column by column: row i of the image normals is
-    the sum of M_ij times column j of the listed normals, one lazy pass per
-    nonzero entry of M = w gamma, consumed as the image tuples are looked
-    up.  Bounds are compared by exact value class: each distinct ``bound``
-    object is hashed once (the orbit walk shares one per fundamental
-    inequality), and each inequality's class must equal its image's.
+    The list is prepared once (``_PackedKeys``) and kept on the building
+    set while the same inequality objects are passed and its keys are wide
+    enough for w gamma; a call then makes every image key with n big-integer
+    multiply-adds and looks each one up.
     """
     gamma_rows = tuple(tuple(row) for row in gamma_matrix)
     if all(a.matrix != gamma_rows for a in building.preserved_diagram_automorphisms):
@@ -323,34 +387,23 @@ def aut_action_on_halfspaces(
         )
     if not halfspaces:
         return ()
-    matrix = mat_mul(weyl.elements[w_id], gamma_rows)
-    prims, bounds = zip(*map(attrgetter("prim", "bound"), halfspaces))
-    h = len(prims)
-    position = dict(zip(prims, range(h)))
-    columns = list(zip(*prims))
-    rows = []
-    for row in matrix:
-        acc = None
-        for m, col in zip(row, columns):
-            if m == 0:
-                continue
-            if acc is not None and m == -1:
-                acc = map(sub, acc, col)
-                continue
-            if m != 1:
-                col = map(mul, col, repeat(m))
-            acc = col if acc is None else map(add, acc, col)
-        rows.append(acc)  # w gamma is invertible: no row is zero
-    perm = list(map(position.get, zip(*rows)))
-    ids = list(map(id, bounds))
-    by_object = dict(zip(ids, bounds))
-    classes = {}
-    class_of = {k: classes.setdefault(v, len(classes)) for k, v in by_object.items()}
-    bound_class = list(map(class_of.__getitem__, ids))
-    if None in perm or list(map(bound_class.__getitem__, perm)) != bound_class:
+    w_rows = weyl.elements[w_id]
+    # the row sums of w gamma are at most those of w times those of gamma
+    reach = max(sum(map(abs, row)) for row in w_rows) * max(
+        sum(map(abs, row)) for row in gamma_rows
+    )
+    packed = building.action_keys
+    if packed is None or not packed.serves(halfspaces, reach):
+        packed = building.action_keys = _PackedKeys(halfspaces, reach)
+    # m_j = sum_k powers_k (w gamma)_kj, with powers times w made first
+    u = [sum(map(mul, packed.powers, col)) for col in zip(*w_rows)]
+    weights = [sum(map(mul, u, col)) for col in zip(*gamma_rows)]
+    try:
+        perm = tuple(map(packed.position.__getitem__, packed.keys(weights)))
+    except KeyError:
         raise VerificationFailed(
             "symmetry image of a defining inequality is not a defining inequality"
-        )
-    if len(set(perm)) != h:
+        ) from None
+    if not packed.distinct:
         raise VerificationFailed("symmetry action on inequalities is not injective")
-    return tuple(perm)
+    return perm

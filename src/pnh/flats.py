@@ -233,6 +233,9 @@ class BuildingSet:
         self.parent_root_of: tuple[int, ...] | None = None
         self.sub_index_of: dict[int, int] | None = None
         self.parent_flat: Flat | None = None
+        # the inequality list last acted on, as faces.aut_action_on_halfspaces
+        # prepared it
+        self.action_keys = None
 
     def __contains__(self, flat: Flat) -> bool:
         return flat in self.flats

@@ -115,9 +115,11 @@ class WeylGroup:
 
         self._inverse: list[int | None] = [None] * self.order
         self._root_perm: list[tuple[int, ...] | None] = [None] * self.order
-        # per element a and index i, a·ω̂_i as its number in the orbit of ω̂_i;
-        # made by the first _standard_parabolic call
+        # per element a and index i, a·ω̂_i as its number in the orbit of ω̂_i,
+        # and per element its place in the lexicographic order of the
+        # matrices; both made by the first _standard_parabolic call
         self._weight_images: list[tuple[int, ...]] | None = None
+        self._lex_rank: list[int] | None = None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -175,7 +177,8 @@ class Subgroup:
     coset number of each element, numbered by first appearance in id order
     (the identity's coset is 0); ``cosets`` holds each coset's member ids
     ascending, and ``reps`` its member with the lexicographically least
-    matrix.
+    matrix, found by each element's place in one sort of the matrices made
+    per group.
     """
 
     mask: int
@@ -208,6 +211,10 @@ def _standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
             ])
             for m in weyl.elements
         ]
+        weyl._lex_rank = [0] * weyl.order
+        by_matrix = sorted(range(weyl.order), key=weyl.elements.__getitem__)
+        for place, a in enumerate(by_matrix):
+            weyl._lex_rank[a] = place
     kept = [i for i in range(weyl.rs.rank) if not mask >> i & 1]
     # with one kept index, itemgetter gives the number itself, not a 1-tuple
     keys = map(itemgetter(*kept), images) if kept else [()] * weyl.order
@@ -216,7 +223,7 @@ def _standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
     cosets: list[list[int]] = [[] for _ in number]
     for a, c in enumerate(coset):
         cosets[c].append(a)
-    reps = tuple(min(ids, key=weyl.elements.__getitem__) for ids in cosets)
+    reps = tuple(min(ids, key=weyl._lex_rank.__getitem__) for ids in cosets)
     return Subgroup(mask, tuple(coset), tuple(map(tuple, cosets)), reps)
 
 

@@ -1,7 +1,13 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
+from itertools import repeat
+from math import gcd
+from operator import add, attrgetter, is_, mul, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnh.errors import BuildingNotInvariant, NotCrossingFacet, VerificationFailed
 from pnh.faces import (
@@ -12,7 +18,8 @@ from pnh.faces import (
     support_halfspaces,
 )
 from pnh.flats import interval_building_set, simple_index_set
-from pnh.linalg import mat_mul, mat_vec, primitive_vector
+from pnh.halfspaces import HalfSpace
+from pnh.linalg import int_mat_vec, mat_mul, mat_vec, primitive_vector
 from pnh.model import Permutonestohedron
 from pnh.roots import diagram_automorphisms
 
@@ -226,13 +233,68 @@ def _fraction_key_action(building, weyl, halfspaces, w_id, gamma):
     )
 
 
+def _column_sum_action(building, weyl, halfspaces, w_id, gamma_matrix):
+    """The symmetry action by integer column sums: the images of all normals
+    made one pass over the listed normals per nonzero entry of w gamma,
+    looked up by normal, with each bound's value class compared after."""
+    gamma_rows = tuple(tuple(row) for row in gamma_matrix)
+    if all(a.matrix != gamma_rows for a in building.preserved_diagram_automorphisms):
+        raise BuildingNotInvariant(
+            "gamma is not a diagram automorphism preserving the building set"
+        )
+    if not halfspaces:
+        return ()
+    matrix = mat_mul(weyl.elements[w_id], gamma_rows)
+    prims, bounds = zip(*map(attrgetter("prim", "bound"), halfspaces))
+    h = len(prims)
+    position = dict(zip(prims, range(h)))
+    columns = list(zip(*prims))
+    rows = []
+    for row in matrix:
+        acc = None
+        for m, col in zip(row, columns):
+            if m == 0:
+                continue
+            if acc is not None and m == -1:
+                acc = map(sub, acc, col)
+                continue
+            if m != 1:
+                col = map(mul, col, repeat(m))
+            acc = col if acc is None else map(add, acc, col)
+        rows.append(acc)  # w gamma is invertible: no row is zero
+    perm = list(map(position.get, zip(*rows)))
+    ids = list(map(id, bounds))
+    by_object = dict(zip(ids, bounds))
+    classes = {}
+    class_of = {k: classes.setdefault(v, len(classes)) for k, v in by_object.items()}
+    bound_class = list(map(class_of.__getitem__, ids))
+    if None in perm or list(map(bound_class.__getitem__, perm)) != bound_class:
+        raise VerificationFailed(
+            "symmetry image of a defining inequality is not a defining inequality"
+        )
+    if len(set(perm)) != h:
+        raise VerificationFailed("symmetry action on inequalities is not injective")
+    return tuple(perm)
+
+
 def test_aut_action_equals_fraction_key_algorithm(a2, a3_min, a3_max, b3_max):
     a2xb2 = make_model("A2xB2", "minimal")
     for model in (a2, a3_min, a3_max, b3_max, a2xb2):
         for gamma in diagram_automorphisms(model.rs):
             for w in range(model.weyl.order):
                 args = (model.building, model.weyl, model.halfspaces, w, gamma.matrix)
-                assert aut_action_on_halfspaces(*args) == _fraction_key_action(*args)
+                got = aut_action_on_halfspaces(*args)
+                assert got == _fraction_key_action(*args)
+                assert got == _column_sum_action(*args)
+
+
+def test_aut_action_equals_column_sums_on_every_d4_pair(d4_min):
+    autos = diagram_automorphisms(d4_min.rs)
+    pairs = [(w, g) for g in autos for w in range(d4_min.weyl.order)]
+    assert len(pairs) == 1152
+    for w, gamma in pairs:
+        args = (d4_min.building, d4_min.weyl, d4_min.halfspaces, w, gamma.matrix)
+        assert aut_action_on_halfspaces(*args) == _column_sum_action(*args)
 
 
 def test_aut_action_equals_fraction_key_algorithm_on_d4(d4_min):
@@ -301,3 +363,161 @@ def test_aut_action_rejects_a_non_diagram_symmetry(a3_min):
         aut_action_on_halfspaces(
             a3_min.building, weyl, a3_min.halfspaces, weyl.identity_id, reflection
         )
+
+
+def test_aut_action_keeps_a_normal_listed_with_two_bounds_apart(a3_min):
+    # (x, p) <= b and (x, p) <= b + 1 are two inequalities, and the identity
+    # maps the list onto itself, as the Fraction reference finds; the column
+    # sums looked normals up without their bounds and refused it
+    first = a3_min.halfspaces[0]
+    halfspaces = list(a3_min.halfspaces) + [replace(first, bound=first.bound + 1)]
+    (ident,) = [
+        a.matrix for a in a3_min.building.preserved_diagram_automorphisms
+        if a.perm == (0, 1, 2)
+    ]
+    args = (a3_min.building, a3_min.weyl, halfspaces, a3_min.weyl.identity_id, ident)
+    assert aut_action_on_halfspaces(*args) == tuple(range(len(halfspaces)))
+    assert aut_action_on_halfspaces(*args) == _fraction_key_action(*args)
+    with pytest.raises(VerificationFailed, match="is not a defining inequality"):
+        _column_sum_action(*args)
+
+
+def test_aut_action_refuses_a_list_mutated_in_place(a3_min):
+    s0, ident, i = _moved_by_a_reflection(a3_min)
+    halfspaces = list(a3_min.halfspaces)
+    args = (a3_min.building, a3_min.weyl, halfspaces, s0, ident)
+    assert aut_action_on_halfspaces(*args) == _fraction_key_action(*args)
+    halfspaces[i] = replace(halfspaces[i], bound=halfspaces[i].bound + 1)
+    with pytest.raises(VerificationFailed, match="is not a defining inequality"):
+        aut_action_on_halfspaces(*args)
+
+
+def test_aut_action_alternating_lists_give_their_own_permutations(a3_min, a3_max):
+    # the two lists list the same normals in the same order and differ in
+    # 50 bounds; the reversed list holds A3 maximal's objects in another order
+    lists = [
+        (a3_min, a3_min.halfspaces),
+        (a3_max, a3_max.halfspaces),
+        (a3_max, a3_max.halfspaces[::-1]),
+    ]
+    assert len({len(hs) for _, hs in lists}) == 1
+    flip = next(
+        a.matrix for a in a3_min.building.preserved_diagram_automorphisms
+        if a.perm != (0, 1, 2)
+    )
+    weyl = a3_min.weyl
+    for w in (weyl.identity_id, *weyl.generator_ids, weyl.order - 1):
+        for model, halfspaces in lists + lists[::-1]:
+            expected = _fraction_key_action(
+                model.building, weyl, halfspaces, w, flip
+            )
+            # on its own building set, and on one building set shared by all
+            for building in (model.building, a3_min.building):
+                got = aut_action_on_halfspaces(building, weyl, halfspaces, w, flip)
+                assert got == expected
+                assert all(map(is_, building.action_keys.halfspaces, halfspaces))
+
+
+def test_aut_action_accepts_the_original_after_a_tampered_copy(a3_min):
+    s0, ident, i = _moved_by_a_reflection(a3_min)
+    args = (a3_min.building, a3_min.weyl, a3_min.halfspaces, s0, ident)
+    expected = aut_action_on_halfspaces(*args)
+    tampered = list(a3_min.halfspaces)
+    tampered[i] = replace(tampered[i], bound=tampered[i].bound + 1)
+    with pytest.raises(VerificationFailed, match="is not a defining inequality"):
+        aut_action_on_halfspaces(a3_min.building, a3_min.weyl, tampered, s0, ident)
+    assert aut_action_on_halfspaces(*args) == expected
+
+
+def test_aut_action_stays_exact_for_larger_row_sums(b3_max):
+    weyl = b3_max.weyl
+    (ident,) = b3_max.building.preserved_diagram_automorphisms
+    w = next(
+        w for w in range(weyl.order)
+        if any(abs(x) == 2 for row in weyl.elements[w] for x in row)
+    )
+    for w_id in (weyl.identity_id, w):
+        args = (b3_max.building, weyl, b3_max.halfspaces, w_id, ident.matrix)
+        assert aut_action_on_halfspaces(*args) == _fraction_key_action(*args)
+
+
+def _wide_orbit(model):
+    """The W-orbit of a primitive normal with coordinates above 2^40, all
+    sharing one bound: keys wider than 64 bits."""
+    prim = (2**41 + 1, 2**40 + 3)
+    assert gcd(*prim) == 1
+    bound, ratio, flat = Fraction(7, 3), Fraction(1), model.halfspaces[0].flat
+    orbit = {}
+    for a, m in enumerate(model.weyl.elements):
+        orbit.setdefault(int_mat_vec(m, prim), a)
+    assert len(orbit) == model.weyl.order
+    return [HalfSpace(p, bound, ratio, "chamber", flat, a) for p, a in orbit.items()]
+
+
+def test_aut_action_on_keys_wider_than_64_bits():
+    model = make_model("A2", "minimal")
+    building, weyl = model.building, model.weyl
+    halfspaces = _wide_orbit(model)
+    (ident,) = [
+        a.matrix for a in building.preserved_diagram_automorphisms if a.perm == (0, 1)
+    ]
+    # the identity first, then elements whose rows sum to 2 and more
+    for w in range(weyl.order):
+        args = (building, weyl, halfspaces, w, ident)
+        got = aut_action_on_halfspaces(*args)
+        assert building.action_keys.width > 8
+        assert got == _fraction_key_action(*args) == _column_sum_action(*args)
+    assert building.action_keys.reach >= 2
+    s0 = weyl.generator_ids[0]
+    with pytest.raises(VerificationFailed, match="is not a defining inequality"):
+        aut_action_on_halfspaces(building, weyl, halfspaces[1:], s0, ident)
+
+
+def _oracle_or_refusal(args):
+    """``_fraction_key_action``'s tuple, or None where it finds no image or
+    its images are not a permutation."""
+    try:
+        perm = _fraction_key_action(*args)
+    except KeyError:
+        return None
+    return perm if sorted(perm) == list(range(len(args[2]))) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["a3_min", "b3_max"]), st.data())
+def test_aut_action_on_tampered_lists_agrees_with_the_fraction_oracle(
+    request, name, data
+):
+    model = request.getfixturevalue(name)
+    halfspaces = list(model.halfspaces)
+    h = len(halfspaces)
+    i = data.draw(st.integers(0, h - 1))
+    tamper = data.draw(
+        st.sampled_from(["shift", "perturb", "drop", "duplicate", "swap"])
+    )
+    if tamper == "shift":
+        delta = data.draw(st.sampled_from([-1, 1, Fraction(1, 2)]))
+        halfspaces[i] = replace(halfspaces[i], bound=halfspaces[i].bound + delta)
+    elif tamper == "perturb":
+        k = data.draw(st.integers(0, model.rs.rank - 1))
+        delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        prim = list(halfspaces[i].prim)
+        prim[k] += delta
+        # a HalfSpace's normal is primitive
+        g = gcd(*prim) or 1
+        halfspaces[i] = replace(halfspaces[i], prim=tuple(x // g for x in prim))
+    elif tamper == "drop":
+        del halfspaces[i]
+    elif tamper == "duplicate":
+        halfspaces.insert(data.draw(st.integers(0, h)), halfspaces[i])
+    else:
+        j = data.draw(st.integers(0, h - 1))
+        halfspaces[i], halfspaces[j] = halfspaces[j], halfspaces[i]
+    w = data.draw(st.integers(0, model.weyl.order - 1))
+    gamma = data.draw(st.sampled_from(model.building.preserved_diagram_automorphisms))
+    args = (model.building, model.weyl, halfspaces, w, gamma.matrix)
+    try:
+        got = aut_action_on_halfspaces(*args)
+    except VerificationFailed:
+        got = None
+    assert got == _oracle_or_refusal(args)

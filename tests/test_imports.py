@@ -1,8 +1,13 @@
 """``pnh`` has no runtime dependencies: every import in ``src/pnh`` is of
 the standard library or of ``pnh`` itself (``numpy`` and ``sympy`` may be
-installed alongside, but the package must not reach for them)."""
+installed alongside, but the package must not reach for them).  Importing
+the CLI loads no standard-library extension module beyond a fixed few:
+each one is a shared library whose load raises the process's memory and
+start-up time."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,3 +34,25 @@ def test_every_import_is_stdlib_or_pnh():
         if name != "pnh" and name not in sys.stdlib_module_names
     ]
     assert not outside
+
+
+# what ``import pnh.cli`` loads today, by way of fractions, json, dataclasses
+# and typing
+CLI_EXTENSIONS = {"_decimal", "_json", "_opcode", "_typing", "math"}
+
+
+def test_cli_import_loads_no_other_extension_module():
+    code = (
+        "import sys, pnh.cli\n"
+        "from importlib.machinery import EXTENSION_SUFFIXES\n"
+        "for name, m in sorted(sys.modules.items()):\n"
+        "    if str(getattr(m, '__file__', '')).endswith(tuple(EXTENSION_SUFFIXES)):\n"
+        "        print(name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    loaded = set(out.split())
+    assert loaded <= CLI_EXTENSIONS, sorted(loaded - CLI_EXTENSIONS)
