@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import is_, mul
 from sys import byteorder
+from typing import Iterator
 
 from .errors import (
     BuildingNotInvariant,
@@ -78,35 +79,31 @@ class FaceContext:
         return self.building.rs.rank - len(face.nested) + len(face.labels)
 
 
-def enumerate_faces(
-    ctx: FaceContext, dims: set[int] | None = None
-) -> list[FacePair]:
-    """All faces, deterministically ordered; optionally filtered by dimension."""
-    out = []
+def face_types(ctx: FaceContext) -> Iterator[tuple[NestedSet, tuple[Flat, ...], int]]:
+    """Each face type (S, L, dimension), in listing order: nested sets in
+    enumeration order, then label sets by size and combination order."""
     n = ctx.building.rs.rank
     for s in ctx.nested_sets:
         minimal = s.minimal_elements()
         for size in range(len(minimal) + 1):
             for labels in combinations(minimal, size):
-                dim = n - len(s) + len(labels)
-                if dims is not None and dim not in dims:
-                    continue
-                sub = ctx.label_subgroup(labels)
-                for rep in left_cosets(ctx.weyl, sub):
-                    out.append(FacePair(rep, s, labels))
-    return out
+                yield s, labels, n - len(s) + size
+
+
+def enumerate_faces(ctx: FaceContext) -> list[FacePair]:
+    """All faces, deterministically ordered: each type's cosets in turn."""
+    return [
+        FacePair(rep, s, labels)
+        for s, labels, _ in face_types(ctx)
+        for rep in left_cosets(ctx.weyl, ctx.label_subgroup(labels))
+    ]
 
 
 def f_vector(ctx: FaceContext) -> tuple[int, ...]:
     """Face counts by dimension, via coset indices (no enumeration)."""
-    n = ctx.building.rs.rank
-    counts = [0] * (n + 1)
-    for s in ctx.nested_sets:
-        minimal = s.minimal_elements()
-        for size in range(len(minimal) + 1):
-            for labels in combinations(minimal, size):
-                dim = n - len(s) + size
-                counts[dim] += ctx.weyl.order // ctx.label_subgroup(labels).order
+    counts = [0] * (ctx.building.rs.rank + 1)
+    for _, labels, dim in face_types(ctx):
+        counts[dim] += ctx.weyl.order // ctx.label_subgroup(labels).order
     return tuple(counts)
 
 

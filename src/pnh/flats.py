@@ -33,7 +33,7 @@ from .errors import (
     TooManyFlats,
     VerificationFailed,
 )
-from .linalg import Echelon, Vec, int_mat_vec, solve_columns, vsub
+from .linalg import Echelon, Vec, int_mat_vec, mat_vec, solve_columns, vdot, vsub
 from .roots import RootSystem, diagram_automorphisms
 
 DEFAULT_FLAT_CAP = 2**20
@@ -164,11 +164,13 @@ def simple_index_set(rs: RootSystem, flat: Flat) -> int | None:
 
 @dataclass(frozen=True)
 class FlatData:
-    """Half-sum of the roots of a flat and the complementary part of delta."""
+    """Half-sum of the roots of a flat and the complementary part of delta,
+    with Gram times delta_perp: (x, delta_perp) = dot(gram_delta_perp, x)."""
 
     flat: Flat
     pi: Vec
     delta_perp: Vec
+    gram_delta_perp: Vec
 
 
 def flat_data(rs: RootSystem, flat: Flat, building=None) -> FlatData:
@@ -186,17 +188,18 @@ def flat_data(rs: RootSystem, flat: Flat, building=None) -> FlatData:
         for c in range(n)
     )
     if flat.dim == n:
-        data = FlatData(flat, pi, pi)
         if pi != rs.delta:
             raise VerificationFailed("half-sum over the whole space is not delta")
-        return data
+        return FlatData(flat, pi, pi, mat_vec(rs.gram, pi))
     dperp = vsub(rs.delta, pi)
+    row = mat_vec(rs.gram, dperp)
     for i in flat.indices():
-        if rs.inner(dperp, rs.positive_roots[i]) != 0:
+        if vdot(row, rs.positive_roots[i]) != 0:
             raise VerificationFailed(
                 f"delta_perp not orthogonal to flat {flat.describe(rs)}"
             )
-    coeffs = rs.omega_coefficients(dperp)
+    # omega_coefficients, read off the row: 2 (dperp, alpha_s) / (alpha_s, alpha_s)
+    coeffs = [2 * row[s] / rs.gram[s][s] for s in range(n)]
     simple_mask = simple_index_set(rs, flat)
     if simple_mask is not None:
         for s in range(n):
@@ -207,7 +210,7 @@ def flat_data(rs: RootSystem, flat: Flat, building=None) -> FlatData:
                 raise VerificationFailed(
                     "delta_perp weight-coefficient below 1 off the flat"
                 )
-    return FlatData(flat, pi, dperp)
+    return FlatData(flat, pi, dperp, row)
 
 
 class BuildingSet:

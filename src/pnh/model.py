@@ -21,6 +21,7 @@ from .faces import (
     crossing_facet_parts,
     enumerate_faces,
     f_vector,
+    face_types,
     face_vertices,
     face_vertices_geometric,
     is_face_leq,
@@ -168,11 +169,7 @@ class Permutonestohedron:
 
     # -- verification -----------------------------------------------------
 
-    def verify(
-        self,
-        level: str = "fast",
-        raise_on_failure: bool = False,
-    ) -> list[CheckReport]:
+    def verify(self, level: str = "fast") -> list[CheckReport]:
         """Run the verification battery.
 
         'fast' runs the chamber-side, counting and simplicity checks; 'full'
@@ -181,8 +178,10 @@ class Permutonestohedron:
         incidence and faces are decided on the base vertices by the orbit
         argument, after re-deriving the facts it rests on (see
         ``pnh.polytope``); at both levels, pairs those facts do not cover
-        are evaluated one by one.
+        are evaluated one by one.  Any other level raises ValueError.
         """
+        if level not in ("fast", "full"):
+            raise ValueError(f"verify level must be 'fast' or 'full', not {level!r}")
         reports: list[CheckReport] = []
 
         growth = check_increasing(
@@ -261,9 +260,7 @@ class Permutonestohedron:
         )
 
         if level == "full":
-            reports.append(
-                nestohedron_check(self.building, self.suitable, raise_on_failure=False)
-            )
+            reports.append(nestohedron_check(self.building, self.suitable))
             reports.append(
                 verify_hrep_vrep(
                     self.building,
@@ -275,11 +272,6 @@ class Permutonestohedron:
                 )
             )
             reports.append(self._face_vertex_report())
-
-        if raise_on_failure:
-            bad = [r for r in reports if not r.passed]
-            if bad:
-                raise VerificationFailed(bad[0].line(), report=bad[0])
         return reports
 
     def _formula_report(self) -> CheckReport:
@@ -303,9 +295,10 @@ class Permutonestohedron:
 
         With the orbit facts re-derived, the faces of a type (S, L) are the
         W-images of its face in W_L's identity coset, as pairs and as
-        geometry alike, so that face is checked for all of them; its
-        supporting hyperplanes are fundamental inequalities.  Otherwise, or
-        when one of those fails, every face is checked.
+        geometry alike, so that face, made directly from the type, is
+        checked for all of them; its supporting hyperplanes are fundamental
+        inequalities.  Otherwise, or when one of those fails, every face is
+        listed and checked.
         """
         incidence = self.incidence
         _, suspects = incidence.orbit_facts(self.halfspaces, self.subgroups_by_flat())
@@ -315,14 +308,15 @@ class Permutonestohedron:
             suspects
             or incidence.strays
             or self._face_failures(
-                f for f in self.faces if label_subgroup(f.labels).coset[f.rep] == 0
+                FacePair(label_subgroup(labels).reps[0], s, labels)
+                for s, labels, _ in face_types(self.face_ctx)
             )
         ):
             failures = self._face_failures(self.faces)
         return CheckReport(
             "face vertices vs supporting hyperplanes",
             not failures,
-            len(self.faces),
+            sum(self.f_vector),
             tuple(failures[:10]),
         )
 

@@ -43,17 +43,10 @@ from itertools import combinations, repeat
 from math import lcm
 from operator import add, mul
 
-from .errors import EmptyFacet, NotInChamber, VerificationFailed
+from .errors import EmptyFacet, NotInChamber, SingularSystem, VerificationFailed
 from .flats import BuildingSet, Flat, iter_bits, simple_index_set
 from .halfspaces import HalfSpace, HalfSpaceIndex, SuitableList, index_halfspaces
-from .linalg import (
-    Vec,
-    int_mat_vec,
-    mat_mul,
-    mat_vec,
-    rank,
-    solve_linear_system,
-)
+from .linalg import Vec, int_mat_vec, mat_mul, mat_vec, solve_linear_system, vdot
 from .nested import NestedSet, enumerate_maximal_nested_sets
 from .weyl import Subgroup, WeylGroup, subgroup_product
 
@@ -88,24 +81,31 @@ def vertex(
     Raises NotInChamber when the solution violates a strict chamber
     inequality (which signals an unsuitable eps list, not a bug here).
     """
-    n = rs.rank
-    if len(nested) != n:
+    if len(nested) != rs.rank:
         raise ValueError("vertex requires a maximal nested set")
-    data = building.fund_data
-    rows = [mat_vec(rs.gram, rs.delta)]
-    rhs = [suitable.a]
-    for f in nested:
-        if f.dim == n:
-            continue
-        rows.append(mat_vec(rs.gram, data[f].delta_perp))
-        rhs.append(suitable.a - suitable.for_dim(f.dim))
-    point = solve_linear_system(tuple(rows), tuple(rhs))
-    gx = mat_vec(rs.gram, point)
+    proper = tuple(f for f in nested if f != building.V)
+    point, gx = _chamber_solve(building, suitable, proper)
     if any(c <= 0 for c in gx):
         raise NotInChamber(
             f"vertex for {tuple(f.dim for f in nested)} leaves the open chamber"
         )
     return point
+
+
+def _chamber_solve(
+    building: BuildingSet, suitable: SuitableList, members: tuple[Flat, ...]
+) -> tuple[Vec, Vec]:
+    """(x, Gram x) for the x with (x, delta) = a and (x, delta_perp_A) =
+    a - eps_{dim A} for each A in ``members``, each row read from
+    ``fund_data``.  Raises SingularSystem unless the equations fix one x."""
+    data = building.fund_data
+    rows = [data[building.V].gram_delta_perp]
+    rhs = [suitable.a]
+    for f in members:
+        rows.append(data[f].gram_delta_perp)
+        rhs.append(suitable.a - suitable.for_dim(f.dim))
+    point = solve_linear_system(tuple(rows), tuple(rhs))
+    return point, mat_vec(building.rs.gram, point)
 
 
 def all_vertices(
@@ -150,8 +150,8 @@ class Incidence:
     """Exact vertex-on-hyperplane incidence in integer arithmetic.
 
     The vertices are read as ``VRep`` stores them, integers over one
-    ``scale``, and the Gram matrix is scaled by the lcm of its own
-    denominators.  A hyperplane (x, prim) = bound, as ``HalfSpace`` stores
+    ``scale``, and the Gram matrix as the root system stores it, ``int_gram``
+    over ``gram_scale``.  A hyperplane (x, prim) = bound, as ``HalfSpace`` stores
     it, becomes dot(row, point) == bound over one denominator, with the row
     the integer Gram matrix times the primitive normal (``row``); a larger
     dot product means the vertex violates the inequality.  A scan of a plane
@@ -169,9 +169,8 @@ class Incidence:
         # kept by coordinate, so scanning a plane is a few C-level passes
         self.columns = tuple(zip(*vrep.vertices))
         self.base_columns = tuple(c[: self.base] for c in self.columns)
-        g = lcm(*(c.denominator for row in rs.gram for c in row))
-        self.gram = tuple(tuple(int(c * g) for c in row) for row in rs.gram)
-        self.unit = g * vrep.scale
+        self.gram = rs.int_gram
+        self.unit = rs.gram_scale * vrep.scale
         self._scans: dict[tuple, tuple[int, bool]] = {}
 
     def row(self, hs: HalfSpace) -> tuple[tuple[int, ...], int, int]:
@@ -383,17 +382,14 @@ def verify_hrep_vrep(
     return report
 
 
-def nestohedron_check(
-    building: BuildingSet,
-    suitable: SuitableList,
-    raise_on_failure: bool = True,
-) -> CheckReport:
+def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckReport:
     """Chamber-side characterisation of the nestohedron vertices.
 
     (a) every maximal nested set's vertex satisfies the strict chamber
     inequalities and (c) is strictly inside every member inequality it is
     not tight on; (b) every size-n independent non-nested family is cut
-    off strictly by a predicted inequality.
+    off strictly by a predicted inequality.  A family is independent when
+    its equations fix one point (``_chamber_solve``).
     """
     rs = building.rs
     n = rs.rank
@@ -408,7 +404,7 @@ def nestohedron_check(
         point = vertex(rs, s, suitable, building)
         for f in proper:
             checked += 1
-            value = rs.inner(point, data[f].delta_perp)
+            value = vdot(data[f].gram_delta_perp, point)
             bound = suitable.a - suitable.for_dim(f.dim)
             if f in s:
                 if value != bound:
@@ -423,23 +419,17 @@ def nestohedron_check(
         family = NestedSet(tuple(sorted(combo)) + (building.V,))
         if family in nested_ok:
             continue
-        dperps = [data[f].delta_perp for f in combo] + [rs.delta]
-        if rank(dperps) < n:
+        try:
+            point, gx = _chamber_solve(building, suitable, combo)
+        except SingularSystem:
             continue
         checked += 1
-        rows = [mat_vec(rs.gram, rs.delta)]
-        rhs = [suitable.a]
-        for f in combo:
-            rows.append(mat_vec(rs.gram, data[f].delta_perp))
-            rhs.append(suitable.a - suitable.for_dim(f.dim))
-        point = solve_linear_system(tuple(rows), tuple(rhs))
-        gx = mat_vec(rs.gram, point)
         if any(c <= 0 for c in gx):
             # left the open chamber: the crossed wall's line inequality must
             # exclude the point strictly
             i = next(i for i, c in enumerate(gx) if c <= 0)
             line = building.fund_flat_for_indices(1 << i)
-            value = rs.inner(point, data[line].delta_perp)
+            value = vdot(data[line].gram_delta_perp, point)
             if value <= suitable.a - suitable.for_dim(1):
                 failures.append(
                     f"chamber-violating point of {family} not excluded by the "
@@ -454,7 +444,7 @@ def nestohedron_check(
                 f"dims {tuple(f.dim for f in combo)}"
             )
             continue
-        value = rs.inner(point, data[witness].delta_perp)
+        value = vdot(data[witness].gram_delta_perp, point)
         if value <= suitable.a - suitable.for_dim(witness.dim):
             failures.append(
                 f"point of non-nested family (dims "
@@ -462,10 +452,9 @@ def nestohedron_check(
                 f"{witness.describe(rs)}"
             )
 
-    report = CheckReport("nestohedron vertex characterisation", not failures, checked, tuple(failures))
-    if failures and raise_on_failure:
-        raise VerificationFailed(report.line(), report=report)
-    return report
+    return CheckReport(
+        "nestohedron vertex characterisation", not failures, checked, tuple(failures)
+    )
 
 
 def _sum_witnesses(building: BuildingSet, family: NestedSet) -> list[Flat]:

@@ -114,6 +114,11 @@ class RootSystem:
 
     def __init__(self, gram: Mat, components: tuple[tuple[str, int], ...] | None):
         self.gram: Mat = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        # the Gram matrix scaled to integers: int_gram = gram_scale * gram
+        self.gram_scale = math.lcm(*(x.denominator for row in self.gram for x in row))
+        self.int_gram = tuple(
+            tuple(int(x * self.gram_scale) for x in row) for row in self.gram
+        )
         self.components = components
         self.rank = len(gram)
         self.cartan = self._cartan()
@@ -214,10 +219,7 @@ class RootSystem:
     def _non_orthogonal_masks(self):
         """For each positive root, the bitmask of the positive roots with a
         nonzero inner product with it (itself included)."""
-        # the Gram matrix scaled to integers: only zero tests are made
-        den = math.lcm(*(x.denominator for row in self.gram for x in row))
-        igram = [[int(x * den) for x in row] for row in self.gram]
-        images = [int_mat_vec(igram, r) for r in self.positive_roots]
+        images = [int_mat_vec(self.int_gram, r) for r in self.positive_roots]
         masks = []
         for gx in images:
             mask = 0
@@ -255,8 +257,10 @@ class RootSystem:
                 raise UnsupportedType(
                     f"positive root count {len(self.positive_roots)} != {expected}"
                 )
-            lengths = {self.norm_sq(r) for r in self.positive_roots}
-            if not lengths <= {Fraction(2), Fraction(4)} or Fraction(2) not in lengths:
+            g, roots = self.gram_scale, self.positive_roots
+            scaled = [vdot(int_mat_vec(self.int_gram, r), r) for r in roots]
+            if not {2 * g} <= set(scaled) <= {2 * g, 4 * g}:
+                lengths = {Fraction(x, g) for x in scaled}
                 raise UnsupportedType(f"unexpected root lengths {lengths}")
         for i in range(n):
             coeffs = self.omega_coefficients(self.weights[i])

@@ -50,12 +50,30 @@ def test_verify_full_counts_every_pair(tmp_path):
     assert not [line for line in lines if line.startswith("FAIL")]
 
 
-def test_verify_full_output_is_byte_identical(tmp_path):
-    out = tmp_path / "a4.txt"
-    assert run(["verify", "--level", "full", "--type", "A4",
-                "--building", "minimal", "--output", str(out)]) == 0
+# the digests pin the nestohedron check counts too: 188, 30, 45, 52, 249, 190
+_VERIFY_FULL_DIGESTS = {
+    ("A4", "minimal"):
+        "e4cf359474b6c731f75ad210a9681caebdc0971acc6c2c21463c586283f1c080",
+    ("A3", "minimal"):
+        "3881fbe1d83100e42b4a501678ec619f01905fce7838e2f76c6ff02fc1192b5b",
+    ("B3", "maximal"):
+        "5aee808c0ea879c743c0960f4e12a81a6eb85f328731ac4d5529efc461d86dce",
+    ("A2xB2", "minimal"):
+        "4c3fe44257e5f048c0587dfba6d7eef5ce7c0cb98ce4f7076023c4cbd81be8a7",
+    ("D4", "minimal"):
+        "212ee5a33776ca99a4f81043b3f1a5c62b2179077a1d0102307bcccd6a2c11c1",
+    ("B4", "minimal"):
+        "6f41ea3711917d5a42f62a0db2d47f85996075de09ae1c1fb645c2419e46bc65",
+}
+
+
+@pytest.mark.parametrize("spec, building", list(_VERIFY_FULL_DIGESTS))
+def test_verify_full_output_is_byte_identical(spec, building, tmp_path):
+    out = tmp_path / "full.txt"
+    assert run(["verify", "--level", "full", "--type", spec,
+                "--building", building, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "e4cf359474b6c731f75ad210a9681caebdc0971acc6c2c21463c586283f1c080"
+        _VERIFY_FULL_DIGESTS[spec, building]
     )
 
 

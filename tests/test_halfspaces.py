@@ -18,11 +18,14 @@ from pnh.halfspaces import (
     suitable_list,
     verify_epsilon_lemma,
 )
+from pnh.linalg import mat_vec
 from pnh.roots import build_root_system
 from pnh.weyl import parabolic_subgroup
 
 
-def test_flat_data_a2():
+def test_flat_data_a2(
+    a2, b2, a3_min, a3_max, a4_min, b3_min, b3_max, a13_min, d4_min
+):
     rs = build_root_system("A2")
     b = build_minimal(rs)
     line = flat_closure(rs, [0])
@@ -34,6 +37,10 @@ def test_flat_data_a2():
     v = full_flat(rs)
     vd = flat_data(rs, v, b)
     assert vd.pi == rs.delta == vd.delta_perp
+    # the stored row is Gram times delta_perp, for every fundamental member
+    for model in (a2, b2, a3_min, a3_max, a4_min, b3_min, b3_max, a13_min, d4_min):
+        for data in model.building.fund_data.values():
+            assert data.gram_delta_perp == mat_vec(model.rs.gram, data.delta_perp)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import make_model
 from pnh.errors import NotInChamber, VerificationFailed
 from pnh.flats import build_minimal
 from pnh.halfspaces import SuitableList, suitable_list
@@ -99,12 +100,22 @@ def test_full_battery_passes_fast(a2, b3_min):
         assert all(r.passed for r in reports), [r.line() for r in reports]
 
 
-def test_full_battery_passes_full(a3_min, a3_max):
-    for model in (a3_min, a3_max):
+def test_full_battery_passes_full():
+    # fresh models: the session fixtures may already hold their face lists
+    for model in (make_model("A3", "minimal"), make_model("A3", "maximal")):
         reports = model.verify(level="full")
         assert all(r.passed for r in reports), [r.line() for r in reports]
         incidence = next(r for r in reports if "incidence" in r.name)
         assert incidence.checked == model.vertex_count * model.facet_count
+        # one face per type is checked, and the face list is never made
+        faces = next(r for r in reports if r.name.startswith("face vertices"))
+        assert faces.checked == sum(model.f_vector)
+        assert "faces" not in model.__dict__
+
+
+def test_verify_rejects_an_unknown_level(a2):
+    with pytest.raises(ValueError, match="'fast' or 'full', not 'ful'"):
+        a2.verify("ful")
 
 
 def test_coinciding_vertices_reported():

@@ -106,3 +106,18 @@ def test_from_gram_without_type_labels():
     assert rs.components is None
     assert len(rs.positive_roots) == 3
     assert rs.type_name() == "rank-2 subsystem"
+
+
+def test_root_lengths_read_from_the_integer_gram():
+    h = Fraction(1, 2)
+    rs = RootSystem.from_gram(((1, -h), (-h, 1)))
+    assert rs.gram_scale == 2 and rs.int_gram == ((2, -1), (-1, 2))
+    # a named type whose Gram matrix gives it other root lengths
+    for gram, components, lengths in [
+        (((6, -3), (-3, 6)), (("A", 2),), "{Fraction(6, 1)}"),
+        (((1, -h), (-h, 1)), (("A", 2),), "{Fraction(1, 1)}"),
+        (((8, -4), (-4, 4)), (("B", 2),), "{Fraction(8, 1), Fraction(4, 1)}"),
+    ]:
+        with pytest.raises(UnsupportedType) as info:
+            RootSystem(gram, components)
+        assert str(info.value) == f"unexpected root lengths {lengths}"
