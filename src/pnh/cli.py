@@ -149,11 +149,11 @@ def _make_model(args):
         rs = build_root_system(args.type)
     weyl = enumerate_group(rs, cap=args.group_cap)
     if spec == "minimal":
-        building = build_minimal(rs, weyl)
+        building = build_minimal(rs)
     elif spec == "maximal":
-        building = build_maximal(rs, weyl)
+        building = build_maximal(rs)
     elif spec.startswith("file:"):
-        building = load_building_set(rs, spec[5:], weyl=weyl)
+        building = load_building_set(rs, spec[5:])
     elif spec != "interval":
         raise ValueError(f"--building must be {_BUILDING_CHOICES}, got {spec!r}")
     a = parse_rat(args.a)

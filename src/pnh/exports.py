@@ -259,7 +259,7 @@ def _dict_texts(dicts: list, depth: int, memo: dict):
 # -- building-set input files --------------------------------------------
 
 
-def building_from_json(rs, doc: dict, weyl=None):
+def building_from_json(rs, doc: dict):
     """Load {"roots": [...], "flats": [[positive-root indices]...]}.
 
     The "roots" list pins the index convention: it must match the
@@ -305,12 +305,12 @@ def building_from_json(rs, doc: dict, weyl=None):
                 f"contains roots {sorted(closed.indices())}"
             )
         family.append(closed)
-    return validate_building_set(rs, family, weyl=weyl, kind="custom")
+    return validate_building_set(rs, family, kind="custom")
 
 
-def load_building_set(rs, path: str, weyl=None):
+def load_building_set(rs, path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return building_from_json(rs, json.load(fh), weyl=weyl)
+        return building_from_json(rs, json.load(fh))
 
 
 # -- f-vector table -------------------------------------------------------

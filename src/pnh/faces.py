@@ -95,7 +95,7 @@ def enumerate_faces(ctx: FaceContext) -> list[FacePair]:
     return [
         FacePair(rep, s, labels)
         for s, labels, _ in face_types(ctx)
-        for rep in left_cosets(ctx.weyl, ctx.label_subgroup(labels))
+        for rep in left_cosets(ctx.label_subgroup(labels))
     ]
 
 

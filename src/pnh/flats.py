@@ -134,9 +134,7 @@ def all_flats(rs: RootSystem, cap: int = DEFAULT_FLAT_CAP) -> list[Flat]:
         new = []
         for flat in frontier:
             for perm in rs.simple_reflection_perms:
-                image = 0
-                for i in iter_bits(flat.bits):
-                    image |= 1 << perm[i]
+                image = _image_bits(perm, flat.bits)
                 if image not in found:
                     moved = found[image] = Flat(flat.dim, image)
                     new.append(moved)
@@ -302,13 +300,24 @@ class BuildingSet:
         )
 
 
-def _check_w_invariance(rs: RootSystem, weyl, flats: frozenset[Flat]) -> None:
-    """Stability under the group; checking the generators suffices."""
-    for g in weyl.generator_ids:
-        moved = _moved_flat(weyl.root_permutation(g), flats)
+def _image_bits(perm, bits: int) -> int:
+    """The bitset image of the root bitset ``bits`` under the permutation
+    ``perm`` of the positive roots."""
+    image = 0
+    for i in iter_bits(bits):
+        image |= 1 << perm[i]
+    return image
+
+
+def _check_w_invariance(rs: RootSystem, flats: frozenset[Flat]) -> None:
+    """Stability under W; the simple reflections generate it, so checking
+    their root permutations ``rs.simple_reflection_perms`` suffices."""
+    for i, perm in enumerate(rs.simple_reflection_perms):
+        moved = _moved_flat(perm, flats)
         if moved is not None:
             raise NotWInvariant(
-                f"reflection {g} moves flat {moved.describe(rs)} outside the family"
+                f"simple reflection {i} moves flat {moved.describe(rs)}"
+                " outside the family"
             )
 
 
@@ -316,34 +325,34 @@ def _moved_flat(root_perm, flats: frozenset[Flat]) -> Flat | None:
     """A flat that the permutation ``root_perm`` of the positive roots moves
     outside ``flats``, or None when it preserves them."""
     for f in flats:
-        image = 0
-        for i in f.indices():
-            image |= 1 << root_perm[i]
-        if Flat(f.dim, image) not in flats:
+        if Flat(f.dim, _image_bits(root_perm, f.bits)) not in flats:
             return f
     return None
 
 
 def validate_building_set(
-    rs: RootSystem,
-    flats: Iterable[Flat],
-    weyl=None,
-    kind: str = "custom",
+    rs: RootSystem, flats: Iterable[Flat], kind: str = "custom"
 ) -> BuildingSet:
     """Check the building-set axioms and return the validated family.
 
-    Raises MissingV / NotBuilding / NotWInvariant with a witness message.
-    As a courtesy the returned object records which diagram symmetries
-    preserve the family, and whether it holds every flat.
+    Reads only the root system: W-invariance is checked on the simple
+    reflections' root permutations, and the decomposition of every flat on
+    root bitsets.  Raises MissingV / NotBuilding / NotWInvariant with a
+    witness message.  As a courtesy the returned object records which
+    diagram symmetries preserve the family, and whether it holds every flat.
     """
-    return _validated(rs, flats, all_flats(rs), weyl, kind)
+    return _validated(rs, flats, all_flats(rs), kind)
 
 
 def _validated(
-    rs: RootSystem, flats: Iterable[Flat], every: list[Flat], weyl, kind: str
+    rs: RootSystem, flats: Iterable[Flat], every: list[Flat], kind: str
 ) -> BuildingSet:
     """``validate_building_set`` with the flats of ``rs`` already listed in
-    ``every``, so that a builder that listed them need not do it again."""
+    ``every``, so that a builder that listed them need not do it again.
+
+    The maximal members inside a flat span it exactly when their root
+    bitsets cover it: every root of the flat lies on a line flat, and every
+    line is a member."""
     family = frozenset(flats)
     bs = BuildingSet(rs, family, kind=kind)
     if bs.V not in family:
@@ -351,8 +360,7 @@ def _validated(
     for line in line_flats(rs):
         if line not in family:
             raise NotBuilding(f"missing line flat {line.describe(rs)}")
-    if weyl is not None:
-        _check_w_invariance(rs, weyl, family)
+    _check_w_invariance(rs, family)
     for flat in every:
         parts = bs.g_decomposition(flat)
         if sum(p.dim for p in parts) != flat.dim:
@@ -362,7 +370,7 @@ def _validated(
         union = 0
         for p in parts:
             union |= p.bits
-        if flat_closure(rs, iter_bits(union)).bits != flat.bits:
+        if union != flat.bits:
             raise NotBuilding(
                 f"maximal members of {flat.describe(rs)} do not span it"
             )
@@ -378,18 +386,21 @@ def _validated(
 
 
 def build_maximal(rs: RootSystem, weyl=None) -> BuildingSet:
+    """Every flat.  ``weyl`` is accepted and ignored: validation reads only
+    the root system, and ``perfbench/worker.py`` still passes its group."""
     every = all_flats(rs)
-    return _validated(rs, every, every, weyl, "maximal")
+    return _validated(rs, every, every, "maximal")
 
 
 def build_minimal(rs: RootSystem, weyl=None) -> BuildingSet:
-    """Irreducible flats, with the whole space adjoined when reducible."""
+    """Irreducible flats, with the whole space adjoined when reducible.
+    ``weyl`` is accepted and ignored, as in ``build_maximal``."""
     every = all_flats(rs)
     flats = [f for f in every if is_irreducible(rs, f)]
     v = full_flat(rs)
     if v not in flats:
         flats.append(v)
-    return _validated(rs, flats, every, weyl, "minimal")
+    return _validated(rs, flats, every, "minimal")
 
 
 def interval_building_set(n: int) -> BuildingSet:

@@ -452,7 +452,7 @@ class FacetFactorisation:
             nested = NestedSet(flats)
             base = self._sub_element(idx, h)
             sub_h = sub.face_ctx.label_subgroup(labels)
-            rep = canonical_coset_rep(sub.weyl, base, sub_h)
+            rep = canonical_coset_rep(base, sub_h)
             sub_faces.append(FacePair(rep, nested, labels))
         return quotient_nested, tuple(sub_faces)
 

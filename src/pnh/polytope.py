@@ -46,7 +46,7 @@ from operator import add, mul
 from .errors import EmptyFacet, NotInChamber, SingularSystem, VerificationFailed
 from .flats import BuildingSet, Flat, iter_bits, simple_index_set
 from .halfspaces import HalfSpace, HalfSpaceIndex, SuitableList, index_halfspaces
-from .linalg import Vec, int_mat_vec, mat_mul, mat_vec, solve_linear_system, vdot
+from .linalg import Vec, int_mat_vec, mat_mul, solve_linear_system, vdot
 from .nested import NestedSet, enumerate_maximal_nested_sets
 from .weyl import Subgroup, WeylGroup, subgroup_product
 
@@ -95,9 +95,11 @@ def vertex(
 def _chamber_solve(
     building: BuildingSet, suitable: SuitableList, members: tuple[Flat, ...]
 ) -> tuple[Vec, Vec]:
-    """(x, Gram x) for the x with (x, delta) = a and (x, delta_perp_A) =
+    """(x, g) for the x with (x, delta) = a and (x, delta_perp_A) =
     a - eps_{dim A} for each A in ``members``, each row read from
-    ``fund_data``.  Raises SingularSystem unless the equations fix one x."""
+    ``fund_data``; g is a positive integer multiple of Gram x, so it has
+    the signs of Gram x: ``int_gram`` times x cleared of its denominators.
+    Raises SingularSystem unless the equations fix one x."""
     data = building.fund_data
     rows = [data[building.V].gram_delta_perp]
     rhs = [suitable.a]
@@ -105,7 +107,9 @@ def _chamber_solve(
         rows.append(data[f].gram_delta_perp)
         rhs.append(suitable.a - suitable.for_dim(f.dim))
     point = solve_linear_system(tuple(rows), tuple(rhs))
-    return point, mat_vec(building.rs.gram, point)
+    scale = lcm(*(c.denominator for c in point))
+    cleared = [c.numerator * (scale // c.denominator) for c in point]
+    return point, int_mat_vec(building.rs.int_gram, cleared)
 
 
 def all_vertices(

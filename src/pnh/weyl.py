@@ -24,7 +24,6 @@ from .linalg import (
     identity,
     int_mat_vec,
     mat_mul,
-    mat_vec,
     primitive_vector,
     solve_columns,
 )
@@ -114,7 +113,6 @@ class WeylGroup:
         )
 
         self._inverse: list[int | None] = [None] * self.order
-        self._root_perm: list[tuple[int, ...] | None] = [None] * self.order
         # per element a and index i, a·ω̂_i as its number in the orbit of ω̂_i,
         # and per element its place in the lexicographic order of the
         # matrices; both made by the first _standard_parabolic call
@@ -137,25 +135,6 @@ class WeylGroup:
             )
             got = self.index[inverse]
             self._inverse[a] = got
-        return got
-
-    # -- actions -----------------------------------------------------------
-
-    def act_vec(self, a: int, x: Vec) -> Vec:
-        return mat_vec(self.elements[a], x)
-
-    def root_permutation(self, a: int) -> tuple[int, ...]:
-        """Induced permutation of positive roots (signs dropped)."""
-        got = self._root_perm[a]
-        if got is None:
-            images = []
-            for root in self.rs.positive_roots:
-                img = self.act_vec(a, root)
-                if any(c < 0 for c in img):
-                    img = tuple(-c for c in img)
-                images.append(self.rs.root_index[img])
-            got = tuple(images)
-            self._root_perm[a] = got
         return got
 
 
@@ -255,11 +234,11 @@ def subgroup_product(weyl: WeylGroup, parts: list[Subgroup]) -> Subgroup:
     return _standard_parabolic(weyl, mask)
 
 
-def canonical_coset_rep(weyl: WeylGroup, a: int, sub: Subgroup) -> int:
+def canonical_coset_rep(a: int, sub: Subgroup) -> int:
     """Deterministic representative of a @ sub: lexicographically least matrix."""
     return sub.reps[sub.coset[a]]
 
 
-def left_cosets(weyl: WeylGroup, sub: Subgroup) -> list[int]:
+def left_cosets(sub: Subgroup) -> list[int]:
     """Canonical representatives of all left cosets, ascending by id."""
     return sorted(sub.reps)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pnh.flats import build_maximal, build_minimal
-from pnh.linalg import primitive_vector
+from pnh.linalg import mat_vec, primitive_vector
 from pnh.model import Permutonestohedron
 from pnh.roots import build_root_system
 from pnh.weyl import enumerate_group
@@ -20,11 +20,26 @@ def primitive_key(normal, offset) -> tuple:
     return prim, offset * scale
 
 
+def generator_root_perms(rs, weyl) -> list[tuple[int, ...]]:
+    """Per generator of the enumerated group, the permutation of the positive
+    roots its matrix induces, signs dropped: the reference for
+    ``rs.simple_reflection_perms``."""
+    perms = []
+    for g in weyl.generator_ids:
+        images = []
+        for root in rs.positive_roots:
+            img = mat_vec(weyl.elements[g], root)
+            if any(c < 0 for c in img):
+                img = tuple(-c for c in img)
+            images.append(rs.root_index[img])
+        perms.append(tuple(images))
+    return perms
+
+
 def make_model(spec: str, kind: str) -> Permutonestohedron:
     rs = build_root_system(spec)
-    weyl = enumerate_group(rs)
     builder = build_minimal if kind == "minimal" else build_maximal
-    return Permutonestohedron(builder(rs, weyl), weyl=weyl)
+    return Permutonestohedron(builder(rs), weyl=enumerate_group(rs))
 
 
 @pytest.fixture(scope="session")

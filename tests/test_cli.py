@@ -343,6 +343,22 @@ def test_building_from_file(tmp_path, capsys):
     assert "invalid rational '1/0': zero denominator" in capsys.readouterr().err
 
 
+def test_non_invariant_building_file_is_refused(tmp_path, capsys):
+    # every flat of A3 except span(alpha_1, alpha_3) = roots {0, 2}: each
+    # flat sums directly from its maximal members, but s_2 (simple index 1)
+    # moves the plane of roots {3, 4} onto it
+    spec = tmp_path / "family.json"
+    spec.write_text(json.dumps({
+        "roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 0], [1, 1, 1]],
+        "flats": [[0], [1], [2], [3], [4], [5], [1, 2, 3], [0, 1, 4], [3, 4],
+                  [1, 5], [0, 3, 5], [2, 4, 5], [0, 1, 2, 3, 4, 5]],
+    }))
+    capsys.readouterr()
+    assert run(["verify", "--type", "A3", "--building", f"file:{spec}"]) == 2
+    err = capsys.readouterr().err
+    assert "pnh: error: simple reflection 1 moves flat <dim 2: roots 3,4>" in err
+
+
 def test_poset_and_off_outputs(tmp_path):
     poset = tmp_path / "p.json"
     assert run(["poset", "--type", "A2", "--output", str(poset)]) == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnh.errors import UnsupportedType
+from pnh.errors import NotWInvariant, UnsupportedType
 from pnh.exports import (
     build_document,
     building_from_json,
@@ -17,7 +17,7 @@ from pnh.exports import (
     rat_str,
     to_json_bytes,
 )
-from pnh.flats import interval_building_set
+from pnh.flats import all_flats, interval_building_set, standard_flat
 from pnh.model import Permutonestohedron
 from pnh.roots import build_root_system
 
@@ -289,6 +289,18 @@ def test_building_from_json_rejects_bad_input():
             rs,
             {"roots": [[1, 0], [0, 1], [1, 1]], "flats": [[0], [1], [2], [0, 1]]},
         )
+
+
+def test_building_from_json_refuses_a_non_invariant_family():
+    # every flat of A3 except span(alpha_1, alpha_3), with no group given
+    rs = build_root_system("A3")
+    outer = standard_flat(rs, 0b101)
+    doc = {
+        "roots": [list(r) for r in rs.positive_roots],
+        "flats": [list(f.indices()) for f in all_flats(rs) if f != outer],
+    }
+    with pytest.raises(NotWInvariant, match="outside the family"):
+        building_from_json(rs, doc)
 
 
 _A2_ROOTS = [[1, 0], [0, 1], [1, 1]]

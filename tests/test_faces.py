@@ -198,7 +198,7 @@ def _fraction_support_keys(model, face):
         ]
     fundamental = [by_mask[m] for m in masks]
     return [
-        primitive_key(model.weyl.act_vec(face.rep, hs.normal), hs.offset)
+        primitive_key(mat_vec(model.weyl.elements[face.rep], hs.normal), hs.offset)
         for hs in fundamental
     ]
 

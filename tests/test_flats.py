@@ -19,10 +19,12 @@ from pnh.flats import (
     line_flats,
     restricted_building_set,
     simple_index_set,
+    standard_flat,
     validate_building_set,
     _component_masks,
     _validated,
 )
+from conftest import generator_root_perms
 from pnh.linalg import Echelon
 from pnh.roots import build_root_system
 from pnh.weyl import enumerate_group
@@ -173,15 +175,14 @@ def test_irreducibility():
 
 def test_building_set_shapes():
     rs = build_root_system("A3")
-    w = enumerate_group(rs)
-    mn = build_minimal(rs, w)
-    mx = build_maximal(rs, w)
+    mn = build_minimal(rs)
+    mx = build_maximal(rs)
     assert (len(mn.flats), len(mn.fund)) == (11, 6)
     assert (len(mx.flats), len(mx.fund)) == (14, 7)
     assert full_flat(rs) in mn and full_flat(rs) in mx
     # D4: three branch pairs and three length-3 subdiagrams are irreducible
     rsd = build_root_system("D4")
-    mnd = build_minimal(rsd, enumerate_group(rsd))
+    mnd = build_minimal(rsd)
     assert (len(mnd.flats), len(mnd.fund)) == (41, 11)
 
 
@@ -206,11 +207,26 @@ def test_validation_rejects_missing_line():
 
 def test_validation_rejects_non_invariant_family():
     rs = build_root_system("A3")
-    w = enumerate_group(rs)
     # adding a single reducible plane breaks group invariance
     family = list(build_minimal(rs).flats) + [flat_closure(rs, [0, 2])]
     with pytest.raises(NotWInvariant):
-        validate_building_set(rs, family, weyl=w)
+        validate_building_set(rs, family)
+
+
+def a3_without_outer_plane():
+    """Every flat of A3 except span(alpha_1, alpha_3): each flat still sums
+    directly from its maximal members, but s_2 (simple index 1) moves the
+    plane span(alpha_1 + alpha_2, alpha_2 + alpha_3), roots 3 and 4, onto it."""
+    rs = build_root_system("A3")
+    outer = standard_flat(rs, 0b101)
+    return rs, [f for f in all_flats(rs) if f != outer]
+
+
+def test_validation_without_a_group_checks_invariance():
+    rs, family = a3_without_outer_plane()
+    witness = "simple reflection 1 moves flat <dim 2: roots 3,4>"
+    with pytest.raises(NotWInvariant, match=witness):
+        validate_building_set(rs, family)
 
 
 def test_fund_decomposition():
@@ -232,8 +248,7 @@ def test_interval_building_set():
 
 def test_restricted_building_set():
     rs = build_root_system("A3")
-    w = enumerate_group(rs)
-    b = build_minimal(rs, w)
+    b = build_minimal(rs)
     a2_flat = next(f for f in b.fund if f.dim == 2)
     sub = restricted_building_set(b, a2_flat)
     assert len(sub.rs.positive_roots) == 3
@@ -242,9 +257,7 @@ def test_restricted_building_set():
 
 
 def test_preserved_diagram_automorphisms_recorded():
-    rs = build_root_system("D4")
-    w = enumerate_group(rs)
-    mn = build_minimal(rs, w)
+    mn = build_minimal(build_root_system("D4"))
     assert len(mn.preserved_diagram_automorphisms) == 6
 
 
@@ -262,8 +275,8 @@ def test_flats_enumerated_once_per_builder(monkeypatch):
     monkeypatch.setattr(flats_module, "all_flats", counted)
     rs = build_root_system("A3")
     w = enumerate_group(rs)
-    mn = build_minimal(rs, w)
-    mx = build_maximal(rs, w)
+    mn = build_minimal(rs)
+    mx = build_maximal(rs)
     assert len(calls) == 2
     # the record replaces a third enumeration in the verification battery
     assert (mn.contains_every_flat, mx.contains_every_flat) == (False, True)
@@ -273,7 +286,7 @@ def test_flats_enumerated_once_per_builder(monkeypatch):
         assert all(r.passed for r in model.verify("full"))
     assert len(calls) == 2
     # a custom family holding every flat is recorded as such
-    assert validate_building_set(rs, every(rs), weyl=w).contains_every_flat
+    assert validate_building_set(rs, every(rs)).contains_every_flat
     assert len(calls) == 3
 
 
@@ -311,7 +324,7 @@ def test_builders_equal_reference_families(name):
         (build_minimal(rs), irreducible),
         (build_maximal(rs), every),
     ):
-        expected = _validated(rs, family, every, None, built.kind)
+        expected = _validated(rs, family, every, built.kind)
         assert built.sorted_flats == expected.sorted_flats
         assert built.preserved_diagram_automorphisms == (
             expected.preserved_diagram_automorphisms
@@ -332,3 +345,78 @@ def test_closure_of_any_roots_is_listed(name, data):
     for i in flat.indices():
         ech.add(rs.positive_roots[i])
     assert flat.dim == ech.rank
+
+
+# -- building-set validation against the group-matrix reference
+
+
+def reference_validation_error(rs, family):
+    """The exception type that validating ``family`` must raise, or None,
+    by the checks in the validator's order: W-invariance from the enumerated
+    group's generator matrices acting on the roots, signs dropped, and each
+    flat's span decided by ``flat_closure``."""
+    family = frozenset(family)
+    if full_flat(rs) not in family:
+        return MissingV
+    if not family.issuperset(line_flats(rs)):
+        return NotBuilding
+    for perm in generator_root_perms(rs, enumerate_group(rs)):
+        for f in family:
+            if flat_closure(rs, [perm[i] for i in f.indices()]) not in family:
+                return NotWInvariant
+    for flat in reference_all_flats(rs):
+        inside = [g for g in family if flat.contains(g)]
+        maximal = [
+            g for g in inside if not any(h != g and h.contains(g) for h in inside)
+        ]
+        if sum(g.dim for g in maximal) != flat.dim:
+            return NotBuilding
+        union = [i for g in maximal for i in g.indices()]
+        if flat_closure(rs, union) != flat:
+            return NotBuilding
+    return None
+
+
+@cache
+def family_pool(name):
+    """(root system, the flats every drawn family holds, the W-orbits of the
+    other flats) for the random families of the property test."""
+    rs = build_root_system(name)
+    fixed = line_flats(rs) + [full_flat(rs)]
+    perms = generator_root_perms(rs, enumerate_group(rs))
+    others = [f for f in reference_all_flats(rs) if f not in fixed]
+    orbits = []
+    for f in others:
+        if any(f in orbit for orbit in orbits):
+            continue
+        orbit, frontier = {f}, [f]
+        while frontier:
+            g = frontier.pop()
+            for perm in perms:
+                moved = flat_closure(rs, [perm[i] for i in g.indices()])
+                if moved not in orbit:
+                    orbit.add(moved)
+                    frontier.append(moved)
+        orbits.append(sorted(orbit))
+    return rs, fixed, orbits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["A3", "B3"]), st.data())
+def test_validation_agrees_with_group_matrix_reference(name, data):
+    """V, every line, a union of W-orbits of the other flats, and a few of
+    those flats toggled, so that invariant, non-invariant and
+    non-decomposing families are all drawn."""
+    rs, fixed, orbits = family_pool(name)
+    chosen = data.draw(st.sets(st.sampled_from(range(len(orbits)))))
+    family = set(fixed).union(*(orbits[k] for k in chosen))
+    toggled = data.draw(
+        st.sets(st.sampled_from([f for orbit in orbits for f in orbit]), max_size=3)
+    )
+    family ^= toggled
+    expected = reference_validation_error(rs, family)
+    if expected is None:
+        assert validate_building_set(rs, family).flats == frozenset(family)
+    else:
+        with pytest.raises(expected):
+            validate_building_set(rs, family)

@@ -166,7 +166,7 @@ def _orbit_over_all_of_w(model):
     seen = {}
     for base in fundamental_halfspaces(model.building, model.suitable):
         for sigma in range(model.weyl.order):
-            normal = model.weyl.act_vec(sigma, base.normal)
+            normal = mat_vec(model.weyl.elements[sigma], base.normal)
             seen.setdefault(
                 primitive_key(normal, base.offset),
                 (normal, base.offset, base.kind, base.flat, sigma),

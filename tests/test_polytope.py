@@ -7,6 +7,7 @@ from conftest import make_model
 from pnh.errors import NotInChamber, VerificationFailed
 from pnh.flats import build_minimal
 from pnh.halfspaces import SuitableList, suitable_list
+from pnh.linalg import mat_vec
 from pnh.nested import enumerate_maximal_nested_sets
 from pnh.polytope import all_vertices, euler_check, vertex
 from pnh.roots import build_root_system
@@ -53,7 +54,7 @@ def test_integer_orbit_equals_the_fraction_action(name, request):
     nested = enumerate_maximal_nested_sets(model.building)
     points = [vertex(rs, s, model.suitable, building=model.building) for s in nested]
     expected = [
-        (weyl.act_vec(sigma, p), sigma, s)
+        (mat_vec(weyl.elements[sigma], p), sigma, s)
         for sigma in range(weyl.order)
         for s, p in zip(nested, points)
     ]

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import generator_root_perms
 from pnh.errors import GroupTooLarge
 from pnh.flats import build_minimal, flat_closure, standard_flat
 from pnh.linalg import identity, mat_mul, mat_vec, primitive_vector
@@ -121,50 +122,41 @@ def test_inverse_and_multiplication():
         assert w.mul(w.mul(a, g), b) == w.mul(a, w.mul(g, b))
 
 
-def test_act_vec_matches_matrix():
-    rs = build_root_system("B2")
-    w = enumerate_group(rs)
-    x = (3, 5)
-    for g in range(w.order):
-        m = w.elements[g]
-        expected = tuple(
-            sum(m[i][j] * x[j] for j in range(2)) for i in range(2)
-        )
-        assert w.act_vec(g, x) == expected
-
-
 def test_action_preserves_inner_products():
     rs = build_root_system("B2")
     w = enumerate_group(rs)
     x, y = (1, 2), (4, -1)
     for g in range(w.order):
-        assert rs.inner(w.act_vec(g, x), w.act_vec(g, y)) == rs.inner(x, y)
+        m = w.elements[g]
+        assert rs.inner(mat_vec(m, x), mat_vec(m, y)) == rs.inner(x, y)
 
 
 def test_root_permutation_is_a_permutation():
-    rs = build_root_system("A3")
-    w = enumerate_group(rs)
-    n = len(rs.positive_roots)
-    for g in range(w.order):
-        perm = w.root_permutation(g)
-        assert sorted(perm) == list(range(n))
+    for spec in ("A3", "B3", "C3", "D4", "A2xB2"):
+        rs = build_root_system(spec)
+        n = len(rs.positive_roots)
+        for perm in rs.simple_reflection_perms:
+            assert sorted(perm) == list(range(n)), spec
+        assert list(rs.simple_reflection_perms) == generator_root_perms(
+            rs, enumerate_group(rs)
+        ), spec
 
 
 def test_parabolic_subgroups_and_cosets():
     rs = build_root_system("A3")
     w = enumerate_group(rs)
-    building = build_minimal(rs, w)
+    building = build_minimal(rs)
     # stabilizer of a rank-2 subsystem inside the rank-3 group
     a2_flat = next(f for f in building.fund if f.dim == 2)
     sub = parabolic_subgroup(w, a2_flat)
     assert len(sub.member_ids) == 6
-    cosets = left_cosets(w, sub)
+    cosets = left_cosets(sub)
     assert len(cosets) == 4
     for g in range(w.order):
-        rep = canonical_coset_rep(w, g, sub)
+        rep = canonical_coset_rep(g, sub)
         assert rep in cosets
         # idempotent and constant on the coset
-        assert canonical_coset_rep(w, rep, sub) == rep
+        assert canonical_coset_rep(rep, sub) == rep
 
 
 def test_subgroup_product_of_orthogonal_lines():
@@ -204,8 +196,8 @@ def test_label_subgroups_match_generated_closure(a2, b2, a3_min, b3_max, a13_min
                 assert set(sub.cosets[sub.coset[a]]) == coset
                 lex_least = min(coset, key=lambda b: w.elements[b])
                 assert sub.reps[sub.coset[a]] == lex_least
-                assert canonical_coset_rep(w, a, sub) == lex_least
-            assert left_cosets(w, sub) == sorted(sub.reps)
+                assert canonical_coset_rep(a, sub) == lex_least
+            assert left_cosets(sub) == sorted(sub.reps)
 
 
 def test_non_standard_subgroups_are_rejected():
