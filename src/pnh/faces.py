@@ -23,11 +23,11 @@ and from the supporting hyperplanes and insists they agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import combinations, groupby
 from operator import is_, mul
 from sys import byteorder
-from typing import Iterator
 
 from .errors import (
     BuildingNotInvariant,
@@ -42,13 +42,10 @@ from .polytope import Incidence, VRep
 from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_subgroup, subgroup_product
 
 
-@dataclass(frozen=True, order=True)
-class FacePair:
+class FacePair(namedtuple("FacePair", "rep nested labels")):
     """A face: canonical coset representative, nested set, labelled subset."""
 
-    rep: int
-    nested: NestedSet
-    labels: tuple[Flat, ...]
+    __slots__ = ()
 
 
 class FaceContext:

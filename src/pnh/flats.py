@@ -21,10 +21,10 @@ the maximal one (all flats).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import (
     MissingV,
@@ -33,7 +33,15 @@ from .errors import (
     TooManyFlats,
     VerificationFailed,
 )
-from .linalg import Echelon, Vec, int_mat_vec, mat_vec, solve_columns, vdot, vsub
+from .linalg import (
+    Echelon,
+    int_mat_vec,
+    mat_vec,
+    primitive_vector,
+    solve_columns,
+    vdot,
+    vsub,
+)
 from .roots import RootSystem, diagram_automorphisms
 
 DEFAULT_FLAT_CAP = 2**20
@@ -47,12 +55,10 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-@dataclass(frozen=True, order=True)
-class Flat:
+class Flat(namedtuple("Flat", "dim bits")):
     """A root-spanned subspace: (dimension, bitset of positive roots)."""
 
-    dim: int
-    bits: int
+    __slots__ = ()
 
     def indices(self) -> Iterator[int]:
         return iter_bits(self.bits)
@@ -160,15 +166,12 @@ def simple_index_set(rs: RootSystem, flat: Flat) -> int | None:
     return mask if count == flat.dim else None
 
 
-@dataclass(frozen=True)
-class FlatData:
+class FlatData(namedtuple("FlatData", "flat pi delta_perp gram_delta_perp ratio")):
     """Half-sum of the roots of a flat and the complementary part of delta,
-    with Gram times delta_perp: (x, delta_perp) = dot(gram_delta_perp, x)."""
+    with Gram times delta_perp as a primitive integer row and a positive
+    ratio: (x, delta_perp) = ratio * dot(gram_delta_perp, x)."""
 
-    flat: Flat
-    pi: Vec
-    delta_perp: Vec
-    gram_delta_perp: Vec
+    __slots__ = ()
 
 
 def flat_data(rs: RootSystem, flat: Flat, building=None) -> FlatData:
@@ -188,19 +191,20 @@ def flat_data(rs: RootSystem, flat: Flat, building=None) -> FlatData:
     if flat.dim == n:
         if pi != rs.delta:
             raise VerificationFailed("half-sum over the whole space is not delta")
-        return FlatData(flat, pi, pi, mat_vec(rs.gram, pi))
-    dperp = vsub(rs.delta, pi)
-    row = mat_vec(rs.gram, dperp)
-    for i in flat.indices():
-        if vdot(row, rs.positive_roots[i]) != 0:
-            raise VerificationFailed(
-                f"delta_perp not orthogonal to flat {flat.describe(rs)}"
-            )
-    # omega_coefficients, read off the row: 2 (dperp, alpha_s) / (alpha_s, alpha_s)
-    coeffs = [2 * row[s] / rs.gram[s][s] for s in range(n)]
-    simple_mask = simple_index_set(rs, flat)
-    if simple_mask is not None:
-        for s in range(n):
+        dperp = pi
+        row = mat_vec(rs.gram, pi)
+    else:
+        dperp = vsub(rs.delta, pi)
+        row = mat_vec(rs.gram, dperp)
+        for i in flat.indices():
+            if vdot(row, rs.positive_roots[i]) != 0:
+                raise VerificationFailed(
+                    f"delta_perp not orthogonal to flat {flat.describe(rs)}"
+                )
+        # omega_coefficients, read off the row: 2 (dperp, alpha_s) / (alpha_s, alpha_s)
+        coeffs = [2 * row[s] / rs.gram[s][s] for s in range(n)]
+        simple_mask = simple_index_set(rs, flat)
+        for s in range(n) if simple_mask is not None else ():
             inside = simple_mask >> s & 1
             if inside and coeffs[s] != 0:
                 raise VerificationFailed("delta_perp has weight on its own flat")
@@ -208,7 +212,9 @@ def flat_data(rs: RootSystem, flat: Flat, building=None) -> FlatData:
                 raise VerificationFailed(
                     "delta_perp weight-coefficient below 1 off the flat"
                 )
-    return FlatData(flat, pi, dperp, row)
+    prim = primitive_vector(row)
+    ratio = next(Fraction(x) / p for p, x in zip(prim, row) if p)
+    return FlatData(flat, pi, dperp, prim, ratio)
 
 
 class BuildingSet:
@@ -252,7 +258,11 @@ class BuildingSet:
         return self._fund_by_indices.get(mask)
 
     def g_decomposition(self, flat: Flat) -> tuple[Flat, ...]:
-        """Maximal members contained in ``flat`` (the defining decomposition)."""
+        """Maximal members contained in ``flat`` (the defining decomposition);
+        a member's is the member itself, which contains every member inside
+        it."""
+        if flat in self.flats:
+            return (flat,)
         got = self._decomp_cache.get(flat)
         if got is None:
             inside = [g for g in self.sorted_flats if flat.contains(g)]
@@ -448,11 +458,8 @@ def restricted_building_set(building: BuildingSet, flat: Flat) -> BuildingSet:
     return out
 
 
-@dataclass
-class SubRootSystem:
-    system: RootSystem
-    parent_root_of: tuple[int, ...]
-    sub_index_of: dict[int, int]
+class SubRootSystem(namedtuple("SubRootSystem", "system parent_root_of sub_index_of")):
+    __slots__ = ()
 
 
 def _sub_root_system(rs: RootSystem, flat: Flat) -> SubRootSystem:

@@ -27,7 +27,7 @@ exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import LemmaViolated, NotBuilding, VerificationFailed
@@ -77,12 +77,10 @@ def ratio_table(building: BuildingSet) -> RatioTable:
     return RatioTable(per_dim)
 
 
-@dataclass(frozen=True)
-class SuitableList:
+class SuitableList(namedtuple("SuitableList", "a eps")):
     """A strictly increasing positive list eps with eps_n = a."""
 
-    a: Fraction
-    eps: tuple[Fraction, ...]
+    __slots__ = ()
 
     def for_dim(self, d: int) -> Fraction:
         return self.eps[d - 1]
@@ -126,12 +124,10 @@ def suitable_list(building: BuildingSet, a=Fraction(1)) -> SuitableList:
     return SuitableList(a, eps)
 
 
-@dataclass
-class LemmaReport:
+class LemmaReport(namedtuple("LemmaReport", "checked violations")):
     """Outcome of the exhaustive separation-inequality check."""
 
-    checked: int
-    violations: list[tuple]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -203,8 +199,7 @@ def verify_epsilon_lemma(
     return report
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(namedtuple("HalfSpace", "prim bound ratio kind flat sigma_id")):
     """One defining inequality (x, prim) <= bound.
 
     ``prim`` is the primitive integer normal and ``bound`` the offset
@@ -219,12 +214,7 @@ class HalfSpace:
     one (the least such id).
     """
 
-    prim: tuple[int, ...]
-    bound: Fraction
-    ratio: Fraction
-    kind: str
-    flat: Flat
-    sigma_id: int
+    __slots__ = ()
 
     @property
     def normal(self) -> Vec:
@@ -367,8 +357,7 @@ def all_halfspaces(
     return out
 
 
-@dataclass(frozen=True)
-class HalfSpaceIndex:
+class HalfSpaceIndex(namedtuple("HalfSpaceIndex", "halfspaces orbits")):
     """Positions in an H-rep, by orbit coordinates.
 
     A fundamental inequality is named by its flat's simple-index mask (the
@@ -377,8 +366,7 @@ class HalfSpaceIndex:
     ``halfspaces`` of each coset's image.
     """
 
-    halfspaces: list[HalfSpace]
-    orbits: dict[int, tuple[Subgroup, list[int]]]
+    __slots__ = ()
 
     def position(self, mask: int, sigma: int) -> int:
         """Position of sigma's image of the fundamental inequality ``mask``."""

@@ -10,10 +10,10 @@ normalisation costs in hot paths.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import SingularSystem
 

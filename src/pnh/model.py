@@ -8,12 +8,12 @@ cached; all enumerations are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 
-from .errors import NotCrossingFacet, VerificationFailed
+from .errors import VerificationFailed
 from .counting import closed_form_counts
 from .faces import (
     FaceContext,
@@ -359,15 +359,12 @@ class Permutonestohedron:
         )
 
 
-@dataclass
-class FacetFactorisation:
+class FacetFactorisation(
+    namedtuple("FacetFactorisation", "model facet parts quotient factors")
+):
     """A crossing facet as (quotient nestohedron) x (sub-permutonestohedra)."""
 
-    model: Permutonestohedron
-    facet: FacePair
-    parts: tuple[Flat, ...]
-    quotient: object
-    factors: tuple[Permutonestohedron, ...]
+    __slots__ = ()
 
     def expected_vertex_count(self) -> int:
         ground = len(self.quotient.ground)

@@ -13,7 +13,7 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
@@ -23,11 +23,11 @@ from .flats import BuildingSet, Flat, iter_bits
 DEFAULT_NESTED_CAP = 200_000
 
 
-@dataclass(frozen=True, order=True)
-class NestedSet:
-    """A nested collection of fundamental flats, always containing V."""
+class NestedSet(namedtuple("NestedSet", "flats")):
+    """A nested collection of fundamental flats, always containing V.
 
-    flats: tuple[Flat, ...]
+    No ``__slots__``: the instance dictionary holds ``flat_set``.  Iteration,
+    length and membership are over ``flats``."""
 
     def __iter__(self):
         return iter(self.flats)
@@ -37,6 +37,10 @@ class NestedSet:
 
     def __contains__(self, flat: Flat) -> bool:
         return flat in self.flat_set
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild from the fields, not from the iteration
+        return (self.flats,)
 
     @cached_property
     def flat_set(self) -> frozenset[Flat]:
@@ -149,12 +153,12 @@ def enumerate_maximal_nested_sets(building: BuildingSet) -> list[NestedSet]:
     return [s for s in enumerate_nested_sets(building) if len(s) == n]
 
 
-@dataclass(frozen=True)
-class CombinatorialBuildingSet:
+class CombinatorialBuildingSet(
+    namedtuple("CombinatorialBuildingSet", "ground members")
+):
     """A building set of subsets of a finite ground set."""
 
-    ground: frozenset[int]
-    members: frozenset[frozenset[int]]
+    __slots__ = ()
 
     def validate(self) -> None:
         for m in self.members:

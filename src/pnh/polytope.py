@@ -36,7 +36,7 @@ predicted pattern and the observed one never share code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, repeat
@@ -51,8 +51,7 @@ from .nested import NestedSet, enumerate_maximal_nested_sets
 from .weyl import Subgroup, WeylGroup, subgroup_product
 
 
-@dataclass
-class VRep:
+class VRep(namedtuple("VRep", "vertices scale max_nested coincidences weyl")):
     """All vertices: the W-orbit of the chamber vertices, in integers.
 
     Vertex i is M(sigma) v_S with sigma = i // m and S = max_nested[i % m]
@@ -63,11 +62,7 @@ class VRep:
     is the group whose matrices made them.
     """
 
-    vertices: tuple[tuple[int, ...], ...]
-    scale: int
-    max_nested: tuple[NestedSet, ...]
-    coincidences: tuple[tuple[int, int], ...]
-    weyl: WeylGroup
+    __slots__ = ()
 
 
 def vertex(
@@ -99,14 +94,22 @@ def _chamber_solve(
     a - eps_{dim A} for each A in ``members``, each row read from
     ``fund_data``; g is a positive integer multiple of Gram x, so it has
     the signs of Gram x: ``int_gram`` times x cleared of its denominators.
-    Raises SingularSystem unless the equations fix one x."""
+    Raises SingularSystem unless the equations fix one x.
+
+    Each row is the primitive integer row of its flat, its right-hand side
+    divided by the row's ratio; all right-hand sides are cleared by one
+    lcm, so the elimination sees integers only, and x is its solution over
+    that lcm."""
     data = building.fund_data
-    rows = [data[building.V].gram_delta_perp]
-    rhs = [suitable.a]
-    for f in members:
-        rows.append(data[f].gram_delta_perp)
-        rhs.append(suitable.a - suitable.for_dim(f.dim))
-    point = solve_linear_system(tuple(rows), tuple(rhs))
+    rows = [data[building.V]] + [data[f] for f in members]
+    targets = [suitable.a] + [suitable.a - suitable.for_dim(f.dim) for f in members]
+    rhs = [t / d.ratio for t, d in zip(targets, rows)]
+    unit = lcm(*(b.denominator for b in rhs))
+    solved = solve_linear_system(
+        tuple(d.gram_delta_perp for d in rows),
+        tuple(b.numerator * (unit // b.denominator) for b in rhs),
+    )
+    point = tuple(c / unit for c in solved)
     scale = lcm(*(c.denominator for c in point))
     cleared = [c.numerator * (scale // c.denominator) for c in point]
     return point, int_mat_vec(building.rs.int_gram, cleared)
@@ -282,12 +285,10 @@ class Incidence:
         return index, suspects
 
 
-@dataclass
-class CheckReport:
-    name: str
-    passed: bool
-    checked: int
-    details: tuple[str, ...] = ()
+class CheckReport(
+    namedtuple("CheckReport", "name passed checked details", defaults=((),))
+):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -408,7 +409,7 @@ def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckRep
         point = vertex(rs, s, suitable, building)
         for f in proper:
             checked += 1
-            value = vdot(data[f].gram_delta_perp, point)
+            value = data[f].ratio * vdot(data[f].gram_delta_perp, point)
             bound = suitable.a - suitable.for_dim(f.dim)
             if f in s:
                 if value != bound:
@@ -433,7 +434,7 @@ def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckRep
             # exclude the point strictly
             i = next(i for i, c in enumerate(gx) if c <= 0)
             line = building.fund_flat_for_indices(1 << i)
-            value = vdot(data[line].gram_delta_perp, point)
+            value = data[line].ratio * vdot(data[line].gram_delta_perp, point)
             if value <= suitable.a - suitable.for_dim(1):
                 failures.append(
                     f"chamber-violating point of {family} not excluded by the "
@@ -448,7 +449,7 @@ def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckRep
                 f"dims {tuple(f.dim for f in combo)}"
             )
             continue
-        value = vdot(data[witness].gram_delta_perp, point)
+        value = data[witness].ratio * vdot(data[witness].gram_delta_perp, point)
         if value <= suitable.a - suitable.for_dim(witness.dim):
             failures.append(
                 f"point of non-nested family (dims "

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import GroupTooLarge, UnsupportedType
-from .linalg import Mat, Vec, int_mat_vec, mat_vec, rank, solve_columns, vdot, vsub
+from .linalg import Mat, Vec, int_mat_vec, mat_vec, rank, solve_columns, vdot
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
@@ -101,12 +101,10 @@ def _reflect_simple(cartan, i: int, x: tuple) -> tuple:
     return x[:i] + (x[i] - c,) + x[i + 1 :]
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(namedtuple("DiagramAutomorphism", "perm matrix")):
     """A permutation of the simple roots preserving all inner products."""
 
-    perm: tuple[int, ...]
-    matrix: Mat
+    __slots__ = ()
 
 
 class RootSystem:

@@ -12,7 +12,7 @@ parabolics W_J, each stored as a map from elements to left cosets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 from operator import itemgetter
 
@@ -142,8 +142,7 @@ def enumerate_group(rs, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
     return WeylGroup(rs, cap)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(namedtuple("Subgroup", "mask coset cosets reps")):
     """A standard parabolic subgroup W_J and its left cosets.
 
     W_J is generated by the simple reflections s_j, j in J, and is the
@@ -160,10 +159,7 @@ class Subgroup:
     per group.
     """
 
-    mask: int
-    coset: tuple[int, ...]
-    cosets: tuple[tuple[int, ...], ...]
-    reps: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def member_ids(self) -> tuple[int, ...]:

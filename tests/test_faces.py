@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
@@ -334,7 +333,7 @@ def _moved_by_a_reflection(model):
 def test_aut_action_rejects_a_tampered_offset(a3_min):
     s0, ident, i = _moved_by_a_reflection(a3_min)
     halfspaces = list(a3_min.halfspaces)
-    halfspaces[i] = replace(halfspaces[i], bound=halfspaces[i].bound + 1)
+    halfspaces[i] = halfspaces[i]._replace(bound=halfspaces[i].bound + 1)
     with pytest.raises(VerificationFailed, match="is not a defining inequality"):
         aut_action_on_halfspaces(a3_min.building, a3_min.weyl, halfspaces, s0, ident)
 
@@ -370,7 +369,7 @@ def test_aut_action_keeps_a_normal_listed_with_two_bounds_apart(a3_min):
     # maps the list onto itself, as the Fraction reference finds; the column
     # sums looked normals up without their bounds and refused it
     first = a3_min.halfspaces[0]
-    halfspaces = list(a3_min.halfspaces) + [replace(first, bound=first.bound + 1)]
+    halfspaces = list(a3_min.halfspaces) + [first._replace(bound=first.bound + 1)]
     (ident,) = [
         a.matrix for a in a3_min.building.preserved_diagram_automorphisms
         if a.perm == (0, 1, 2)
@@ -387,7 +386,7 @@ def test_aut_action_refuses_a_list_mutated_in_place(a3_min):
     halfspaces = list(a3_min.halfspaces)
     args = (a3_min.building, a3_min.weyl, halfspaces, s0, ident)
     assert aut_action_on_halfspaces(*args) == _fraction_key_action(*args)
-    halfspaces[i] = replace(halfspaces[i], bound=halfspaces[i].bound + 1)
+    halfspaces[i] = halfspaces[i]._replace(bound=halfspaces[i].bound + 1)
     with pytest.raises(VerificationFailed, match="is not a defining inequality"):
         aut_action_on_halfspaces(*args)
 
@@ -423,7 +422,7 @@ def test_aut_action_accepts_the_original_after_a_tampered_copy(a3_min):
     args = (a3_min.building, a3_min.weyl, a3_min.halfspaces, s0, ident)
     expected = aut_action_on_halfspaces(*args)
     tampered = list(a3_min.halfspaces)
-    tampered[i] = replace(tampered[i], bound=tampered[i].bound + 1)
+    tampered[i] = tampered[i]._replace(bound=tampered[i].bound + 1)
     with pytest.raises(VerificationFailed, match="is not a defining inequality"):
         aut_action_on_halfspaces(a3_min.building, a3_min.weyl, tampered, s0, ident)
     assert aut_action_on_halfspaces(*args) == expected
@@ -497,7 +496,7 @@ def test_aut_action_on_tampered_lists_agrees_with_the_fraction_oracle(
     )
     if tamper == "shift":
         delta = data.draw(st.sampled_from([-1, 1, Fraction(1, 2)]))
-        halfspaces[i] = replace(halfspaces[i], bound=halfspaces[i].bound + delta)
+        halfspaces[i] = halfspaces[i]._replace(bound=halfspaces[i].bound + delta)
     elif tamper == "perturb":
         k = data.draw(st.integers(0, model.rs.rank - 1))
         delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
@@ -505,7 +504,7 @@ def test_aut_action_on_tampered_lists_agrees_with_the_fraction_oracle(
         prim[k] += delta
         # a HalfSpace's normal is primitive
         g = gcd(*prim) or 1
-        halfspaces[i] = replace(halfspaces[i], prim=tuple(x // g for x in prim))
+        halfspaces[i] = halfspaces[i]._replace(prim=tuple(x // g for x in prim))
     elif tamper == "drop":
         del halfspaces[i]
     elif tamper == "duplicate":

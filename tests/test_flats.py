@@ -240,6 +240,31 @@ def test_fund_decomposition():
     assert len(whole) == 1 and whole[0].dim == 3
 
 
+def scanned_decomposition(building, flat):
+    """The maximal members inside ``flat``, found by scanning every member:
+    the reference for ``BuildingSet.g_decomposition``."""
+    inside = [g for g in building.sorted_flats if flat.contains(g)]
+    return tuple(
+        sorted(
+            g
+            for g in inside
+            if not any(h is not g and h.contains(g) for h in inside)
+        )
+    )
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "A2xB2"])
+@pytest.mark.parametrize("builder", [build_minimal, build_maximal])
+def test_g_decomposition_equals_member_scan(spec, builder):
+    rs = build_root_system(spec)
+    building = builder(rs)
+    for flat in all_flats(rs):
+        got = building.g_decomposition(flat)
+        assert got == scanned_decomposition(building, flat)
+        if flat in building:
+            assert got == (flat,)
+
+
 def test_interval_building_set():
     b = interval_building_set(3)
     assert len(b.flats) == 6

@@ -37,10 +37,15 @@ def test_flat_data_a2(
     v = full_flat(rs)
     vd = flat_data(rs, v, b)
     assert vd.pi == rs.delta == vd.delta_perp
-    # the stored row is Gram times delta_perp, for every fundamental member
+    # the stored row is primitive, and its ratio times it is Gram times
+    # delta_perp, for every fundamental member
     for model in (a2, b2, a3_min, a3_max, a4_min, b3_min, b3_max, a13_min, d4_min):
         for data in model.building.fund_data.values():
-            assert data.gram_delta_perp == mat_vec(model.rs.gram, data.delta_perp)
+            assert data.ratio > 0 and gcd(*data.gram_delta_perp) == 1
+            assert all(type(x) is int for x in data.gram_delta_perp)
+            assert tuple(data.ratio * x for x in data.gram_delta_perp) == mat_vec(
+                model.rs.gram, data.delta_perp
+            )
 
 
 @pytest.mark.parametrize(

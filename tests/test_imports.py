@@ -36,23 +36,36 @@ def test_every_import_is_stdlib_or_pnh():
     assert not outside
 
 
-# what ``import pnh.cli`` loads today, by way of fractions, json, dataclasses
-# and typing
-CLI_EXTENSIONS = {"_decimal", "_json", "_opcode", "_typing", "math"}
+# what ``import pnh.cli`` loads today, by way of fractions (``_decimal`` and
+# ``math``) and json
+CLI_EXTENSIONS = {"_decimal", "_json", "math"}
+
+# the records are named tuples, so none of the machinery of dataclasses and
+# typing is imported
+CLI_ABSENT = {"dataclasses", "typing", "inspect", "ast", "dis"}
+
+
+def _after_cli_import(code):
+    """The stdout of ``code`` run after ``import sys, pnh.cli`` in a fresh
+    interpreter without ``site``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, pnh.cli\n" + code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
 
 
 def test_cli_import_loads_no_other_extension_module():
-    code = (
-        "import sys, pnh.cli\n"
+    out = _after_cli_import(
         "from importlib.machinery import EXTENSION_SUFFIXES\n"
         "for name, m in sorted(sys.modules.items()):\n"
         "    if str(getattr(m, '__file__', '')).endswith(tuple(EXTENSION_SUFFIXES)):\n"
         "        print(name)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    ).stdout
     loaded = set(out.split())
     assert loaded <= CLI_EXTENSIONS, sorted(loaded - CLI_EXTENSIONS)
+
+
+def test_cli_import_leaves_dataclasses_and_typing_out():
+    loaded = set(_after_cli_import("print(*sys.modules)").split())
+    assert not loaded & CLI_ABSENT, sorted(loaded & CLI_ABSENT)

@@ -2,7 +2,6 @@
 the base-vertex decisions against the all-pairs path they replaced."""
 
 from copy import copy
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -85,8 +84,8 @@ def _moved(vrep, factor=Fraction(1001, 1000), index=0):
     numerator, and the common denominator by the factor's denominator."""
     vertices = [tuple(c * factor.denominator for c in v) for v in vrep.vertices]
     vertices[index] = tuple(c * factor.numerator for c in vrep.vertices[index])
-    return replace(
-        vrep, vertices=tuple(vertices), scale=vrep.scale * factor.denominator
+    return vrep._replace(
+        vertices=tuple(vertices), scale=vrep.scale * factor.denominator
     )
 
 
@@ -243,7 +242,7 @@ def test_swapped_vertex_points_are_strays():
     i, j = m + 2, 5 * m + 2
     vertices = list(model.vrep.vertices)
     vertices[i], vertices[j] = vertices[j], vertices[i]
-    model.vrep = replace(model.vrep, vertices=tuple(vertices))
+    model.vrep = model.vrep._replace(vertices=tuple(vertices))
     assert model.incidence.strays == (i, j)
     _check_mutant(model)
 
@@ -279,7 +278,7 @@ def test_inequality_key_off_its_orbit_is_a_suspect(a3_min):
     mask = simple_index_set(model.rs, member)
     positions = index.orbits[mask][1]
     p, q = positions[1], positions[2]
-    halfspaces[p] = replace(halfspaces[p], prim=halfspaces[q].prim)
+    halfspaces[p] = halfspaces[p]._replace(prim=halfspaces[q].prim)
     model.halfspaces = halfspaces
     _, suspects = model.incidence.orbit_facts(halfspaces, model.subgroups_by_flat())
     assert suspects == set(positions)
@@ -353,7 +352,7 @@ def test_relabelled_inequality_fails_with_equality_mismatch(a3_min):
             for x in range(model.weyl.order)
             if sub.coset[x] != sub.coset[hs.sigma_id]
         )
-        halfspaces[i] = replace(hs, sigma_id=other)
+        halfspaces[i] = hs._replace(sigma_id=other)
     report = verify_hrep_vrep(
         model.building,
         halfspaces,
@@ -400,7 +399,7 @@ def test_moved_vertex_fails_with_exact_values(a2):
 
 def test_shifted_inequality_raises_empty_facet(a2):
     shifted = list(a2.halfspaces)
-    shifted[3] = replace(shifted[3], bound=shifted[3].bound + 1)
+    shifted[3] = shifted[3]._replace(bound=shifted[3].bound + 1)
     with pytest.raises(EmptyFacet):
         facet_vertex_sets(a2.rs, shifted, a2.vrep)
     # a plane the shared cache has never seen is scanned, not assumed
@@ -415,7 +414,7 @@ def test_shifted_inequality_raises_empty_facet(a2):
 def test_shifted_inequality_fails_the_incidence_report(a2):
     # an empty tight set is a reported mismatch here, not an EmptyFacet
     shifted = list(a2.halfspaces)
-    shifted[3] = replace(shifted[3], bound=shifted[3].bound + 1)
+    shifted[3] = shifted[3]._replace(bound=shifted[3].bound + 1)
     args = (a2.building, shifted, a2.vrep, a2.subgroups_by_flat())
     report = verify_hrep_vrep(*args, raise_on_failure=False, incidence=a2.incidence)
     assert not report.passed
