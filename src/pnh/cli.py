@@ -14,9 +14,12 @@ import sys
 
 from . import __version__
 from .errors import PnhError
-from .exports import (
+# perfbench/spans.py wraps build_document, poset_document and to_json_bytes
+# under these names, so all three stay importable from here
+from .exports import (  # noqa: F401
     build_document,
     fvector_table,
+    json_chunks,
     load_building_set,
     off_text,
     parse_rat,
@@ -179,13 +182,21 @@ def _job_config(args, **extra) -> dict:
     return cfg
 
 
-def _emit(args, data: bytes) -> None:
+def _emit(args, pieces) -> None:
+    """Write the bytes ``pieces`` to ``--output`` or to stdout as they come."""
     if args.output:
         with open(args.output, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+            fh.writelines(pieces)
+        return
+    out = sys.stdout.buffer
+    try:
+        for piece in pieces:
+            out.write(piece)
+        out.flush()
+    except BrokenPipeError:
+        # the reader has closed the pipe (``pnh build ... | head``): it has
+        # read all it wanted, so stop quietly
+        pass
 
 
 def _run_verification(model, level: str, stream) -> int:
@@ -203,11 +214,12 @@ def _dispatch(args) -> int:
             code = _run_verification(model, args.verify, sys.stderr)
             if code != 0:
                 return code
-        doc = build_document(model, _job_config(args, verify=args.verify))
-        _emit(args, to_json_bytes(doc))
+        doc = build_document(model, _job_config(args, verify=args.verify),
+                             lazy_vrep=True)
+        _emit(args, json_chunks(doc))
         return 0
     if args.command == "fvector":
-        _emit(args, fvector_table(model).encode("utf-8"))
+        _emit(args, [fvector_table(model).encode("utf-8")])
         return 0
     if args.command == "verify":
         if args.output:
@@ -216,17 +228,18 @@ def _dispatch(args) -> int:
         return _run_verification(model, args.level, sys.stdout)
     if args.command == "export":
         if args.format == "off":
-            _emit(args, off_text(model, precision=args.precision).encode("utf-8"))
+            _emit(args, [off_text(model, precision=args.precision).encode("utf-8")])
         else:
-            doc = build_document(model, _job_config(args, format="json"))
-            _emit(args, to_json_bytes(doc))
+            doc = build_document(model, _job_config(args, format="json"),
+                                 lazy_vrep=True)
+            _emit(args, json_chunks(doc))
         return 0
     if args.command == "poset":
         include = {"auto": None, "yes": True, "no": False}[args.edges]
         doc = poset_document(
             model, _job_config(args, edges=args.edges), include_edges=include
         )
-        _emit(args, to_json_bytes(doc))
+        _emit(args, json_chunks(doc))
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -3,9 +3,10 @@ face-poset dumps, and lossy OFF meshes for rank-3 polytopes.
 
 Every JSON surface carries rationals as "p/q" strings and is rendered with
 sorted keys and a fixed indent, so identical inputs produce byte-identical
-output.  The JSON is written by pnh's own writer, `to_json_bytes`, whose
-bytes equal ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline;
-the documents share one index list per flat and per nested set, which the
+output.  The JSON is written by pnh's own writer, `json_chunks`, a slice of
+rows at a time; its pieces joined (`to_json_bytes`) equal
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.  The
+documents share one index list per flat and per nested set, which the
 writer renders once.  The OFF mesh is the single lossy surface:
 coordinates are decimal approximations, and the file header says so.
 """
@@ -16,8 +17,9 @@ import json
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import attrgetter, itemgetter
+from types import GeneratorType
 
 from .errors import OutOfRange, UnsupportedType
 from .faces import covering_edges
@@ -26,6 +28,8 @@ from .model import Permutonestohedron
 from .counting import closed_form_counts
 
 JSON_INDENT = 2
+# rows of a top-level list rendered and written together
+JSON_SLICE_ROWS = 256
 
 
 # -- rationals across the boundary -------------------------------------
@@ -59,8 +63,8 @@ class _ScaledTexts(dict):
 class _IndexLists(dict):
     """The JSON index list of each flat, and the list of those lists for each
     nested set or tuple of label flats, made once: every document entry that
-    names the same flats holds the same list object, which `to_json_bytes`
-    then renders once per depth."""
+    names the same flats holds the same list object, which the writer then
+    renders once per depth."""
 
     def __missing__(self, key):
         flat = type(key) is Flat
@@ -92,8 +96,14 @@ def _common(model: Permutonestohedron, config: dict | None, lists: _IndexLists) 
     }
 
 
-def build_document(model: Permutonestohedron, config: dict | None = None) -> dict:
-    """The full H/V-representation document for the ``build`` command."""
+def build_document(
+    model: Permutonestohedron, config: dict | None = None, lazy_vrep: bool = False
+) -> dict:
+    """The full H/V-representation document for the ``build`` command.
+
+    With ``lazy_vrep`` the ``vrep`` entry is a generator that makes its rows
+    as `json_chunks` asks for them, a slice at a time, so the document's
+    largest list never exists whole."""
     lists = _IndexLists()
     vrep = model.vrep
     m = len(vrep.max_nested)
@@ -117,21 +127,18 @@ def build_document(model: Permutonestohedron, config: dict | None = None) -> dic
                 "sigma_id": h.sigma_id,
             }
         )
+    # vertex i is labelled (i // m, max_nested[i % m])
+    rows = (
+        {"point": list(map(coord, v)), "sigma_id": i // m, "nested": nested[i % m]}
+        for i, v in enumerate(vrep.vertices)
+    )
     return {
         **_common(model, config, lists),
         "group_order": model.weyl.order,
         "a": rat_str(model.suitable.a),
         "epsilons": [rat_str(e) for e in model.suitable.eps],
         "hrep": hrep,
-        # vertex i is labelled (i // m, max_nested[i % m])
-        "vrep": [
-            {
-                "point": list(map(coord, v)),
-                "sigma_id": i // m,
-                "nested": nested[i % m],
-            }
-            for i, v in enumerate(vrep.vertices)
-        ],
+        "vrep": rows if lazy_vrep else list(rows),
     }
 
 
@@ -167,19 +174,57 @@ def poset_document(
 # -- the JSON writer ------------------------------------------------------
 
 
-def to_json_bytes(doc: dict) -> bytes:
+def json_chunks(doc):
     """``doc`` as UTF-8 JSON with sorted keys and an indent of JSON_INDENT,
-    plus a final newline: byte for byte what ``json.dumps(doc,
-    indent=JSON_INDENT, sort_keys=True)`` gives, without the stdlib's
-    pure-Python indent encoder.
+    plus a final newline, in pieces: joined, byte for byte what
+    ``json.dumps(doc, indent=JSON_INDENT, sort_keys=True)`` gives, without
+    the stdlib's pure-Python indent encoder.
+
+    The entries of a top-level dict are written one after another, and a
+    top-level list, or a generator in its place, JSON_SLICE_ROWS rows at a
+    time: only one slice's text is held at once, and of a generator's rows
+    only that slice.  One memo serves the whole document.
 
     Only dict (with str keys), list, str, int, bool and None are written;
     anything else, a float included, raises TypeError.  A list is written
     a column at a time: a list of dicts with one key set sorts its keys
     once, a list of only str or only int leaves is joined in one pass, and
     an index list that recurs in a column is rendered once per depth."""
-    memo: dict[tuple[int, int], str] = {}
-    return (_render(doc, 0, memo) + "\n").encode("utf-8")
+    memo: dict[tuple[int, int], tuple] = {}
+    if type(doc) is not dict or not doc:
+        yield from _chunks(doc, 0, memo)
+        yield b"\n"
+        return
+    field = "\n" + " " * JSON_INDENT
+    sep = "{"
+    # a key that is not a str fails in sorted() or in _escape
+    for key in sorted(doc):
+        yield (sep + field + _escape(key) + ": ").encode("utf-8")
+        yield from _chunks(doc[key], 1, memo)
+        sep = ","
+    yield b"\n}\n"
+
+
+def _chunks(value, depth: int, memo: dict):
+    """The UTF-8 text of ``value`` at ``depth``, a list or generator of rows
+    one slice at a time, anything else in one piece."""
+    if type(value) is not list and type(value) is not GeneratorType:
+        yield _render(value, depth, memo).encode("utf-8")
+        return
+    pad = "\n" + " " * (JSON_INDENT * depth)
+    field = pad + " " * JSON_INDENT
+    rows = iter(value)
+    opened = False
+    while chunk := list(islice(rows, JSON_SLICE_ROWS)):
+        text = ("," + field).join(_texts(chunk, depth + 1, memo))
+        yield (("," if opened else "[") + field + text).encode("utf-8")
+        opened = True
+    yield (pad + "]" if opened else "[]").encode("utf-8")
+
+
+def to_json_bytes(doc) -> bytes:
+    """The whole of `json_chunks(doc)` as one bytes object."""
+    return b"".join(json_chunks(doc))
 
 
 # the C string escaper of the stdlib JSON encoder (ensure_ascii=True)
@@ -224,11 +269,13 @@ def _list_texts(lists: list, depth: int, memo: dict):
     """The text of each of ``lists`` at ``depth``."""
     once = dict(zip(map(id, lists), lists))
     if len(once) < len(lists):
-        # shared index lists: each object is rendered once per depth
+        # shared index lists: each object is rendered once per depth.  The
+        # memo holds the object, so that its id is not reused by a row that
+        # a generator makes after this slice is gone.
         for key, x in once.items():
             if (key, depth) not in memo:
-                memo[key, depth] = _render(x, depth, memo)
-        return [memo[key, depth] for key in map(id, lists)]
+                memo[key, depth] = x, _render(x, depth, memo)
+        return [memo[key, depth][1] for key in map(id, lists)]
     if not all(lists):
         return [_render(x, depth, memo) for x in lists]
     pad = "\n" + " " * (JSON_INDENT * depth)

@@ -166,13 +166,15 @@ def solve_columns(a: Sequence[Sequence], bs: Sequence[Sequence]) -> list[Vec]:
             )
         prev = lead
 
+    # The last pivot is the determinant d of the permuted integer matrix, so
+    # d * x is an integer vector (Cramer's rule): back-substitute it in
+    # integers, where every division is exact, and divide by d once.
+    det = rows[n - 1][n - 1] if n else 1
     solutions = []
-    for which in range(k):
-        x: list[Fraction] = [Fraction(0)] * n
+    for which in range(n, n + k):
+        y = [0] * n
         for i in range(n - 1, -1, -1):
-            acc = Fraction(rows[i][n + which])
-            for j in range(i + 1, n):
-                acc -= rows[i][j] * x[j]
-            x[i] = acc / rows[i][i]
-        solutions.append(tuple(x))
+            row = rows[i]
+            y[i] = (det * row[which] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
+        solutions.append(tuple([Fraction(v, det) for v in y]))
     return solutions

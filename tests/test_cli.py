@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -372,3 +374,39 @@ def test_poset_and_off_outputs(tmp_path):
 
 def test_missing_file_is_usage_error():
     assert run(["build", "--type", "A2", "--building", "file:/nonexistent"]) == 2
+
+
+class _ClosedPipe:
+    """A stdout buffer whose reader goes away after ``accepted`` writes."""
+
+    def __init__(self, accepted):
+        self.accepted = accepted
+        self.data = []
+
+    def write(self, data):
+        if len(self.data) == self.accepted:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.data.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        if len(self.data) == self.accepted:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("accepted", [0, 1, 3])
+@pytest.mark.parametrize("argv", [
+    ["build", "--type", "B3"],
+    ["poset", "--type", "A3", "--edges", "yes"],
+    ["fvector", "--type", "A3"],
+])
+def test_a_reader_that_closes_stdout_early_ends_the_output_quietly(
+    monkeypatch, argv, accepted
+):
+    # ``pnh build ... | head -c 10``: exit 0, no message, no traceback
+    pipe, err = _ClosedPipe(accepted), io.StringIO()
+    monkeypatch.setattr("sys.stdout", SimpleNamespace(buffer=pipe))
+    monkeypatch.setattr("sys.stderr", err)
+    assert run(argv) == 0
+    assert err.getvalue() == ""
+    assert len(pipe.data) <= accepted

@@ -47,6 +47,9 @@ def test_traced_commands_run_their_post_hooks(a2, tmp_path):
             cli.run(["build", "--type", "A2", "--output", out]),
             cli.run(["export", "--format", "off", "--type", "A3", "--output", out]),
         ]
+        # the CLI streams its JSON through json_chunks, so the whole-document
+        # writer is called here, under the name the tracer wraps
+        cli.to_json_bytes(cli.build_document(a2))
         # looked up on the module, where the tracer installed its wrapper
         faces = importlib.import_module("pnh.faces")
         faces.aut_action_on_halfspaces(
