@@ -17,8 +17,9 @@ whole polytope is ({V} labelled, the full group).
 first two conditions depend only on the type (S, L), and once they hold,
 exactly one face of q's type contains p, found by one coset lookup.
 
-``face_vertices`` computes the vertex set both from the pair description
-and from the supporting hyperplanes and insists they agree.
+``face_vertices`` lists a face's vertices from the pair description;
+``support_masks`` names the fundamental inequalities whose images carry
+it, which ``pnh.chamber`` checks against the pair description.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from .errors import (
     NotCrossingFacet,
     VerificationFailed,
 )
-from .flats import BuildingSet, Flat, iter_bits
+from .flats import BuildingSet, Flat
 from .halfspaces import HalfSpace, HalfSpaceIndex, orthogonal_flats
 from .nested import NestedSet, enumerate_nested_sets
-from .polytope import Incidence, VRep
+from .polytope import VRep
 from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_subgroup, subgroup_product
 
 
@@ -183,95 +184,46 @@ def face_vertices(ctx: FaceContext, face: FacePair, vrep: VRep) -> frozenset[int
     return frozenset(out)
 
 
-def support_halfspaces(
-    ctx: FaceContext,
-    face: FacePair,
-    index: HalfSpaceIndex,
-) -> list[int]:
-    """H-rep positions of the hyperplanes whose intersection carries the face.
+def support_masks(building: BuildingSet, face: FacePair) -> list[int]:
+    """Simple-index masks of the fundamental inequalities whose images by
+    the face's coset representative carry the face.
 
-    With labels A_1..A_k and D their sum: for k = 0 the chamber hyperplane
-    and the hyperplanes of every proper member of S; for k >= 1 the
-    hyperplane of D and those of B + D over proper unlabelled B in S.  Each
-    is the image, by the face's coset representative, of the fundamental
-    inequality of that simple-index mask, found in ``index`` by the
-    representative's coset of the inequality's stabiliser.
+    With labels A_1..A_k and D their sum: for k = 0 the chamber inequality
+    (the full mask) and the inequality of every proper member of S; for
+    k >= 1 the inequality of D and those of B + D over proper unlabelled B
+    in S; none for the whole polytope.
     """
-    building = ctx.building
     proper = [f for f in face.nested if f != building.V]
     if face.labels == (building.V,):
         return []  # the whole polytope: no supporting hyperplane
     if not face.labels:
         masks = [(1 << building.rs.rank) - 1]
-        masks += [building.fund_index_sets[b] for b in proper]
-    else:
-        d_mask = 0
-        for a in face.labels:
-            d_mask |= building.fund_index_sets[a]
-        if len(face.labels) >= 2:
-            parts = building.fund_decomposition(d_mask)
-            if parts != tuple(sorted(face.labels)):
-                raise VerificationFailed(
-                    "label sum decomposes differently from the labels themselves"
-                )
-        masks = [d_mask] + [
-            building.fund_index_sets[b] | d_mask
-            for b in proper
-            if b not in face.labels
-        ]
-    return [index.position(mask, face.rep) for mask in masks]
+        return masks + [building.fund_index_sets[b] for b in proper]
+    d_mask = 0
+    for a in face.labels:
+        d_mask |= building.fund_index_sets[a]
+    if len(face.labels) >= 2:
+        parts = building.fund_decomposition(d_mask)
+        if parts != tuple(sorted(face.labels)):
+            raise VerificationFailed(
+                "label sum decomposes differently from the labels themselves"
+            )
+    return [d_mask] + [
+        building.fund_index_sets[b] | d_mask for b in proper if b not in face.labels
+    ]
 
 
-def face_vertices_geometric(
+def support_halfspaces(
     ctx: FaceContext,
     face: FacePair,
-    vrep: VRep,
     index: HalfSpaceIndex,
-    incidence: Incidence | None = None,
-) -> frozenset[int]:
-    """Vertex ids lying on every supporting hyperplane of the face.
-
-    The hyperplanes are chosen combinatorially; the vertices on each come
-    from the incidence kernel's exact dot products.
+) -> list[int]:
+    """H-rep positions of the hyperplanes whose intersection carries the face:
+    the image, by the face's coset representative, of the fundamental
+    inequality of each of its ``support_masks``, found in ``index`` by the
+    representative's coset of the inequality's stabiliser.
     """
-    if incidence is None:
-        incidence = Incidence(ctx.building.rs, vrep)
-    support = [index.halfspaces[i] for i in support_halfspaces(ctx, face, index)]
-    mask = incidence.full
-    for tight in incidence.facet_masks(support):
-        mask &= tight
-    return frozenset(iter_bits(mask))
-
-
-def is_simple(
-    ctx: FaceContext,
-    halfspaces: list[HalfSpace],
-    incidence: Incidence,
-    subgroups: dict[Flat, Subgroup],
-) -> bool:
-    """True when every vertex is on exactly n defining inequalities.
-
-    With the orbit facts re-derived (``Incidence.strays`` and
-    ``orbit_facts``, with ``subgroups`` each flat's W_J), sigma maps the
-    inequalities on v_S one-to-one onto those on sigma v_S, so the base
-    vertices are counted.  Otherwise, or when some orbit is tight on no
-    base vertex (and so on no vertex), every inequality is scanned over
-    every vertex, and one that touches none raises EmptyFacet.
-    """
-    n = ctx.building.rs.rank
-    index, suspects = incidence.orbit_facts(halfspaces, subgroups)
-    masks = []
-    if not suspects and not incidence.strays:
-        masks = [incidence.scan(hs, base=True)[0] for hs in halfspaces]
-    if masks and all(any(map(masks.__getitem__, p)) for _, p in index.orbits.values()):
-        count = incidence.base
-    else:
-        masks, count = incidence.facet_masks(halfspaces), incidence.count
-    per_vertex = [0] * count
-    for mask in masks:
-        for i in iter_bits(mask):
-            per_vertex[i] += 1
-    return all(c == n for c in per_vertex)
+    return [index.position(m, face.rep) for m in support_masks(ctx.building, face)]
 
 
 def crossing_facet_parts(ctx: FaceContext, face: FacePair) -> tuple[Flat, ...]:

@@ -286,12 +286,9 @@ def _pairs(items):
 
 
 def orthogonal_flats(rs, a: Flat, b: Flat) -> bool:
-    for i in a.indices():
-        ra = rs.positive_roots[i]
-        for j in b.indices():
-            if rs.inner(ra, rs.positive_roots[j]) != 0:
-                return False
-    return True
+    """Every root of ``a`` is orthogonal to every root of ``b``, read off
+    the roots' non-orthogonality bitmasks (``rs.non_orthogonal``)."""
+    return all(rs.non_orthogonal[i] & b.bits == 0 for i in a.indices())
 
 
 def all_halfspaces(

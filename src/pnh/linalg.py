@@ -145,9 +145,23 @@ def solve_columns(a: Sequence[Sequence], bs: Sequence[Sequence]) -> list[Vec]:
     for row in a:
         if len(row) != n:
             raise ValueError("coefficient matrix must be square")
-    k = len(bs)
     rows = [integer_row(tuple(a[i]) + tuple(b[i] for b in bs)) for i in range(n)]
+    ys, det = _eliminate(rows, n, len(bs))
+    return [tuple([Fraction(v, det) for v in y]) for y in ys]
 
+
+def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[Vec, int]:
+    """(y, d) with a @ y = d * b, for a square integer matrix ``a``: d is its
+    determinant, nonzero, so y / d solves a @ x = b; no Fraction is made.
+    Raises SingularSystem when ``a`` is not invertible."""
+    n = len(a)
+    ys, det = _eliminate([tuple(row) + (v,) for row, v in zip(a, b)], n, 1)
+    return ys[0], det
+
+
+def _eliminate(rows: list[tuple[int, ...]], n: int, k: int) -> tuple[list, int]:
+    """(integer y per right-hand side, d) for n integer rows of n
+    coefficients and k right-hand sides, with x = y / d."""
     # Fraction-free forward elimination (Bareiss): entries stay integral and
     # the exact divisions below never truncate.
     prev = 1
@@ -157,13 +171,11 @@ def solve_columns(a: Sequence[Sequence], bs: Sequence[Sequence]) -> list[Vec]:
             raise SingularSystem(f"no pivot in column {col}")
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-        lead = rows[col][col]
+        top = rows[col]
+        lead = top[col]
         for r in range(col + 1, n):
-            fac = rows[r][col]
-            rows[r] = tuple(
-                (lead * rows[r][j] - fac * rows[col][j]) // prev
-                for j in range(n + k)
-            )
+            row, fac = rows[r], rows[r][col]
+            rows[r] = [(lead * x - fac * y) // prev for x, y in zip(row, top)]
         prev = lead
 
     # The last pivot is the determinant d of the permuted integer matrix, so
@@ -176,5 +188,5 @@ def solve_columns(a: Sequence[Sequence], bs: Sequence[Sequence]) -> list[Vec]:
         for i in range(n - 1, -1, -1):
             row = rows[i]
             y[i] = (det * row[which] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
-        solutions.append(tuple([Fraction(v, det) for v in y]))
-    return solutions
+        solutions.append(tuple(y))
+    return solutions, det

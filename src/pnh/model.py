@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 
+from .chamber import Chamber, face_vertices_geometric, is_simple
 from .errors import VerificationFailed
 from .counting import closed_form_counts
 from .faces import (
@@ -23,9 +24,7 @@ from .faces import (
     f_vector,
     face_types,
     face_vertices,
-    face_vertices_geometric,
     is_face_leq,
-    is_simple,
 )
 from .flats import BuildingSet, Flat, restricted_building_set, simple_index_set
 from .halfspaces import (
@@ -46,10 +45,11 @@ from .polytope import (
     Incidence,
     VRep,
     all_vertices,
+    chamber_vertices,
     euler_check,
     facet_vertex_sets,
     nestohedron_check,
-    verify_hrep_vrep,
+    verify_hrep_vrep,  # noqa: F401 - wrapped here by perfbench/spans.py
 )
 from .weyl import (
     DEFAULT_GROUP_CAP,
@@ -119,6 +119,11 @@ class Permutonestohedron:
         return Incidence(self.rs, self.vrep)
 
     @cached_property
+    def chamber(self) -> Chamber:
+        base = chamber_vertices(self.building, self.suitable)
+        return Chamber(self.building, base, self.fundamental_hs, self.weyl)
+
+    @cached_property
     def faces(self) -> list[FacePair]:
         return enumerate_faces(self.face_ctx)
 
@@ -145,9 +150,7 @@ class Permutonestohedron:
         return self.building.contains_every_flat
 
     def simple(self) -> bool:
-        return is_simple(
-            self.face_ctx, self.halfspaces, self.incidence, self.subgroups_by_flat()
-        )
+        return is_simple(self.chamber)
 
     def face_vertex_ids(self, face: FacePair) -> frozenset[int]:
         return face_vertices(self.face_ctx, face, self.vrep)
@@ -174,11 +177,11 @@ class Permutonestohedron:
 
         'fast' runs the chamber-side, counting and simplicity checks; 'full'
         adds the nestohedron characterisation, the vertex/inequality
-        incidence over all V·H pairs and the face vertex sets.  Simplicity,
-        incidence and faces are decided on the base vertices by the orbit
-        argument, after re-deriving the facts it rests on (see
-        ``pnh.polytope``); at both levels, pairs those facts do not cover
-        are evaluated one by one.  Any other level raises ValueError.
+        incidence over all V·H pairs and the face vertex sets.  Counts,
+        simplicity, incidence and faces are decided on the base vertices and
+        the fundamental inequalities (``pnh.chamber``), after re-deriving
+        the facts that carry them to every vertex and inequality; neither
+        the V-rep nor the H-rep is made.  Any other level raises ValueError.
         """
         if level not in ("fast", "full"):
             raise ValueError(f"verify level must be 'fast' or 'full', not {level!r}")
@@ -212,17 +215,12 @@ class Permutonestohedron:
             )
         )
 
-        counts_ok = len(self.vrep.vertices) == self.weyl.order * len(
-            self.vrep.max_nested
-        )
+        # regular, pairwise distinct base points (else Chamber raises)
+        # give |W| distinct images each
+        chamber = self.chamber
         reports.append(
             CheckReport(
-                "vertex count = |W| * maximal nested sets",
-                counts_ok and not self.vrep.coincidences,
-                len(self.vrep.vertices),
-                ()
-                if counts_ok and not self.vrep.coincidences
-                else (f"{len(self.vrep.coincidences)} coincidences",),
+                "vertex count = |W| * maximal nested sets", True, chamber.vertex_count
             )
         )
 
@@ -230,7 +228,7 @@ class Permutonestohedron:
         reports.append(
             CheckReport(
                 "f-vector endpoints match geometry",
-                fvec[0] == self.vertex_count and fvec[-2] == self.facet_count
+                fvec[0] == chamber.vertex_count and fvec[-2] == chamber.facet_count
                 if self.rs.rank >= 1
                 else True,
                 2,
@@ -261,16 +259,7 @@ class Permutonestohedron:
 
         if level == "full":
             reports.append(nestohedron_check(self.building, self.suitable))
-            reports.append(
-                verify_hrep_vrep(
-                    self.building,
-                    self.halfspaces,
-                    self.vrep,
-                    self.subgroups_by_flat(),
-                    raise_on_failure=False,
-                    incidence=self.incidence,
-                )
-            )
+            reports.append(chamber.incidence_report())
             reports.append(self._face_vertex_report())
         return reports
 
@@ -291,52 +280,37 @@ class Permutonestohedron:
         )
 
     def _face_vertex_report(self) -> CheckReport:
-        """Pair description vs supporting hyperplanes, face by face.
+        """Pair description vs supporting hyperplanes, one face per type.
 
-        With the orbit facts re-derived, the faces of a type (S, L) are the
-        W-images of its face in W_L's identity coset, as pairs and as
-        geometry alike, so that face, made directly from the type, is
-        checked for all of them; its supporting hyperplanes are fundamental
-        inequalities.  Otherwise, or when one of those fails, every face is
-        listed and checked.
+        The faces of a type (S, L) are the W-images of its face at W_L's
+        identity coset, as pairs and, by the chamber facts, as geometry
+        alike, so that face is checked for all of them: its pairs are the
+        sigma v_T with sigma in W_L and T containing S, and geometrically
+        the sigma in W_J and T of ``face_vertices_geometric``.  Undecided,
+        and failed, while a vertex violates an inequality.
         """
-        incidence = self.incidence
-        _, suspects = incidence.orbit_facts(self.halfspaces, self.subgroups_by_flat())
-        label_subgroup = self.face_ctx.label_subgroup
+        ctx, chamber = self.face_ctx, self.chamber
+        max_nested = chamber.base.max_nested
         failures = []
-        if (
-            suspects
-            or incidence.strays
-            or self._face_failures(
-                FacePair(label_subgroup(labels).reps[0], s, labels)
-                for s, labels, _ in face_types(self.face_ctx)
-            )
-        ):
-            failures = self._face_failures(self.faces)
+        if any(chamber.violated):
+            failures.append("not decided: a vertex violates a defining inequality")
+        for s, labels, _ in face_types(ctx) if not failures else ():
+            sub = ctx.label_subgroup(labels)
+            face = FacePair(sub.reps[0], s, labels)
+            base = [k for k, t in enumerate(max_nested) if s.flat_set <= t.flat_set]
+            j, tight = face_vertices_geometric(ctx, face, chamber)
+            if (j, tight) != (sub.mask, frozenset(base)):
+                failures.append(
+                    f"face {face}: pair description gives {sub.order * len(base)} "
+                    f"vertices, supporting hyperplanes give "
+                    f"{chamber.order(j) * len(tight)}"
+                )
         return CheckReport(
             "face vertices vs supporting hyperplanes",
             not failures,
             sum(self.f_vector),
             tuple(failures[:10]),
         )
-
-    def _face_failures(self, faces) -> list[str]:
-        failures = []
-        for face in faces:
-            combinatorial = self.face_vertex_ids(face)
-            geometric = face_vertices_geometric(
-                self.face_ctx,
-                face,
-                self.vrep,
-                self.halfspace_index,
-                self.incidence,
-            )
-            if combinatorial != geometric:
-                failures.append(
-                    f"face {face}: pair description gives {len(combinatorial)} "
-                    f"vertices, supporting hyperplanes give {len(geometric)}"
-                )
-        return failures
 
     # -- facet factorisation ----------------------------------------------
 

@@ -1,52 +1,42 @@
-"""Vertices of the permutonestohedron and geometric verification.
+"""Vertices of the permutonestohedron and the materialised incidence check.
 
-Each maximal nested set S determines one vertex of the chamber nestohedron
-as the unique solution of (x, delta) = a together with
-(x, delta_perp_A) = a - eps_{dim A} for the proper members A of S; the
-full vertex set is the reflection-group orbit of these points.  The
-verifier compares, inequality by inequality, the vertices observed tight
-on it with the vertices predicted tight:
-
-* an image tau of the chamber inequality is tight on sigma v_S iff
-  sigma = tau;
-* an image tau of the member inequality of A is tight on sigma v_S iff
-  A is in S and tau^-1 sigma fixes A's parabolic;
-* an image tau of a non-member inequality of B is tight on sigma v_S iff
-  every decomposition member of B is in S and tau^-1 sigma lies in the
-  product of their parabolics.
+Each maximal nested set S determines one vertex v_S of the chamber
+nestohedron, the unique solution of (x, delta) = a together with
+(x, delta_perp_A) = a - eps_{dim A} for the proper members A of S, solved
+in integers over one denominator (``_chamber_solve``).  The base vertices
+are ``chamber_vertices``; the V-rep is their reflection-group orbit.
 
 Tightness is decided by one exact integer kernel, ``Incidence``: vertices
 and Gram-normals are scaled to integers, each inequality read in its stored
-form (x, prim) <= bound, and a scan of a hyperplane keeps
-its tight set, as a bitmask over vertex ids, and whether any vertex
-violates it.  W acts by isometries, so tight(tau H, sigma v) iff
-tight(sigma^-1 tau H, v): scans of every inequality over the base vertices
-v_S (sigma = e) decide every pair, and the pattern above need only be
-checked at sigma = e.  The facts this rests on are re-derived, never
-assumed: every simple reflection preserves the Gram form; the vertices are
-listed sigma by sigma, each equal to M(sigma) v_S in scaled integers
-(``Incidence.strays``); and each coset of an inequality's stabiliser W_J
-holds exactly one inequality, whose key is M(sigma_id) times the key at
-the identity coset, which the generators of W_J fix
-(``Incidence.orbit_facts``).  Pairs these facts do not cover are
-evaluated one by one.  The predicted masks are built from cosets and
-maximal nested sets alone; the kernel only takes dot products, so the
-predicted pattern and the observed one never share code.
+form (x, prim) <= bound, and a scan of a hyperplane keeps its tight set, as
+a bitmask over vertex ids, and whether any vertex violates it.
+
+``verify`` decides incidence on the dominant chamber (``pnh.chamber``);
+``verify_hrep_vrep`` checks a materialised V-rep against a materialised
+H-rep.  An image tau of an inequality is predicted tight on sigma v_S iff
+every decomposition member of its flat is in S and tau^-1 sigma lies in
+their parabolic (sigma = tau for the chamber inequality).  W acts by
+isometries, so base scans decide every pair once the facts this rests on
+are re-derived: the simple reflections preserve the Gram form, each vertex
+is M(sigma) v_S (``Incidence.strays``), and each coset of an inequality's
+stabiliser holds one inequality, M(sigma_id) times the one at the identity
+coset, which W_J's generators fix (``Incidence.orbit_facts``).  Pairs
+these facts do not cover are evaluated one by one.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, repeat
-from math import lcm
-from operator import add, mul
+from math import gcd, lcm
+from operator import add, mul, or_
 
 from .errors import EmptyFacet, NotInChamber, SingularSystem, VerificationFailed
 from .flats import BuildingSet, Flat, iter_bits, simple_index_set
 from .halfspaces import HalfSpace, HalfSpaceIndex, SuitableList, index_halfspaces
-from .linalg import Vec, int_mat_vec, mat_mul, solve_linear_system, vdot
+from .linalg import Vec, int_mat_vec, mat_mul, solve_integer
 from .nested import NestedSet, enumerate_maximal_nested_sets
 from .weyl import Subgroup, WeylGroup, subgroup_product
 
@@ -59,60 +49,89 @@ class VRep(namedtuple("VRep", "vertices scale max_nested coincidences weyl")):
     first m are the base vertices (sigma = e) and a vertex's label is its
     position.  Each point is a tuple of integers whose exact coordinates
     are those integers over ``scale``, the one common denominator; ``weyl``
-    is the group whose matrices made them.
+    is the group whose matrices made them, None for the base vertices alone
+    (``chamber_vertices``).
     """
 
     __slots__ = ()
 
 
-def vertex(
-    rs,
-    nested: NestedSet,
-    suitable: SuitableList,
-    building: BuildingSet,
-) -> Vec:
+def vertex(rs, nested: NestedSet, suitable: SuitableList, building: BuildingSet) -> Vec:
     """The chamber vertex attached to a maximal nested set.
 
     Raises NotInChamber when the solution violates a strict chamber
     inequality (which signals an unsuitable eps list, not a bug here).
     """
-    if len(nested) != rs.rank:
+    y, d = _base_point(building, _chamber_rhs(building, suitable), nested)
+    return tuple([Fraction(c, d) for c in y])
+
+
+def _chamber_rhs(building: BuildingSet, suitable: SuitableList) -> dict:
+    """Per fundamental member A, the right-hand side of its chamber row:
+    (a - eps_{dim A}) / ratio, and a / ratio for the whole space."""
+    a, data = suitable.a, building.fund_data
+    return {
+        f: (a if f == building.V else a - suitable.for_dim(f.dim)) / data[f].ratio
+        for f in building.fund
+    }
+
+
+def _chamber_solve(
+    building: BuildingSet, rhs: dict, members: tuple[Flat, ...]
+) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(y, d, g) for the x = y / d, d > 0 and in lowest terms, with
+    (x, delta) = a and (x, delta_perp_A) = a - eps_{dim A} for each A in
+    ``members``, each row read from ``fund_data`` and each right-hand side
+    from ``rhs`` (``_chamber_rhs``); g = ``int_gram`` y has the signs of
+    Gram x.  Raises SingularSystem unless the equations fix one x.
+
+    The right-hand sides are cleared by one lcm, so the elimination and
+    everything after it see integers only."""
+    data = building.fund_data
+    rows = (building.V,) + members
+    unit = lcm(*(rhs[f].denominator for f in rows))
+    y, det = solve_integer(
+        [data[f].gram_delta_perp for f in rows],
+        [rhs[f].numerator * (unit // rhs[f].denominator) for f in rows],
+    )
+    d = det * unit
+    g = gcd(d, *y) * (1 if d > 0 else -1)
+    y = tuple([c // g for c in y])
+    return y, d // g, int_mat_vec(building.rs.int_gram, y)
+
+
+def _base_point(building: BuildingSet, rhs: dict, nested: NestedSet):
+    """(y, d) of ``vertex``: the point y / d, d > 0 and in lowest terms."""
+    if len(nested) != building.rs.rank:
         raise ValueError("vertex requires a maximal nested set")
     proper = tuple(f for f in nested if f != building.V)
-    point, gx = _chamber_solve(building, suitable, proper)
+    y, d, gx = _chamber_solve(building, rhs, proper)
     if any(c <= 0 for c in gx):
         raise NotInChamber(
             f"vertex for {tuple(f.dim for f in nested)} leaves the open chamber"
         )
-    return point
+    return y, d
 
 
-def _chamber_solve(
-    building: BuildingSet, suitable: SuitableList, members: tuple[Flat, ...]
-) -> tuple[Vec, Vec]:
-    """(x, g) for the x with (x, delta) = a and (x, delta_perp_A) =
-    a - eps_{dim A} for each A in ``members``, each row read from
-    ``fund_data``; g is a positive integer multiple of Gram x, so it has
-    the signs of Gram x: ``int_gram`` times x cleared of its denominators.
-    Raises SingularSystem unless the equations fix one x.
+def chamber_vertices(building: BuildingSet, suitable: SuitableList) -> VRep:
+    """The base vertices v_S, one per maximal nested set, as a ``VRep`` with
+    no group: integers over the lcm of their denominators, and the pairs of
+    equal points as its coincidences."""
+    max_nested = tuple(enumerate_maximal_nested_sets(building))
+    rhs = _chamber_rhs(building, suitable)
+    points = [_base_point(building, rhs, s) for s in max_nested]
+    scale = lcm(*(d for _, d in points))
+    base = tuple(tuple([c * (scale // d) for c in y]) for y, d in points)
+    return VRep(base, scale, max_nested, _coincidences(base), None)
 
-    Each row is the primitive integer row of its flat, its right-hand side
-    divided by the row's ratio; all right-hand sides are cleared by one
-    lcm, so the elimination sees integers only, and x is its solution over
-    that lcm."""
-    data = building.fund_data
-    rows = [data[building.V]] + [data[f] for f in members]
-    targets = [suitable.a] + [suitable.a - suitable.for_dim(f.dim) for f in members]
-    rhs = [t / d.ratio for t, d in zip(targets, rows)]
-    unit = lcm(*(b.denominator for b in rhs))
-    solved = solve_linear_system(
-        tuple(d.gram_delta_perp for d in rows),
-        tuple(b.numerator * (unit // b.denominator) for b in rhs),
-    )
-    point = tuple(c / unit for c in solved)
-    scale = lcm(*(c.denominator for c in point))
-    cleared = [c.numerator * (scale // c.denominator) for c in point]
-    return point, int_mat_vec(building.rs.int_gram, cleared)
+
+def _coincidences(points) -> tuple[tuple[int, int], ...]:
+    """(first index, index) of each point equal to an earlier one."""
+    if len(set(points)) == len(points):
+        return ()
+    first: dict[tuple[int, ...], int] = {}
+    pairs = ((first.setdefault(q, i), i) for i, q in enumerate(points))
+    return tuple((j, i) for j, i in pairs if j != i)
 
 
 def all_vertices(
@@ -123,34 +142,22 @@ def all_vertices(
 ) -> VRep:
     """Orbit of the chamber vertices; one entry per (sigma, nested) pair.
 
-    The chamber vertices are scaled once to integers by the lcm of their
-    denominators, and W's integer matrices act on those; the images are the
-    stored form (``VRep``).  Pairs mapping to the same point are recorded as
-    coincidences; with ``require_distinct`` (the default, appropriate for
-    suitable lists) any coincidence raises VerificationFailed.
+    W's integer matrices act on the base vertices of ``chamber_vertices``;
+    the images are the stored form (``VRep``).  Pairs mapping to the same
+    point are recorded as coincidences; with ``require_distinct`` (the
+    default, appropriate for suitable lists) any coincidence raises
+    VerificationFailed.
     """
-    rs = building.rs
-    max_nested = tuple(enumerate_maximal_nested_sets(building))
-    base_points = [vertex(rs, s, suitable, building) for s in max_nested]
-    scale = lcm(*(c.denominator for p in base_points for c in p))
-    base_ints = [
-        tuple(c.numerator * (scale // c.denominator) for c in p) for p in base_points
-    ]
+    base = chamber_vertices(building, suitable)
     vertices = tuple(
-        int_mat_vec(matrix, p) for matrix in weyl.elements for p in base_ints
+        int_mat_vec(matrix, p) for matrix in weyl.elements for p in base.vertices
     )
-    coincidences = []
-    if len(set(vertices)) != len(vertices):
-        first: dict[tuple[int, ...], int] = {}
-        for idx, q in enumerate(vertices):
-            prev = first.setdefault(q, idx)
-            if prev != idx:
-                coincidences.append((prev, idx))
-        if require_distinct:
-            raise VerificationFailed(
-                f"{len(coincidences)} coinciding vertex pairs; eps list unsuitable?"
-            )
-    return VRep(vertices, scale, max_nested, tuple(coincidences), weyl)
+    coincidences = _coincidences(vertices)
+    if coincidences and require_distinct:
+        raise VerificationFailed(
+            f"{len(coincidences)} coinciding vertex pairs; eps list unsuitable?"
+        )
+    return base._replace(vertices=vertices, coincidences=coincidences, weyl=weyl)
 
 
 class Incidence:
@@ -298,6 +305,13 @@ class CheckReport(
         return head
 
 
+def predicted_base(building: BuildingSet, max_nested, mask: int) -> int:
+    """The base mask predicted tight on the fundamental inequality of ``mask``,
+    from nested sets alone: the v_S whose S holds its decomposition members."""
+    parts = building.fund_decomposition(mask)
+    return sum(1 << k for k, s in enumerate(max_nested) if s.flat_set.issuperset(parts))
+
+
 def verify_hrep_vrep(
     building: BuildingSet,
     halfspaces: list[HalfSpace],
@@ -322,15 +336,9 @@ def verify_hrep_vrep(
     index, suspects = incidence.orbit_facts(halfspaces, subgroups)
     m = len(vrep.max_nested)
     for mask, (_, positions) in index.orbits.items() if index else ():
-        # predicted, from nested sets alone: the identity coset's inequality
-        # is tight on the v_S whose S holds its flat's parts (every S, for
-        # the chamber inequality's whole space), every other on none
-        parts = building.fund_decomposition(mask)
-        expected = sum(
-            1 << k
-            for k, s in enumerate(vrep.max_nested)
-            if s.flat_set.issuperset(parts)
-        )
+        # the identity coset's inequality is tight on the predicted base
+        # vertices, every other on none
+        expected = predicted_base(building, vrep.max_nested, mask)
         for p in positions:
             if incidence.scan(halfspaces[p], base=True) != (expected, False):
                 suspects.update(positions)
@@ -394,27 +402,33 @@ def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckRep
     inequalities and (c) is strictly inside every member inequality it is
     not tight on; (b) every size-n independent non-nested family is cut
     off strictly by a predicted inequality.  A family is independent when
-    its equations fix one point (``_chamber_solve``).
+    its equations fix one point (``_chamber_solve``).  Each point is kept
+    as integers over one denominator and each comparison with a member's
+    bound is one integer cross-multiplication.
     """
     rs = building.rs
     n = rs.rank
     data = building.fund_data
+    rhs = _chamber_rhs(building, suitable)
     failures = []
     checked = 0
 
     proper = [f for f in building.fund if f != building.V]
     nested_ok = set(enumerate_maximal_nested_sets(building))
 
+    def excess(f: Flat, y, d: int) -> int:
+        # the sign of (y / d, delta_perp_f) minus its bound, in integers
+        r, dot = rhs[f], sum(map(mul, data[f].gram_delta_perp, y))
+        return dot * r.denominator - r.numerator * d
+
     for s in sorted(nested_ok):
-        point = vertex(rs, s, suitable, building)
+        y, d = _base_point(building, rhs, s)
         for f in proper:
             checked += 1
-            value = data[f].ratio * vdot(data[f].gram_delta_perp, point)
-            bound = suitable.a - suitable.for_dim(f.dim)
             if f in s:
-                if value != bound:
+                if excess(f, y, d) != 0:
                     failures.append(f"expected tightness fails on {f.describe(rs)}")
-            elif value >= bound:
+            elif excess(f, y, d) >= 0:
                 failures.append(
                     f"vertex of {tuple(g.dim for g in s)} not strictly inside "
                     f"member inequality of {f.describe(rs)}"
@@ -425,7 +439,7 @@ def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckRep
         if family in nested_ok:
             continue
         try:
-            point, gx = _chamber_solve(building, suitable, combo)
+            y, d, gx = _chamber_solve(building, rhs, combo)
         except SingularSystem:
             continue
         checked += 1
@@ -434,8 +448,7 @@ def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckRep
             # exclude the point strictly
             i = next(i for i, c in enumerate(gx) if c <= 0)
             line = building.fund_flat_for_indices(1 << i)
-            value = data[line].ratio * vdot(data[line].gram_delta_perp, point)
-            if value <= suitable.a - suitable.for_dim(1):
+            if excess(line, y, d) <= 0:
                 failures.append(
                     f"chamber-violating point of {family} not excluded by the "
                     f"line inequality of simple root {i}"
@@ -449,8 +462,7 @@ def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckRep
                 f"dims {tuple(f.dim for f in combo)}"
             )
             continue
-        value = data[witness].ratio * vdot(data[witness].gram_delta_perp, point)
-        if value <= suitable.a - suitable.for_dim(witness.dim):
+        if excess(witness, y, d) <= 0:
             failures.append(
                 f"point of non-nested family (dims "
                 f"{tuple(f.dim for f in combo)}) not strictly excluded by "
@@ -465,31 +477,19 @@ def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckRep
 def _sum_witnesses(building: BuildingSet, family: NestedSet) -> list[Flat]:
     """Fundamental members expressible as a non-redundant sum of >= 2
     family members (nonempty exactly when the family is not nested)."""
-    proper = [f for f in family if f != building.V]
-    masks = [building.fund_index_sets[f] for f in proper]
+    masks = [building.fund_index_sets[f] for f in family if f != building.V]
     found = []
-    for size in range(2, len(proper) + 1):
-        for combo in combinations(range(len(proper)), size):
-            union = 0
-            for i in combo:
-                union |= masks[i]
-            nonredundant = all(
-                masks[i] & ~_union_except(masks, combo, i) != 0 for i in combo
-            )
-            if not nonredundant:
+    for size in range(2, len(masks) + 1):
+        for combo in combinations(masks, size):
+            union = reduce(or_, combo)
+            # non-redundant: every member keeps an index no other one has
+            others = [reduce(or_, combo[:i] + combo[i + 1 :]) for i in range(size)]
+            if any(m & ~o == 0 for m, o in zip(combo, others)):
                 continue
             hit = building.fund_flat_for_indices(union)
-            if hit is not None and all(union != masks[i] for i in combo):
+            if hit is not None and union not in combo:
                 found.append(hit)
     return found
-
-
-def _union_except(masks, combo, skip):
-    u = 0
-    for i in combo:
-        if i != skip:
-            u |= masks[i]
-    return u
 
 
 def facet_vertex_sets(

@@ -115,9 +115,10 @@ class WeylGroup:
         self._inverse: list[int | None] = [None] * self.order
         # per element a and index i, a·ω̂_i as its number in the orbit of ω̂_i,
         # and per element its place in the lexicographic order of the
-        # matrices; both made by the first _standard_parabolic call
+        # matrices; both made by the first standard_parabolic call
         self._weight_images: list[tuple[int, ...]] | None = None
         self._lex_rank: list[int] | None = None
+        self._parabolics: dict[int, Subgroup] = {}
 
     # -- arithmetic ------------------------------------------------------
 
@@ -173,8 +174,11 @@ class Subgroup(namedtuple("Subgroup", "mask coset cosets reps")):
         return frozenset(self.member_ids)
 
 
-def _standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
-    """W_J for the simple-index set J given as a bitmask."""
+def standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
+    """W_J for the simple-index set J given as a bitmask, made once per J."""
+    got = weyl._parabolics.get(mask)
+    if got is not None:
+        return got
     images = weyl._weight_images
     if images is None:
         weights = [primitive_vector(w) for w in weyl.rs.weights]
@@ -199,7 +203,10 @@ def _standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
     for a, c in enumerate(coset):
         cosets[c].append(a)
     reps = tuple(min(ids, key=weyl._lex_rank.__getitem__) for ids in cosets)
-    return Subgroup(mask, tuple(coset), tuple(map(tuple, cosets)), reps)
+    got = weyl._parabolics[mask] = Subgroup(
+        mask, tuple(coset), tuple(map(tuple, cosets)), reps
+    )
+    return got
 
 
 def parabolic_subgroup(weyl: WeylGroup, flat) -> Subgroup:
@@ -211,7 +218,7 @@ def parabolic_subgroup(weyl: WeylGroup, flat) -> Subgroup:
     mask = simple_index_set(weyl.rs, flat)
     if mask is None:
         raise ValueError(f"{flat.describe(weyl.rs)} is not spanned by simple roots")
-    return _standard_parabolic(weyl, mask)
+    return standard_parabolic(weyl, mask)
 
 
 def subgroup_product(weyl: WeylGroup, parts: list[Subgroup]) -> Subgroup:
@@ -227,7 +234,7 @@ def subgroup_product(weyl: WeylGroup, parts: list[Subgroup]) -> Subgroup:
             if any(cartan[i][j] for j in iter_bits(part.mask)):
                 raise ValueError("subgroup product parts are not orthogonal")
         mask |= part.mask
-    return _standard_parabolic(weyl, mask)
+    return standard_parabolic(weyl, mask)
 
 
 def canonical_coset_rep(a: int, sub: Subgroup) -> int:

@@ -1,17 +1,20 @@
 """The integer incidence kernel against the Fraction loops it replaced, and
-the base-vertex decisions against the all-pairs path they replaced."""
+the base-vertex decisions of the materialised path (``verify_hrep_vrep``
+and the oracle in ``materialised.py``) against the all-pairs path they
+replaced."""
 
 from copy import copy
 from fractions import Fraction
 
 import pytest
 
+import materialised
 from conftest import make_model
+from materialised import face_vertices_geometric, is_simple
 from pnh.errors import EmptyFacet, VerificationFailed
-from pnh.faces import face_vertices_geometric, is_simple, support_halfspaces
+from pnh.faces import support_halfspaces
 from pnh.flats import iter_bits, simple_index_set
 from pnh.linalg import identity, int_mat_vec, mat_vec
-from pnh.model import Permutonestohedron
 from pnh.polytope import Incidence, all_vertices, facet_vertex_sets, verify_hrep_vrep
 
 
@@ -167,7 +170,7 @@ def _hrep(model):
 
 
 def _faces(model):
-    report = model._face_vertex_report()
+    report = materialised.face_vertex_report(model)
     return report.passed, report.checked, report.details
 
 
@@ -181,7 +184,7 @@ def test_base_decisions_match_the_all_pairs_path(
             model.halfspaces, model.subgroups_by_flat()
         )
         assert index is not None and not suspects
-        assert model.simple() == _all_pairs_simple(model)
+        assert materialised.simple(model) == _all_pairs_simple(model)
         assert _hrep(model) == (True, model.vertex_count * model.facet_count, [])
         assert _hrep(model) == _all_pairs_hrep(model)
         assert _faces(model) == _all_pairs_faces(model)
@@ -215,7 +218,7 @@ def _outcome(check, model):
 def _check_mutant(model):
     """The base-vertex decisions of a broken copy equal the all-pairs ones,
     and the broken copy fails."""
-    simple = _outcome(Permutonestohedron.simple, model)
+    simple = _outcome(materialised.simple, model)
     assert simple == _outcome(_all_pairs_simple, model)
     hrep = _hrep(model)
     assert hrep == _all_pairs_hrep(model)
@@ -394,7 +397,7 @@ def test_moved_vertex_fails_with_exact_values(a2):
 
     fresh = make_model("A2", "minimal")
     fresh.vrep = _moved(a2.vrep)
-    assert not fresh._face_vertex_report().passed
+    assert not materialised.face_vertex_report(fresh).passed
 
 
 def test_shifted_inequality_raises_empty_facet(a2):
@@ -408,7 +411,7 @@ def test_shifted_inequality_raises_empty_facet(a2):
     fresh = make_model("A2", "minimal")
     fresh.halfspaces = shifted
     with pytest.raises(EmptyFacet):
-        fresh.simple()
+        materialised.simple(fresh)
 
 
 def test_shifted_inequality_fails_the_incidence_report(a2):

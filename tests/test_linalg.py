@@ -11,6 +11,7 @@ from pnh.linalg import (
     primitive_vector,
     rank,
     solve_columns,
+    solve_integer,
     solve_linear_system,
 )
 
@@ -130,3 +131,32 @@ def test_solve_columns_equals_fraction_back_substitution(system):
     for b, x in zip(bs, got):
         assert all(type(v) is Fraction for v in x)
         assert [sum(r * v for r, v in zip(row, x)) for row in a] == list(b)
+
+
+@st.composite
+def _integer_systems(draw):
+    """A square integer system with one right-hand side; about one in three
+    has a row that is a multiple of another, so it is singular."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-9, 9)
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[i] = [draw(entry) * x for x in a[j]]
+    return a, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_systems())
+def test_solve_integer_is_solve_linear_system_over_its_determinant(system):
+    a, b = system
+    try:
+        expected = solve_linear_system(a, b)
+    except SingularSystem:
+        with pytest.raises(SingularSystem):
+            solve_integer(a, b)
+        return
+    y, d = solve_integer(a, b)
+    assert d != 0 and all(type(v) is int for v in (*y, d))
+    assert tuple(Fraction(v, d) for v in y) == expected
+    assert [sum(r * v for r, v in zip(row, y)) for row in a] == [d * v for v in b]
