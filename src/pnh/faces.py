@@ -56,22 +56,12 @@ class FaceContext:
         self.building = building
         self.weyl = weyl
         self.nested_sets = tuple(enumerate_nested_sets(building))
-        self._parabolic: dict[Flat, Subgroup] = {}
-        self._products: dict[tuple[Flat, ...], Subgroup] = {}
 
     def parabolic(self, flat: Flat) -> Subgroup:
-        got = self._parabolic.get(flat)
-        if got is None:
-            got = parabolic_subgroup(self.weyl, flat)
-            self._parabolic[flat] = got
-        return got
+        return parabolic_subgroup(self.weyl, flat)
 
     def label_subgroup(self, labels: tuple[Flat, ...]) -> Subgroup:
-        got = self._products.get(labels)
-        if got is None:
-            got = subgroup_product(self.weyl, [self.parabolic(f) for f in labels])
-            self._products[labels] = got
-        return got
+        return subgroup_product(self.weyl, [self.parabolic(f) for f in labels])
 
     def dimension(self, face: FacePair) -> int:
         return self.building.rs.rank - len(face.nested) + len(face.labels)

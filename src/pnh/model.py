@@ -137,11 +137,11 @@ class Permutonestohedron:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vrep.vertices)
+        return self.chamber.vertex_count
 
     @property
     def facet_count(self) -> int:
-        return len(self.halfspaces)
+        return self.chamber.facet_count
 
     # -- predicates -------------------------------------------------------
 

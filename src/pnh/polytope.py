@@ -13,32 +13,24 @@ a bitmask over vertex ids, and whether any vertex violates it.
 
 ``verify`` decides incidence on the dominant chamber (``pnh.chamber``);
 ``verify_hrep_vrep`` checks a materialised V-rep against a materialised
-H-rep.  An image tau of an inequality is predicted tight on sigma v_S iff
-every decomposition member of its flat is in S and tau^-1 sigma lies in
-their parabolic (sigma = tau for the chamber inequality).  W acts by
-isometries, so base scans decide every pair once the facts this rests on
-are re-derived: the simple reflections preserve the Gram form, each vertex
-is M(sigma) v_S (``Incidence.strays``), and each coset of an inequality's
-stabiliser holds one inequality, M(sigma_id) times the one at the identity
-coset, which W_J's generators fix (``Incidence.orbit_facts``).  Pairs
-these facts do not cover are evaluated one by one.
+H-rep, every inequality over every vertex, and assumes no orbit fact.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, repeat
 from math import gcd, lcm
 from operator import add, mul, or_
 
 from .errors import EmptyFacet, NotInChamber, SingularSystem, VerificationFailed
 from .flats import BuildingSet, Flat, iter_bits, simple_index_set
-from .halfspaces import HalfSpace, HalfSpaceIndex, SuitableList, index_halfspaces
-from .linalg import Vec, int_mat_vec, mat_mul, solve_integer
+from .halfspaces import HalfSpace, SuitableList
+from .linalg import Vec, int_mat_vec, solve_integer
 from .nested import NestedSet, enumerate_maximal_nested_sets
-from .weyl import Subgroup, WeylGroup, subgroup_product
+from .weyl import Subgroup, WeylGroup
 
 
 class VRep(namedtuple("VRep", "vertices scale max_nested coincidences weyl")):
@@ -169,20 +161,16 @@ class Incidence:
     it, becomes dot(row, point) == bound over one denominator, with the row
     the integer Gram matrix times the primitive normal (``row``); a larger
     dot product means the vertex violates the inequality.  A scan of a plane
-    over every vertex, or over the base vertices only, keeps its tight set,
-    a bitmask over vertex ids, and whether any vertex violates it, cached
-    per exact half-space key.
+    over every vertex keeps its tight set, a bitmask over vertex ids, and
+    whether any vertex violates it, cached per exact half-space key.
     """
 
     def __init__(self, rs, vrep: VRep):
         self.rs = rs
-        self.vrep = vrep
         self.count = len(vrep.vertices)
-        self.base = len(vrep.max_nested)
         self.full = (1 << self.count) - 1
         # kept by coordinate, so scanning a plane is a few C-level passes
         self.columns = tuple(zip(*vrep.vertices))
-        self.base_columns = tuple(c[: self.base] for c in self.columns)
         self.gram = rs.int_gram
         self.unit = rs.gram_scale * vrep.scale
         self._scans: dict[tuple, tuple[int, bool]] = {}
@@ -210,14 +198,13 @@ class Incidence:
             out.append(mask)
         return out
 
-    def scan(self, hs: HalfSpace, base: bool = False) -> tuple[int, bool]:
-        """(tight mask, whether some vertex violates) of one inequality,
-        over every vertex or, with ``base``, over the base vertices."""
-        key = hs.key(), base
+    def scan(self, hs: HalfSpace) -> tuple[int, bool]:
+        """(tight mask, whether some vertex violates) of one inequality."""
+        key = hs.key()
         found = self._scans.get(key)
         if found is None:
             ints, bound, _ = self.row(hs)
-            values = self.values(ints, base)
+            values = self.values(ints)
             mask = 0
             i = -1
             try:
@@ -229,67 +216,13 @@ class Incidence:
             found = self._scans[key] = (mask, max(values, default=bound) > bound)
         return found
 
-    def values(self, ints: tuple[int, ...], base: bool = False) -> list[int]:
-        """dot(ints, point) for every scaled vertex, or every base vertex,
-        in vertex-id order."""
-        values = [0] * (self.base if base else self.count)
-        for a, column in zip(ints, self.base_columns if base else self.columns):
+    def values(self, ints: tuple[int, ...]) -> list[int]:
+        """dot(ints, point) for every scaled vertex, in vertex-id order."""
+        values = [0] * self.count
+        for a, column in zip(ints, self.columns):
             if a:
                 values = list(map(add, values, map(mul, repeat(a), column)))
         return values
-
-    @cached_property
-    def strays(self) -> tuple[int, ...]:
-        """Ids of the vertices that the base scans do not decide: all of
-        them unless every simple reflection preserves the Gram form and
-        there is one vertex per (sigma, S); else those whose point i is not
-        M(sigma) times base point i % m, with sigma = i // m."""
-        vrep, gram, m = self.vrep, self.gram, self.base
-        elements = vrep.weyl.elements
-        if self.count != len(elements) * m or any(
-            mat_mul(tuple(zip(*s)), mat_mul(gram, s)) != gram
-            for s in map(elements.__getitem__, vrep.weyl.generator_ids)
-        ):
-            return tuple(range(self.count))
-        points = vrep.vertices
-        return tuple(
-            i
-            for i, point in enumerate(points)
-            if int_mat_vec(elements[i // m], points[i % m]) != point
-        )
-
-    def orbit_facts(
-        self, halfspaces: list[HalfSpace], subgroups: dict[Flat, Subgroup]
-    ) -> tuple[HalfSpaceIndex | None, set[int]]:
-        """The inequalities' orbit index and the positions that the base
-        scans do not decide.
-
-        ``subgroups`` maps each member or non-member flat to its W_J.  An
-        orbit is decided when each coset of W_J holds exactly one
-        inequality (``index_halfspaces``; else there is no index and no
-        position is), every generator of W_J fixes the primitive normal of
-        the inequality at the identity coset, and every key in the orbit is
-        M(sigma_id) times that one.
-        """
-        weyl = self.vrep.weyl
-        try:
-            index = index_halfspaces(
-                self.rs, halfspaces, subgroups, subgroup_product(weyl, [])
-            )
-        except VerificationFailed:
-            return None, set(range(len(halfspaces)))
-        suspects = set()
-        for sub, positions in index.orbits.values():
-            prim, bound = halfspaces[positions[0]].key()
-            if any(
-                int_mat_vec(weyl.elements[weyl.generator_ids[j]], prim) != prim
-                for j in iter_bits(sub.mask)
-            ) or any(
-                hs.key() != (int_mat_vec(weyl.elements[hs.sigma_id], prim), bound)
-                for hs in map(halfspaces.__getitem__, positions)
-            ):
-                suspects.update(positions)
-        return index, suspects
 
 
 class CheckReport(
@@ -322,50 +255,35 @@ def verify_hrep_vrep(
 ) -> CheckReport:
     """Membership and exact equality pattern for vertices vs inequalities.
 
-    Each inequality's tight mask and violation flag over the base vertices
-    are compared with its predicted base mask; with the orbit facts
-    re-derived (module docstring) that decides all V·H pairs.  Only the
-    pairs left undecided -- every inequality of an orbit that fails a fact
-    or that comparison, against every vertex, and every stray vertex --
-    are evaluated one by one, to report the failing pairs; a violation
+    Each inequality is scanned over every vertex and its tight mask
+    compared with the predicted one: sigma v_S is predicted tight iff sigma
+    is in the inequality's coset of W_J (``subgroups`` maps each member or
+    non-member flat to its W_J; the chamber inequality's coset is its sigma
+    alone) and S holds its flat's decomposition members
+    (``predicted_base``).  No vertex may violate it.  Only a failing inequality is evaluated pair by pair,
+    to report the failing pairs in (vertex, inequality) order; a violation
     outranks a mismatch on the same pair.
     """
     rs = building.rs
     if incidence is None:
         incidence = Incidence(rs, vrep)
-    index, suspects = incidence.orbit_facts(halfspaces, subgroups)
-    m = len(vrep.max_nested)
-    for mask, (_, positions) in index.orbits.items() if index else ():
-        # the identity coset's inequality is tight on the predicted base
-        # vertices, every other on none
-        expected = predicted_base(building, vrep.max_nested, mask)
-        for p in positions:
-            if incidence.scan(halfspaces[p], base=True) != (expected, False):
-                suspects.update(positions)
-                break
-            expected = 0
-    strays = incidence.strays
+    max_nested = vrep.max_nested
+    m = len(max_nested)
     failures = []
-    trivial = subgroup_product(vrep.weyl, []) if suspects or strays else None
     for hi, hs in enumerate(halfspaces):
-        if hi not in suspects and not strays:
-            continue
-        sub = trivial if hs.kind == "chamber" else subgroups[hs.flat]
-        parts = building.fund_decomposition(simple_index_set(rs, hs.flat))
-        coset = sub.coset[hs.sigma_id]
-        ints, bound, denominator = incidence.row(hs)
-        if hi in suspects:
-            pairs = enumerate(incidence.values(ints))
+        base = predicted_base(building, max_nested, simple_index_set(rs, hs.flat))
+        if hs.kind == "chamber":
+            sigmas = (hs.sigma_id,)
         else:
-            pairs = (
-                (vi, sum(a * col[vi] for a, col in zip(ints, incidence.columns)))
-                for vi in strays
-            )
-        for vi, value in pairs:
-            sigma, nested = vi // m, vrep.max_nested[vi % m]
-            expect_tight = (
-                sub.coset[sigma] == coset and nested.flat_set.issuperset(parts)
-            )
+            sub = subgroups[hs.flat]
+            sigmas = sub.cosets[sub.coset[hs.sigma_id]]
+        expected = sum(base << sigma * m for sigma in sigmas)
+        if incidence.scan(hs) == (expected, False):
+            continue
+        ints, bound, denominator = incidence.row(hs)
+        for vi, value in enumerate(incidence.values(ints)):
+            sigma, nested = vi // m, max_nested[vi % m]
+            expect_tight = expected >> vi & 1 == 1
             if value > bound:
                 line = (
                     f"vertex (sigma={sigma}) violates {hs.kind} inequality "

@@ -232,9 +232,6 @@ class RootSystem:
     def inner(self, x: Vec, y: Vec):
         return vdot(mat_vec(self.gram, x), y)
 
-    def norm_sq(self, x: Vec):
-        return self.inner(x, x)
-
     def omega_coefficients(self, x: Vec) -> Vec:
         """Coordinates of ``x`` in the fundamental-weight basis.
 

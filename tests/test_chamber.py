@@ -96,8 +96,8 @@ def test_certificate_equals_the_materialised_path(spec, kind):
     assert model._face_vertex_report() == materialised.face_vertex_report(model)
     assert model._face_vertex_report().passed
     assert model.simple() == materialised.simple(model)
-    assert chamber.vertex_count == model.vertex_count
-    assert chamber.facet_count == model.facet_count
+    assert chamber.vertex_count == len(model.vrep.vertices)
+    assert chamber.facet_count == len(model.halfspaces)
     # the base vertices are the V-rep's first m, over its scale
     m = len(chamber.vertices)
     assert chamber.vertices == model.vrep.vertices[:m]
@@ -111,7 +111,7 @@ def test_certificate_equals_the_materialised_path(spec, kind):
         assert image.key() == hs.key()
         assert chamber.plus[h] == hs.prim
         assert chamber.tight[h] == chamber.top[h]
-        assert chamber.tight[h] == model.incidence.scan(image, base=True)[0]
+        assert chamber.tight[h] == model.incidence.scan(image)[0] & chamber.kernel.full
         assert chamber.stabiliser[h] == sub.mask
         assert not chamber.violated[h]
 

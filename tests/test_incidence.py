@@ -1,21 +1,24 @@
 """The integer incidence kernel against the Fraction loops it replaced, and
-the base-vertex decisions of the materialised path (``verify_hrep_vrep``
-and the oracle in ``materialised.py``) against the all-pairs path they
-replaced."""
+the materialised oracle (``verify_hrep_vrep`` and ``materialised.py``),
+every inequality over every vertex, against the chamber certificate on
+eight types and against the Fraction per-pair reference on broken copies."""
 
 from copy import copy
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import materialised
 from conftest import make_model
-from materialised import face_vertices_geometric, is_simple
+from materialised import face_vertices_geometric
 from pnh.errors import EmptyFacet, VerificationFailed
 from pnh.faces import support_halfspaces
-from pnh.flats import iter_bits, simple_index_set
+from pnh.flats import simple_index_set
 from pnh.linalg import identity, int_mat_vec, mat_vec
-from pnh.polytope import Incidence, all_vertices, facet_vertex_sets, verify_hrep_vrep
+from pnh.polytope import all_vertices, facet_vertex_sets, verify_hrep_vrep
 
 
 def _values(model, normal, vrep=None):
@@ -52,19 +55,22 @@ def _predictor(model):
     return predicted
 
 
-def _details(model, halfspaces, vrep):
+def _details(model, halfspaces, vrep, ids=None):
     """The incidence report's lines, pair by pair in (vertex, inequality)
-    order, from Fraction values and group products; vertex i is labelled
+    order, from Fraction values and group products, over the vertex ids
+    ``ids`` (every vertex by default); vertex i is labelled
     (i // m, max_nested[i % m])."""
     rs = model.rs
     predicted = _predictor(model)
-    values = [_values(model, hs.normal, vrep) for hs in halfspaces]
+    ids = range(len(vrep.vertices)) if ids is None else ids
+    chosen = vrep._replace(vertices=[vrep.vertices[vi] for vi in ids])
+    values = [_values(model, hs.normal, chosen) for hs in halfspaces]
     m = len(vrep.max_nested)
     lines = []
-    for vi in range(len(vrep.vertices)):
+    for k, vi in enumerate(ids):
         sigma, nested = vi // m, vrep.max_nested[vi % m]
         for hs, row in zip(halfspaces, values):
-            value, expect = row[vi], predicted(hs, sigma, nested)
+            value, expect = row[k], predicted(hs, sigma, nested)
             if value > hs.offset:
                 lines.append(
                     f"vertex (sigma={sigma}) violates {hs.kind} inequality "
@@ -92,71 +98,6 @@ def _moved(vrep, factor=Fraction(1001, 1000), index=0):
     )
 
 
-# -- the all-pairs path, kept as the oracle of the base-vertex decisions -----
-
-
-def _all_pairs_simple(model):
-    """Every inequality scanned over every vertex, tight ones counted."""
-    incidence = Incidence(model.rs, model.vrep)
-    per_vertex = [0] * incidence.count
-    for mask in incidence.facet_masks(model.halfspaces):
-        for i in iter_bits(mask):
-            per_vertex[i] += 1
-    return all(c == model.rs.rank for c in per_vertex)
-
-
-def _all_pairs_predicted(model):
-    """Each inequality's predicted tight mask over every vertex, by
-    looking up each (sigma, S) of its coset and nested sets."""
-    building, vrep = model.building, model.vrep
-    m = len(vrep.max_nested)
-    masks = []
-    for hs in model.halfspaces:
-        if hs.kind == "chamber":
-            sigmas, nested = (hs.sigma_id,), range(m)
-        else:
-            sub = model.subgroups_by_flat()[hs.flat]
-            parts = building.fund_decomposition(simple_index_set(model.rs, hs.flat))
-            sigmas = sub.cosets[sub.coset[hs.sigma_id]]
-            nested = [
-                k for k, s in enumerate(vrep.max_nested) if s.flat_set.issuperset(parts)
-            ]
-        masks.append(sum(1 << (g * m + k) for g in sigmas for k in nested))
-    return masks
-
-
-def _all_pairs_hrep(model):
-    """(passed, checked, details) of the incidence report, with every
-    inequality scanned over every vertex; the lines of a failing one from
-    Fraction values."""
-    incidence = Incidence(model.rs, model.vrep)
-    failing = [
-        hs
-        for hs, expected in zip(model.halfspaces, _all_pairs_predicted(model))
-        if incidence.scan(hs) != (expected, False)
-    ]
-    lines = _details(model, failing, model.vrep)
-    pairs = model.vertex_count * model.facet_count
-    return not failing, pairs, lines
-
-
-def _all_pairs_faces(model):
-    """(passed, checked, details) of the face report, every face checked."""
-    incidence = Incidence(model.rs, model.vrep)
-    lines = []
-    for face in model.faces:
-        combinatorial = model.face_vertex_ids(face)
-        geometric = face_vertices_geometric(
-            model.face_ctx, face, model.vrep, model.halfspace_index, incidence
-        )
-        if combinatorial != geometric:
-            lines.append(
-                f"face {face}: pair description gives {len(combinatorial)} "
-                f"vertices, supporting hyperplanes give {len(geometric)}"
-            )
-    return not lines, len(model.faces), tuple(lines[:10])
-
-
 def _hrep(model):
     report = verify_hrep_vrep(
         model.building,
@@ -177,34 +118,17 @@ def _faces(model):
 def test_base_decisions_match_the_all_pairs_path(
     a2, b2, a3_min, a3_max, b3_min, b3_max, a13_min
 ):
+    # the chamber certificate's decisions on the base vertices are those of
+    # the oracle over every vertex, inequality and face
     a2xb2 = make_model("A2xB2", "minimal")
     for model in (a2, b2, a3_min, a3_max, b3_min, b3_max, a13_min, a2xb2):
-        assert not model.incidence.strays
-        index, suspects = model.incidence.orbit_facts(
-            model.halfspaces, model.subgroups_by_flat()
-        )
-        assert index is not None and not suspects
-        assert materialised.simple(model) == _all_pairs_simple(model)
-        assert _hrep(model) == (True, model.vertex_count * model.facet_count, [])
-        assert _hrep(model) == _all_pairs_hrep(model)
-        assert _faces(model) == _all_pairs_faces(model)
+        hrep = _hrep(model)
+        assert hrep == (True, len(model.vrep.vertices) * len(model.halfspaces), [])
+        report = model.chamber.incidence_report()
+        assert (report.passed, report.checked, list(report.details)) == hrep
+        assert materialised.simple(model) == model.simple()
+        assert _faces(model) == model._face_vertex_report()[1:]
         assert _faces(model)[0]
-
-
-def test_passing_checks_scan_base_vertices_only(a3_min, b3_max):
-    # a run that passes never evaluates an inequality over all of V
-    for model in (a3_min, b3_max):
-        incidence = Incidence(model.rs, model.vrep)
-        scanned = []
-        values = incidence.values
-        incidence.values = lambda ints, base=False: scanned.append(base) or values(
-            ints, base
-        )
-        subgroups = model.subgroups_by_flat()
-        args = (model.building, model.halfspaces, model.vrep, subgroups)
-        assert verify_hrep_vrep(*args, incidence=incidence).passed
-        is_simple(model.face_ctx, model.halfspaces, incidence, subgroups)
-        assert len(scanned) == model.facet_count and all(scanned)
 
 
 def _outcome(check, model):
@@ -216,16 +140,11 @@ def _outcome(check, model):
 
 
 def _check_mutant(model):
-    """The base-vertex decisions of a broken copy equal the all-pairs ones,
-    and the broken copy fails."""
-    simple = _outcome(materialised.simple, model)
-    assert simple == _outcome(_all_pairs_simple, model)
+    """The oracle fails a broken copy, with the Fraction reference's lines."""
     hrep = _hrep(model)
-    assert hrep == _all_pairs_hrep(model)
     assert hrep[2] == _details(model, model.halfspaces, model.vrep)
     assert not hrep[0]
     faces = _outcome(_faces, model)
-    assert faces == _outcome(_all_pairs_faces, model)
     assert isinstance(faces, str) or not faces[0]
 
 
@@ -233,7 +152,6 @@ def test_moved_non_base_vertex_is_a_stray():
     model = make_model("A3", "minimal")
     vi = len(model.vrep.max_nested) + 3
     model.vrep = _moved(model.vrep, index=vi)
-    assert model.incidence.strays == (vi,)
     _check_mutant(model)
 
 
@@ -246,13 +164,12 @@ def test_swapped_vertex_points_are_strays():
     vertices = list(model.vrep.vertices)
     vertices[i], vertices[j] = vertices[j], vertices[i]
     model.vrep = model.vrep._replace(vertices=tuple(vertices))
-    assert model.incidence.strays == (i, j)
     _check_mutant(model)
 
 
 def test_generator_breaking_the_gram_form_strays_every_vertex():
     # the vertices are made with the broken matrix, so each one is still
-    # M(sigma) v_S; only the Gram check can refuse the orbit argument
+    # M(sigma) v_S, but sigma no longer acts by an isometry
     model = make_model("A3", "minimal")
     broken = copy(model.weyl)
     g = broken.generator_ids[0]
@@ -267,7 +184,6 @@ def test_generator_breaking_the_gram_form_strays_every_vertex():
         for i, point in enumerate(vrep.vertices)
     )
     model.vrep = vrep
-    assert model.incidence.strays == tuple(range(model.vertex_count))
     _check_mutant(model)
 
 
@@ -283,9 +199,6 @@ def test_inequality_key_off_its_orbit_is_a_suspect(a3_min):
     p, q = positions[1], positions[2]
     halfspaces[p] = halfspaces[p]._replace(prim=halfspaces[q].prim)
     model.halfspaces = halfspaces
-    _, suspects = model.incidence.orbit_facts(halfspaces, model.subgroups_by_flat())
-    assert suspects == set(positions)
-    assert not model.incidence.strays
     _check_mutant(model)
 
 
@@ -426,3 +339,47 @@ def test_shifted_inequality_fails_the_incidence_report(a2):
     with pytest.raises(VerificationFailed) as raised:
         verify_hrep_vrep(*args)
     assert raised.value.report == report
+
+
+@cache
+def _reference_passes(model) -> bool:
+    return not _details(model, model.halfspaces, model.vrep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["a2", "a3_min", "b3_max"]), st.data())
+def test_one_moved_vertex_or_shifted_bound_fails_with_the_reference_lines(
+    request, name, data
+):
+    # any vertex, base or not, and any inequality: no orbit fact is assumed.
+    # The reference passes the unchanged model and a change to one vertex
+    # or one inequality changes only its own pairs, so the reference's lines
+    # are those of that vertex or inequality
+    model = request.getfixturevalue(name)
+    halfspaces, vrep, incidence = model.halfspaces, model.vrep, model.incidence
+    pairs = len(vrep.vertices) * len(halfspaces)
+    assert _hrep(model) == (True, pairs, [])
+    assert _reference_passes(model)
+    rational = st.fractions(-30, 30, max_denominator=30).filter(bool)
+    if data.draw(st.booleans(), label="move"):
+        vi = data.draw(st.integers(0, len(vrep.vertices) - 1), label="vertex")
+        factor = data.draw(rational.filter(lambda f: f != 1), label="factor")
+        vrep, incidence = _moved(vrep, factor, vi), None
+        expected = _details(model, halfspaces, vrep, [vi])
+    else:
+        hi = data.draw(st.integers(0, len(halfspaces) - 1), label="inequality")
+        shift = data.draw(rational, label="shift")
+        halfspaces = list(halfspaces)
+        halfspaces[hi] = halfspaces[hi]._replace(bound=halfspaces[hi].bound + shift)
+        expected = _details(model, halfspaces[hi : hi + 1], vrep)
+    report = verify_hrep_vrep(
+        model.building,
+        halfspaces,
+        vrep,
+        model.subgroups_by_flat(),
+        raise_on_failure=False,
+        incidence=incidence,
+    )
+    assert not report.passed
+    assert report.checked == pairs
+    assert list(report.details) == expected

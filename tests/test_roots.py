@@ -35,7 +35,7 @@ def test_a2_roots_weights_delta():
     # the defining property of the weight basis
     for i, w in enumerate(rs.weights):
         for j, alpha in enumerate(rs.positive_roots[:2]):
-            expected = rs.norm_sq(alpha) / 2 if i == j else 0
+            expected = rs.inner(alpha, alpha) / 2 if i == j else 0
             assert rs.inner(w, alpha) == expected
 
 
@@ -58,7 +58,7 @@ def test_b2_and_c2_are_transpose_conventions():
         tuple(row[i] for row in c2.cartan) for i in range(2)
     )
     # short roots have squared length 2, long roots 4
-    assert {b2.norm_sq(r) for r in b2.positive_roots} == {2, 4}
+    assert {b2.inner(r, r) for r in b2.positive_roots} == {2, 4}
 
 
 def test_delta_is_strictly_dominant():
