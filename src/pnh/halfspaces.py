@@ -14,8 +14,8 @@ the last with A_1..A_k the maximal members inside B (pairwise orthogonal),
 and delta_perp_B = delta - pi_{A_1} - ... - pi_{A_k}; all images under the
 reflection group.  An inequality with flat J has one image per left coset
 of the standard parabolic W_J, and ``all_halfspaces`` enumerates each orbit
-by those cosets, acting with W's integer matrices on primitive integer
-normals.  A ``HalfSpace`` stores that integer form, (x, prim) <= bound,
+by those cosets, one Coxeter step from an earlier coset's primitive
+integer normal.  A ``HalfSpace`` stores that integer form, (x, prim) <= bound,
 and one exact ratio per orbit that gives back the ``Fraction`` normal and
 offset of the statement above; ``fundamental_halfspaces`` is the one place
 that turns a ``Fraction`` normal into it.  The positive list
@@ -29,6 +29,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 from .errors import LemmaViolated, NotBuilding, VerificationFailed
 from .flats import (
@@ -39,7 +42,7 @@ from .flats import (
     iter_bits,
     simple_index_set,
 )
-from .linalg import Vec, int_mat_vec, primitive_vector, vsub
+from .linalg import Vec, primitive_vector, vsub
 from .weyl import Subgroup, WeylGroup
 
 
@@ -146,19 +149,11 @@ def _decompositions(building: BuildingSet, target_mask: int):
     results = []
 
     def extend(start: int, chosen: list, covered: int):
-        if covered == target_mask and len(chosen) >= 2:
-            # non-redundant: every member keeps an index private to it
-            ok = True
-            for f, m in chosen:
-                others = 0
-                for g, mg in chosen:
-                    if g is not f:
-                        others |= mg
-                if m & ~others == 0:
-                    ok = False
-                    break
-            if ok:
-                results.append(tuple(f for f, _ in chosen))
+        # non-redundant: every member keeps an index private to it
+        if covered == target_mask and len(chosen) >= 2 and all(
+            m & ~reduce(or_, [mg for g, mg in chosen if g is not f]) for f, m in chosen
+        ):
+            results.append(tuple(f for f, _ in chosen))
         for k in range(start, len(candidates)):
             f, m = candidates[k]
             if m & ~covered == 0:
@@ -254,7 +249,7 @@ def fundamental_halfspaces(
             continue
         mask = simple_index_set(rs, b)
         parts = building.fund_decomposition(mask)
-        for p, q in _pairs(parts):
+        for p, q in combinations(parts, 2):
             if not orthogonal_flats(rs, p, q):
                 raise NotBuilding("decomposition members are not pairwise orthogonal")
         normal = rs.delta
@@ -279,12 +274,6 @@ def fundamental_halfspaces(
     return out
 
 
-def _pairs(items):
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            yield items[i], items[j]
-
-
 def orthogonal_flats(rs, a: Flat, b: Flat) -> bool:
     """Every root of ``a`` is orthogonal to every root of ``b``, read off
     the roots' non-orthogonality bitmasks (``rs.non_orthogonal``)."""
@@ -301,47 +290,40 @@ def all_halfspaces(
 
     The stabiliser of a fundamental inequality is the standard parabolic
     W_J of its flat (J is empty for the chamber inequality), so its images
-    are indexed by the left cosets of W_J and each is made once, by the
-    coset's least id.  W's matrices are unimodular: acting on the primitive
-    integer normal gives each image's primitive normal with no gcd, and
-    each image shares its base's ``bound`` and ``ratio`` objects.
+    are indexed by the left cosets of W_J; each is named by the coset's
+    least id and made by ``WeylGroup.orbit``, one Coxeter step per coset.
+    W acts unimodularly, so the images of the primitive integer normal are
+    primitive with no gcd; each shares its base's ``bound`` and ``ratio``.
     ``label_subgroup`` maps a tuple of flats to their label subgroup
     (``FaceContext.label_subgroup``); it is given the flat's decomposition,
     a member's being the member itself.
 
     Two checks pin the stabiliser down, each raising VerificationFailed:
-    every simple reflection s_j, j in J, fixes the primitive normal, so the
-    stabiliser contains W_J; and the image keys of all inequalities are
-    pairwise distinct, so it contains nothing more and no two orbits meet.
+    every simple reflection s_j, j in J, fixes the primitive normal (its
+    delta_j is 0), so the stabiliser contains W_J; and the image keys of
+    all inequalities are pairwise distinct, so it contains nothing more
+    and no two orbits meet.
     """
     rs = building.rs
     out: list[HalfSpace] = []
     for base in fundamental_halfspaces(building, suitable):
         if base.bound <= 0:
             raise VerificationFailed(f"nonpositive offset in {base.kind} inequality")
-        if base.kind == "chamber":
-            sigmas = range(weyl.order)
-        else:
+        sub, sigmas = None, range(weyl.order)
+        if base.kind != "chamber":
             mask = simple_index_set(rs, base.flat)
             sub = label_subgroup(building.fund_decomposition(mask))
+            deltas = weyl.deltas(base.prim)
             for j in iter_bits(sub.mask):
-                s_j = weyl.elements[weyl.generator_ids[j]]
-                if int_mat_vec(s_j, base.prim) != base.prim:
+                if deltas[j]:
                     raise VerificationFailed(
                         f"s_{j} moves the {base.kind} normal of "
                         f"{base.flat.describe(rs)}"
                     )
             sigmas = [ids[0] for ids in sub.cosets]
         out += [
-            HalfSpace(
-                int_mat_vec(weyl.elements[sigma], base.prim),
-                base.bound,
-                base.ratio,
-                base.kind,
-                base.flat,
-                sigma,
-            )
-            for sigma in sigmas
+            HalfSpace(image, base.bound, base.ratio, base.kind, base.flat, sigma)
+            for image, sigma in zip(weyl.orbit([base.prim], sub), sigmas)
         ]
     out.sort(key=HalfSpace.key)
     for prev, hs in zip(out, out[1:]):

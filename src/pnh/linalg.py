@@ -40,7 +40,7 @@ def mat_vec(m: Mat, x: Vec) -> Vec:
 
 def int_mat_vec(m: Mat, x: Sequence[int]) -> tuple[int, ...]:
     """``mat_vec`` for integer entries of matching length, without its
-    per-entry length check: the orbit enumerations call it once per image."""
+    per-entry length check: Gram rows, chamber signs and root images."""
     return tuple([sum(map(mul, row, x)) for row in m])
 
 

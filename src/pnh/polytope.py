@@ -41,7 +41,7 @@ class VRep(namedtuple("VRep", "vertices scale max_nested coincidences weyl")):
     first m are the base vertices (sigma = e) and a vertex's label is its
     position.  Each point is a tuple of integers whose exact coordinates
     are those integers over ``scale``, the one common denominator; ``weyl``
-    is the group whose matrices made them, None for the base vertices alone
+    is the group whose orbit walk made them, None for the base vertices alone
     (``chamber_vertices``).
     """
 
@@ -134,16 +134,16 @@ def all_vertices(
 ) -> VRep:
     """Orbit of the chamber vertices; one entry per (sigma, nested) pair.
 
-    W's integer matrices act on the base vertices of ``chamber_vertices``;
-    the images are the stored form (``VRep``).  Pairs mapping to the same
-    point are recorded as coincidences; with ``require_distinct`` (the
-    default, appropriate for suitable lists) any coincidence raises
-    VerificationFailed.
+    W acts on the base vertices of ``chamber_vertices`` one Coxeter step
+    per image (``WeylGroup.orbit``): the images under sigma = tau s_g are
+    tau's plus n multiply-adds each, or tau's own tuple where s_g fixes a
+    base vertex.  The images are the stored form (``VRep``).  Pairs mapping
+    to the same point are recorded as coincidences; with
+    ``require_distinct`` (the default, appropriate for suitable lists) any
+    coincidence raises VerificationFailed.
     """
     base = chamber_vertices(building, suitable)
-    vertices = tuple(
-        int_mat_vec(matrix, p) for matrix in weyl.elements for p in base.vertices
-    )
+    vertices = tuple(weyl.orbit(base.vertices))
     coincidences = _coincidences(vertices)
     if coincidences and require_distinct:
         raise VerificationFailed(

@@ -5,16 +5,20 @@ coordinate columns.  The group is enumerated once by breadth-first closure
 over the simple reflections; elements are then referred to by their index
 in that enumeration, which is deterministic.  The closure walks in integer
 columns: right-multiplying M by s_g negates column g and subtracts
-C[g][r] times column g from each column r of a Dynkin neighbour of g, and
-leaves every other column as it is.  Label subgroups are standard
-parabolics W_J, each stored as a map from elements to left cosets.
+C[g][r] times column g from each column r of a Dynkin neighbour of g.  It
+records each element sigma but the identity as one step tau s_g from an
+earlier tau, and orbits follow those steps: s_g x = x + delta_g(x) alpha_g
+with delta_g(x) = -(row g of C) . x (Humphreys, Reflection Groups and
+Coxeter Groups, 1.10), so sigma x = tau x + delta_g(x) (column g of tau),
+n multiply-adds, and is tau x itself when delta_g(x) = 0.  Label subgroups
+are standard parabolics W_J, each stored as a map from elements to cosets.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import GroupTooLarge
 from .flats import iter_bits, simple_index_set
@@ -22,7 +26,6 @@ from .linalg import (
     Mat,
     Vec,
     identity,
-    int_mat_vec,
     mat_mul,
     primitive_vector,
     solve_columns,
@@ -54,17 +57,6 @@ def check_group_cap(components, cap: int) -> int | None:
     return predicted
 
 
-def simple_reflection_matrix(cartan, i: int) -> Mat:
-    n = len(cartan)
-    rows = []
-    for r in range(n):
-        if r == i:
-            rows.append(tuple((1 if j == i else 0) - cartan[i][j] for j in range(n)))
-        else:
-            rows.append(tuple(1 if j == r else 0 for j in range(n)))
-    return tuple(rows)
-
-
 class WeylGroup:
     """The reflection group of a root system, fully enumerated."""
 
@@ -80,10 +72,11 @@ class WeylGroup:
         ]
         start = identity(n)  # symmetric: its rows are its columns
         seen = {start: None}  # column tuples, in discovery order
+        parent, letter = [None], [None]  # element a > 0 is parent[a] s_letter[a]
         frontier = [start]
         while frontier:
             new = []
-            for cols in frontier:
+            for tau, cols in enumerate(frontier, len(seen) - len(frontier)):
                 for g, nbrs in enumerate(neighbours):
                     col_g = cols[g]
                     prod = list(cols)
@@ -94,6 +87,8 @@ class WeylGroup:
                     if prod not in seen:
                         seen[prod] = None
                         new.append(prod)
+                        parent.append(tau)
+                        letter.append(g)
             if len(seen) > cap:
                 raise GroupTooLarge(f"group enumeration passed cap {cap}")
             frontier = new
@@ -107,20 +102,46 @@ class WeylGroup:
         del seen
         self.index: dict[Mat, int] = {m: a for a, m in enumerate(self.elements)}
         self.order = len(self.elements)
+        self.parent, self.letter = tuple(parent), tuple(letter)
         self.identity_id = 0
-        self.generator_ids = tuple(
-            self.index[simple_reflection_matrix(rs.cartan, g)] for g in range(n)
-        )
+        self.generator_ids = tuple(range(1, n + 1))  # the identity's children
 
         self._inverse: list[int | None] = [None] * self.order
-        # per element a and index i, a·ω̂_i as its number in the orbit of ω̂_i,
-        # and per element its place in the lexicographic order of the
-        # matrices; both made by the first standard_parabolic call
+        # per element a, a·ω̂_i numbered in the orbit of ω̂_i for each i, and
+        # a's place in the lexicographic order of the matrices; both lazy
         self._weight_images: list[tuple[int, ...]] | None = None
         self._lex_rank: list[int] | None = None
         self._parabolics: dict[int, Subgroup] = {}
 
     # -- arithmetic ------------------------------------------------------
+
+    def deltas(self, x) -> tuple[int, ...]:
+        """delta_g(x) = -(row g of C) . x for each generator g: s_g fixes x
+        exactly when it is 0, and otherwise adds it times alpha_g."""
+        return tuple([-sum(map(mul, row, x)) for row in self.rs.cartan])
+
+    def orbit(self, xs, sub: Subgroup | None = None) -> list[Vec]:
+        """sigma x for each element sigma in id order and integer vector x
+        in ``xs``, sigma x_k at sigma len(xs) + k; each is tau x + delta_g(x)
+        (column g of tau), or tau x's tuple when delta_g(x) = 0, and keeps tau
+        x's int objects where column g of tau is 0.  With ``sub`` a standard
+        parabolic W_J fixing every x, one image per left coset, by coset
+        number: a coset's least id steps from an earlier coset."""
+        images = [tuple(x) for x in xs]
+        m = len(images)
+        by_letter = list(zip(*map(self.deltas, images)))
+        elements, parent, letter = self.elements, self.parent, self.letter
+        slot = sub.coset if sub else range(self.order)
+        firsts = [ids[0] for ids in sub.cosets[1:]] if sub else range(1, self.order)
+        for sigma in firsts:
+            tau, g = parent[sigma], letter[sigma]
+            mat = elements[tau]
+            for k, d in enumerate(by_letter[g], slot[tau] * m):
+                img = images[k]
+                if d:
+                    img = tuple([y + d * r[g] if r[g] else y for y, r in zip(img, mat)])
+                images.append(img)
+        return images
 
     def mul(self, a: int, b: int) -> int:
         return self.index[mat_mul(self.elements[a], self.elements[b])]
@@ -170,9 +191,6 @@ class Subgroup(namedtuple("Subgroup", "mask coset cosets reps")):
     def order(self) -> int:
         return len(self.member_ids)
 
-    def members(self) -> frozenset:
-        return frozenset(self.member_ids)
-
 
 def standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
     """W_J for the simple-index set J given as a bitmask, made once per J."""
@@ -181,15 +199,14 @@ def standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
         return got
     images = weyl._weight_images
     if images is None:
-        weights = [primitive_vector(w) for w in weyl.rs.weights]
-        orbits: list[dict[Vec, int]] = [{} for _ in weights]
-        images = weyl._weight_images = [
-            tuple([
-                orbit.setdefault(int_mat_vec(m, w), len(orbit))
-                for w, orbit in zip(weights, orbits)
+        numbers = []
+        for w in weyl.rs.weights:
+            orbit: dict[Vec, int] = {}
+            numbers.append([
+                orbit.setdefault(v, len(orbit))
+                for v in weyl.orbit([primitive_vector(w)])
             ])
-            for m in weyl.elements
-        ]
+        images = weyl._weight_images = list(zip(*numbers))
         weyl._lex_rank = [0] * weyl.order
         by_matrix = sorted(range(weyl.order), key=weyl.elements.__getitem__)
         for place, a in enumerate(by_matrix):

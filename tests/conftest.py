@@ -36,6 +36,15 @@ def generator_root_perms(rs, weyl) -> list[tuple[int, ...]]:
     return perms
 
 
+def simple_reflection_matrix(cartan, i: int) -> tuple:
+    """s_i in simple-root coordinates: x - (row i of C) . x alpha_i."""
+    n = len(cartan)
+    return tuple(
+        tuple((r == j) - (cartan[i][j] if r == i else 0) for j in range(n))
+        for r in range(n)
+    )
+
+
 def make_model(spec: str, kind: str) -> Permutonestohedron:
     rs = build_root_system(spec)
     builder = build_minimal if kind == "minimal" else build_maximal

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import materialised
-from conftest import make_model
+from conftest import make_model, simple_reflection_matrix
 from materialised import face_vertices_geometric
 from pnh.errors import EmptyFacet, VerificationFailed
 from pnh.faces import support_halfspaces
 from pnh.flats import simple_index_set
-from pnh.linalg import identity, int_mat_vec, mat_vec
+from pnh.linalg import identity, int_mat_vec, mat_mul, mat_vec
 from pnh.polytope import all_vertices, facet_vertex_sets, verify_hrep_vrep
 
 
@@ -39,7 +39,7 @@ def _predictor(model):
     """The tightness pattern, decided by group products."""
     weyl = model.weyl
     subgroups = model.subgroups_by_flat()
-    members = {flat: sub.members() for flat, sub in subgroups.items()}
+    members = {flat: frozenset(sub.member_ids) for flat, sub in subgroups.items()}
 
     def predicted(hs, sigma, nested):
         if hs.kind == "chamber":
@@ -148,14 +148,14 @@ def _check_mutant(model):
     assert isinstance(faces, str) or not faces[0]
 
 
-def test_moved_non_base_vertex_is_a_stray():
+def test_moved_non_base_vertex_fails_the_oracle():
     model = make_model("A3", "minimal")
     vi = len(model.vrep.max_nested) + 3
     model.vrep = _moved(model.vrep, index=vi)
     _check_mutant(model)
 
 
-def test_swapped_vertex_points_are_strays():
+def test_swapped_vertex_points_fail_the_oracle():
     # two vertices of one nested set swap their points: every point is
     # still listed once, but neither is M(sigma) v_S at its position
     model = make_model("A3", "minimal")
@@ -167,14 +167,20 @@ def test_swapped_vertex_points_are_strays():
     _check_mutant(model)
 
 
-def test_generator_breaking_the_gram_form_strays_every_vertex():
-    # the vertices are made with the broken matrix, so each one is still
-    # M(sigma) v_S, but sigma no longer acts by an isometry
+def test_vertices_walked_with_a_non_isometric_generator_fail_the_oracle():
+    # the walk reads s_0 through row 0 of the Cartan matrix, here broken to
+    # an involution that moves alpha_2 to alpha_0 + alpha_2, and reads its
+    # columns from the matrices, here the products of the broken generators
+    # along each element's steps; so each vertex is still M(sigma) v_S, but
+    # sigma no longer acts by an isometry
     model = make_model("A3", "minimal")
     broken = copy(model.weyl)
-    g = broken.generator_ids[0]
-    elements = list(broken.elements)
-    elements[g] = tuple(tuple(2 * x for x in row) for row in identity(3))
+    broken.rs = copy(model.rs)
+    broken.rs.cartan = ((2, -1, -1),) + model.rs.cartan[1:]
+    gens = [simple_reflection_matrix(broken.rs.cartan, g) for g in range(3)]
+    elements = [identity(3)]
+    for tau, g in zip(broken.parent[1:], broken.letter[1:]):
+        elements.append(mat_mul(elements[tau], gens[g]))
     broken.elements = tuple(elements)
     vrep = all_vertices(model.building, model.suitable, broken, require_distinct=False)
     m = len(vrep.max_nested)
@@ -187,7 +193,7 @@ def test_generator_breaking_the_gram_form_strays_every_vertex():
     _check_mutant(model)
 
 
-def test_inequality_key_off_its_orbit_is_a_suspect(a3_min):
+def test_inequality_normal_from_another_coset_fails_the_oracle(a3_min):
     # a member inequality takes the normal of another coset's image of the
     # same fundamental inequality, keeping its own sigma label
     model = make_model("A3", "minimal")

@@ -1,16 +1,22 @@
-import pytest
+from functools import cache
 
-from conftest import generator_root_perms
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import generator_root_perms, make_model, simple_reflection_matrix
 from pnh.errors import GroupTooLarge
 from pnh.flats import build_minimal, flat_closure, standard_flat
-from pnh.linalg import identity, mat_mul, mat_vec, primitive_vector
+from pnh.halfspaces import fundamental_halfspaces
+from pnh.linalg import identity, int_mat_vec, mat_mul, mat_vec, primitive_vector
+from pnh.polytope import chamber_vertices
 from pnh.roots import build_root_system
 from pnh.weyl import (
     canonical_coset_rep,
     enumerate_group,
     left_cosets,
     parabolic_subgroup,
-    simple_reflection_matrix,
+    standard_parabolic,
     subgroup_product,
 )
 
@@ -81,6 +87,78 @@ def test_weight_image_cosets_match_orbit_point_cosets(spec):
         sub = parabolic_subgroup(w, standard_flat(rs, mask))
         assert sub.mask == mask
         assert (sub.coset, sub.cosets, sub.reps) == _orbit_point_cosets(w, mask)
+
+
+WALK_TYPES = ["A2", "B2", "A3", "B3", "C3", "D4", "B4", "A2xB2", "A1^4"]
+
+
+@pytest.mark.parametrize("spec", WALK_TYPES)
+def test_each_recorded_step_is_a_right_multiplication_by_a_generator(spec):
+    rs = build_root_system(spec)
+    w = enumerate_group(rs)
+    gens = [simple_reflection_matrix(rs.cartan, g) for g in range(rs.rank)]
+    assert (w.parent[0], w.letter[0]) == (None, None)
+    for sigma in range(1, w.order):
+        tau, g = w.parent[sigma], w.letter[sigma]
+        assert tau < sigma
+        assert w.elements[sigma] == mat_mul(w.elements[tau], gens[g])
+    assert [w.elements[a] for a in w.generator_ids] == gens
+
+
+def _matrix_orbit(w, xs, sub=None):
+    """Reference orbit: every element's matrix times every vector, or the
+    matrix of each coset's least id with ``sub``."""
+    sigmas = range(w.order) if sub is None else [ids[0] for ids in sub.cosets]
+    return [int_mat_vec(w.elements[sigma], x) for sigma in sigmas for x in xs]
+
+
+def _check_walk(w, xs, sub=None):
+    got = w.orbit(xs, sub)
+    assert got == _matrix_orbit(w, xs, sub)
+    assert len(got) == len(xs) * (w.order if sub is None else len(sub.cosets))
+    for x in xs:
+        for g, d in enumerate(w.deltas(x)):
+            moved = int_mat_vec(w.elements[w.generator_ids[g]], x)
+            assert moved == tuple(c + d * (i == g) for i, c in enumerate(x))
+
+
+@pytest.mark.parametrize("spec", WALK_TYPES)
+def test_walked_orbits_are_the_matrix_images(spec):
+    # the base vertices together, then each fundamental primitive normal
+    # alone and over the cosets of its stabiliser W_J(mu), J(mu) = {j :
+    # delta_j(mu) = 0}, and each primitive fundamental weight
+    model = make_model(spec, "minimal")
+    w = model.weyl
+    _check_walk(w, chamber_vertices(model.building, model.suitable).vertices)
+    for hs in fundamental_halfspaces(model.building, model.suitable):
+        _check_walk(w, [hs.prim])
+        mask = sum(1 << j for j, d in enumerate(w.deltas(hs.prim)) if not d)
+        _check_walk(w, [hs.prim], standard_parabolic(w, mask))
+    for weight in model.rs.weights:
+        _check_walk(w, [primitive_vector(weight)])
+
+
+@cache
+def _group(spec):
+    return enumerate_group(build_root_system(spec))
+
+
+@pytest.mark.parametrize("spec", WALK_TYPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_walked_orbits_of_drawn_vectors_are_the_matrix_images(spec, data):
+    w = _group(spec)
+    n = w.rs.rank
+    vec = st.tuples(*[st.integers(-60, 60)] * n)
+    _check_walk(w, data.draw(st.lists(vec, min_size=1, max_size=3)))
+    # sum_i c_i omega_i over i outside J, each primitive: W_J fixes it
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    x = [0] * n
+    for i, weight in enumerate(w.rs.weights):
+        if not mask >> i & 1:
+            c = data.draw(st.integers(-4, 4))
+            x = [a + c * b for a, b in zip(x, primitive_vector(weight))]
+    _check_walk(w, [tuple(x)], standard_parabolic(w, mask))
 
 
 def test_walk_cap_fires_without_a_predicted_order(monkeypatch):
