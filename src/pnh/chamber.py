@@ -1,4 +1,4 @@
-"""Verification on the dominant chamber, with no V-rep and no H-rep.
+"""Verification and facet vertex sets on the dominant chamber, no V x H scan.
 
 The polytope is the W-orbit of the chamber nestohedron: its vertices are
 the sigma v_S and its inequalities the W-images of the k fundamental ones,
@@ -205,6 +205,33 @@ def is_simple(chamber: Chamber) -> bool:
         for i in iter_bits(chamber.top[h]):
             per_vertex[i] += 1
     return all(c == chamber.rs.rank for c in per_vertex)
+
+
+def facet_sets(chamber: Chamber, halfspaces) -> list[frozenset[int]]:
+    """The vertex ids on each of ``halfspaces``, the images sigma h of the
+    fundamental inequalities, with no scan over V: by the facts of the
+    module docstring, the tau v_S with tau in sigma W_J(mu_h) and v_S tight
+    on h, the id of tau v_S being tau m + k for v_S the k-th base vertex
+    (``VRep``).  The facts need each normal dominant and no base vertex
+    beyond its bound, else VerificationFailed names the inequality; one
+    tight on no base vertex raises EmptyFacet."""
+    rs, m = chamber.rs, len(chamber.vertices)
+    for h, hs in enumerate(chamber.fundamental):
+        name = f"{hs.kind} inequality of {hs.flat.describe(rs)}"
+        if chamber.plus[h] != hs.prim:
+            raise VerificationFailed(f"{name}: normal {hs.prim} is not dominant")
+        if chamber.violated[h]:
+            raise VerificationFailed(f"{name}: a base vertex exceeds its bound")
+        if not chamber.tight[h]:
+            raise EmptyFacet(f"{name} touches no vertex")
+    out = []
+    for hs in halfspaces:
+        h = chamber.position[simple_index_set(rs, hs.flat)]
+        sub = standard_parabolic(chamber.weyl, chamber.stabiliser[h])
+        base = list(iter_bits(chamber.tight[h]))
+        coset = sub.cosets[sub.coset[hs.sigma_id]]
+        out.append(frozenset([tau * m + k for tau in coset for k in base]))
+    return out
 
 
 def face_vertices_geometric(ctx, face, chamber: Chamber) -> tuple[int, frozenset]:

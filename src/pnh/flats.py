@@ -157,13 +157,8 @@ def fundamental_flats(rs: RootSystem) -> list[Flat]:
 
 def simple_index_set(rs: RootSystem, flat: Flat) -> int | None:
     """Bitmask of simple roots inside ``flat``; None when not spanned by them."""
-    mask = 0
-    count = 0
-    for i in range(rs.rank):
-        if flat.bits >> i & 1:
-            mask |= 1 << i
-            count += 1
-    return mask if count == flat.dim else None
+    mask = flat.bits & ((1 << rs.rank) - 1)
+    return mask if mask.bit_count() == flat.dim else None
 
 
 class FlatData(namedtuple("FlatData", "flat pi delta_perp gram_delta_perp ratio")):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 
-from .chamber import Chamber, face_vertices_geometric, is_simple
+from .chamber import Chamber, face_vertices_geometric, facet_sets, is_simple
 from .errors import VerificationFailed
 from .counting import closed_form_counts
 from .faces import (
@@ -26,7 +26,13 @@ from .faces import (
     face_vertices,
     is_face_leq,
 )
-from .flats import BuildingSet, Flat, restricted_building_set, simple_index_set
+from .flats import (
+    BuildingSet,
+    Flat,
+    iter_bits,
+    restricted_building_set,
+    simple_index_set,
+)
 from .halfspaces import (
     HalfSpace,
     HalfSpaceIndex,
@@ -47,7 +53,7 @@ from .polytope import (
     all_vertices,
     chamber_vertices,
     euler_check,
-    facet_vertex_sets,
+    facet_vertex_sets,  # noqa: F401 - wrapped here by perfbench/spans.py
     nestohedron_check,
     verify_hrep_vrep,  # noqa: F401 - wrapped here by perfbench/spans.py
 )
@@ -129,7 +135,7 @@ class Permutonestohedron:
 
     @cached_property
     def facet_sets(self) -> list[frozenset[int]]:
-        return facet_vertex_sets(self.rs, self.halfspaces, self.vrep, self.incidence)
+        return facet_sets(self.chamber, self.halfspaces)
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
@@ -368,26 +374,20 @@ class FacetFactorisation(
         """
         model = self.model
         sub = self.factors[factor_index]
-        simple = sorted(
-            i
-            for i in range(model.rs.rank)
-            if model.building.fund_index_sets[self.parts[factor_index]] >> i & 1
-        )
+        index_set = model.building.fund_index_sets[self.parts[factor_index]]
+        simple = list(iter_bits(index_set))
         m = model.weyl.elements[element_id]
         restricted = tuple(tuple(m[r][c] for c in simple) for r in simple)
         return sub.weyl.index[restricted]
 
     def _sub_flat(self, factor_index: int, flat: Flat) -> Flat:
         sub_building = self.factors[factor_index].building
-        bits = 0
-        for i in flat.indices():
-            bits |= 1 << sub_building.sub_index_of[i]
+        bits = sum(1 << sub_building.sub_index_of[i] for i in flat.indices())
         return Flat(flat.dim, bits)
 
     def image_of(self, p: FacePair):
         """Image of an interval face in quotient x factors coordinates."""
-        model = self.model
-        weyl = model.weyl
+        model, weyl = self.model, self.model.weyl
         facet_sub = model.face_ctx.label_subgroup(tuple(sorted(self.parts)))
         if facet_sub.coset[p.rep] != facet_sub.coset[self.facet.rep]:
             raise VerificationFailed("interval face coset is not inside the facet")
@@ -396,47 +396,27 @@ class FacetFactorisation(
         removed = 0
         for part in self.parts:
             removed |= model.building.fund_index_sets[part]
-        residue = []
-        for k in p.nested:
-            mask = model.building.fund_index_sets[k] & ~removed
-            if mask:
-                residue.append(
-                    frozenset(i for i in range(model.rs.rank) if mask >> i & 1)
-                )
-        quotient_nested = frozenset(residue)
+        masks = (model.building.fund_index_sets[k] & ~removed for k in p.nested)
+        quotient_nested = frozenset(frozenset(iter_bits(m)) for m in masks if m)
 
         sub_faces = []
         for idx, part in enumerate(self.parts):
-            sub = self.factors[idx]
-            flats = tuple(
-                sorted(
-                    self._sub_flat(idx, k)
-                    for k in p.nested
-                    if part.contains(k)
-                )
-            )
+            inside = [k for k in p.nested if part.contains(k)]
+            nested = NestedSet(tuple(sorted(self._sub_flat(idx, k) for k in inside)))
             labels = tuple(
-                sorted(
-                    self._sub_flat(idx, k) for k in p.labels if part.contains(k)
-                )
+                sorted(self._sub_flat(idx, k) for k in p.labels if part.contains(k))
             )
-            nested = NestedSet(flats)
-            base = self._sub_element(idx, h)
-            sub_h = sub.face_ctx.label_subgroup(labels)
-            rep = canonical_coset_rep(base, sub_h)
+            sub_h = self.factors[idx].face_ctx.label_subgroup(labels)
+            rep = canonical_coset_rep(self._sub_element(idx, h), sub_h)
             sub_faces.append(FacePair(rep, nested, labels))
         return quotient_nested, tuple(sub_faces)
 
     def verify_lattice(self) -> CheckReport:
         """Bijectivity and order isomorphism onto the product poset."""
         model = self.model
-        interval = [
-            p for p in model.faces if model.face_leq(p, self.facet)
-        ]
-        images = {}
+        interval = [p for p in model.faces if model.face_leq(p, self.facet)]
+        images = {p: self.image_of(p) for p in interval}
         failures = []
-        for p in interval:
-            images[p] = self.image_of(p)
 
         expected = set()
         factor_faces = [tuple(f.faces) for f in self.factors]

@@ -236,12 +236,9 @@ def quotient_building_set(building: BuildingSet, parts: tuple[Flat, ...]) -> Com
             raise NotBuilding("quotient parts must be fundamental members")
         removed |= mask
     ground = frozenset(i for i in range(building.rs.rank) if not removed >> i & 1)
-    members = set()
-    for mask in building.fund_index_sets.values():
-        residue = frozenset(iter_bits(mask & ~removed))
-        if residue:
-            members.add(residue)
-    out = CombinatorialBuildingSet(ground, frozenset(members))
+    left = (mask & ~removed for mask in building.fund_index_sets.values())
+    members = frozenset(frozenset(iter_bits(r)) for r in left if r)
+    out = CombinatorialBuildingSet(ground, members)
     out.validate()
     return out
 

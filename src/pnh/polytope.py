@@ -11,9 +11,10 @@ and Gram-normals are scaled to integers, each inequality read in its stored
 form (x, prim) <= bound, and a scan of a hyperplane keeps its tight set, as
 a bitmask over vertex ids, and whether any vertex violates it.
 
-``verify`` decides incidence on the dominant chamber (``pnh.chamber``);
-``verify_hrep_vrep`` checks a materialised V-rep against a materialised
-H-rep, every inequality over every vertex, and assumes no orbit fact.
+``verify`` and the OFF export's facets decide incidence on the dominant
+chamber (``pnh.chamber``); ``verify_hrep_vrep`` and ``facet_vertex_sets``
+check a materialised V-rep against a materialised H-rep, every inequality
+over every vertex, and assume no orbit fact.
 """
 
 from __future__ import annotations
@@ -411,12 +412,10 @@ def _sum_witnesses(building: BuildingSet, family: NestedSet) -> list[Flat]:
 
 
 def facet_vertex_sets(
-    rs,
-    halfspaces: list[HalfSpace],
-    vrep: VRep,
-    incidence: Incidence | None = None,
+    rs, halfspaces: list[HalfSpace], vrep: VRep, incidence: Incidence | None = None
 ) -> list[frozenset[int]]:
-    """Vertex ids tight on each inequality; every one must be nonempty."""
+    """Vertex ids tight on each inequality, each scanned over every vertex:
+    the oracle for ``chamber.facet_sets``.  Every one must be nonempty."""
     if incidence is None:
         incidence = Incidence(rs, vrep)
     return [frozenset(iter_bits(m)) for m in incidence.facet_masks(halfspaces)]

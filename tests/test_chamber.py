@@ -1,7 +1,9 @@
 """The certificate on the dominant chamber (``pnh.chamber``) against the
 materialised path it replaced in ``verify``: ``verify_hrep_vrep`` over the
 V-rep and H-rep, and the simplicity test and face report kept in
-``materialised.py``; tampering with each input of the certificate fails it."""
+``materialised.py``; the OFF export's facet sets against the all-pairs
+``facet_vertex_sets``; tampering with each input of the certificate fails
+it."""
 
 from fractions import Fraction
 from functools import cache
@@ -16,7 +18,7 @@ import pnh.model
 from conftest import make_model
 from pnh.chamber import Chamber, dominant, face_vertices_geometric
 from pnh.errors import EmptyFacet, SingularSystem, VerificationFailed
-from pnh.exports import building_from_json
+from pnh.exports import building_from_json, off_text
 from pnh.faces import FacePair, face_types
 from pnh.flats import (
     all_flats,
@@ -28,7 +30,12 @@ from pnh.flats import (
 from pnh.halfspaces import orthogonal_flats
 from pnh.linalg import int_mat_vec, mat_vec, solve_linear_system
 from pnh.model import Permutonestohedron, build_model
-from pnh.polytope import _chamber_rhs, _chamber_solve, verify_hrep_vrep
+from pnh.polytope import (
+    _chamber_rhs,
+    _chamber_solve,
+    facet_vertex_sets,
+    verify_hrep_vrep,
+)
 from pnh.roots import build_root_system
 from pnh.weyl import enumerate_group, standard_parabolic
 
@@ -144,6 +151,21 @@ def test_verify_makes_neither_the_v_rep_nor_the_h_rep(spec, kind):
         assert not made, level
 
 
+@pytest.mark.parametrize("spec, kind", MATRIX)
+def test_facet_sets_equal_the_scan(spec, kind):
+    # the scans were cached by the certificate test's verify_hrep_vrep
+    model = _model(spec, kind)
+    scan = facet_vertex_sets(model.rs, model.halfspaces, model.vrep, model.incidence)
+    assert model.facet_sets == scan
+
+
+@pytest.mark.parametrize("spec, kind", [("A3", "minimal"), ("B3", "maximal")])
+def test_off_export_builds_no_all_vertex_incidence(spec, kind):
+    model = make_model(spec, kind)
+    assert off_text(model).startswith("OFF\n")
+    assert "incidence" not in vars(model)
+
+
 def _a3_min_with(fundamental=None, base=None) -> Permutonestohedron:
     model = make_model("A3", "minimal")
     fundamental = list(model.fundamental_hs if fundamental is None else fundamental)
@@ -200,6 +222,10 @@ def test_planted_non_dominant_normal_is_reduced_and_fails():
     assert not report.passed
     assert any("is not dominant" in line for line in report.details)
     assert "face vertices vs supporting hyperplanes" in _failed(tampered.verify("full"))
+    # the facet sets rest on the normal being dominant: none are given
+    with pytest.raises(VerificationFailed, match="is not dominant"):
+        tampered.facet_sets
+    assert "facet_sets" not in vars(tampered)
 
 
 def test_dominant_reduction_inverts_every_group_element():
@@ -226,10 +252,15 @@ def test_tampered_offset_fails():
             failed = _failed(tampered.verify("full"))
             assert "vertex/halfspace incidence" in failed
             assert "face vertices vs supporting hyperplanes" in failed
+            with pytest.raises(VerificationFailed, match="exceeds its bound"):
+                tampered.facet_sets
         else:
             # moved off every vertex: no vertex is on it
             with pytest.raises(EmptyFacet):
                 tampered.simple()
+            with pytest.raises(EmptyFacet, match="touches no vertex"):
+                tampered.facet_sets
+        assert "facet_sets" not in vars(tampered)
 
 
 def _rescaled(base, k: int, factor: Fraction):

@@ -209,6 +209,44 @@ def test_poset_output_is_byte_identical(tmp_path, argv, digest):
             ["--type", "A3", "--building", "minimal"],
             "ca6e5ccda75004f44c97c1589221bc7f0d57d36499fd681c84065ec28f7789eb",
         ),
+        (
+            ["--type", "A3", "--building", "maximal"],
+            "21cbae679e2cbd4ff7019d9178f36ff8a37ceb86d324cc183289e3f20af7aee1",
+        ),
+        (
+            ["--type", "B3", "--building", "minimal"],
+            "15ca741b39b53b9e14dd0a663432ac65543518442ab9aeeec92fbcb909eeb70b",
+        ),
+        (
+            ["--type", "C3", "--building", "minimal"],
+            "092f5f0557edbe6eff69eb3c966c5d143257a06e5807848a54eb1c83fe03601a",
+        ),
+        (
+            ["--type", "C3", "--building", "maximal"],
+            "21cc8e5864150f286e77daeac8caa42760ba57a4f843472bc1e588fb9b27302b",
+        ),
+        (
+            ["--type", "A1^3", "--building", "interval"],
+            "56840dc5a3fad44421f62ed2230f83aa6c198f6a28b9b20b892a8fd04a071c58",
+        ),
+        (
+            ["--type", "A2xA1", "--building", "minimal"],
+            "ddcd429d19e28455cb537d351daadeaf21a665b399e659c3a3290f782d326db0",
+        ),
+        (
+            ["--type", "A2xA1", "--building", "maximal"],
+            "f81555d79aadb38d709b50b91c47ca29ce1276baf94bfff0716d50c74080681b",
+        ),
+        (
+            ["--type", "B2xA1", "--building", "maximal"],
+            "653b822de9da79ff5c994f323f8fde3830a91b2d4e691bf554038f8b51c7cb3a",
+        ),
+        (
+            # fails only the epsilon checks: no vertex exceeds an
+            # inequality, so the mesh is still written
+            ["--type", "A3", "--epsilons", "1/50,1/3,1"],
+            "6b4c82ceca142a235de013f66b723fa8f0e64ee077c53305488b5b01cdff0442",
+        ),
     ],
 )
 def test_off_output_is_byte_identical(tmp_path, argv, digest):
@@ -217,6 +255,19 @@ def test_off_output_is_byte_identical(tmp_path, argv, digest):
     out = tmp_path / "frozen.off"
     assert run(["export", *argv, "--format", "off", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_off_export_of_a_non_polytope_exits_two(tmp_path, capsys):
+    # eps 1/10, 1/2, 1 puts base vertices beyond member inequalities, so the
+    # chamber facts that give each facet's vertices do not hold
+    out = tmp_path / "m.off"
+    assert run(["export", "--type", "A3", "--epsilons", "1/10,1/2,1",
+                "--format", "off", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "pnh: error: member inequality of <dim 1: roots 0>: "
+        "a base vertex exceeds its bound\n"
+    )
+    assert not out.exists()
 
 
 def test_build_with_verification_gate(tmp_path):

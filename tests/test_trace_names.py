@@ -47,9 +47,13 @@ def test_traced_commands_run_their_post_hooks(a2, tmp_path):
             cli.run(["build", "--type", "A2", "--output", out]),
             cli.run(["export", "--format", "off", "--type", "A3", "--output", out]),
         ]
-        # the CLI streams its JSON through json_chunks, so the whole-document
-        # writer is called here, under the name the tracer wraps
+        # the CLI streams its JSON through json_chunks, and the OFF export
+        # takes its facets from the chamber, so the whole-document writer and
+        # the all-pairs facet scan are called here, under the names the
+        # tracer wraps
         cli.to_json_bytes(cli.build_document(a2))
+        model = importlib.import_module("pnh.model")
+        model.facet_vertex_sets(a2.rs, a2.halfspaces, a2.vrep)
         # looked up on the module, where the tracer installed its wrapper
         faces = importlib.import_module("pnh.faces")
         faces.aut_action_on_halfspaces(
