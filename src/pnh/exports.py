@@ -443,9 +443,9 @@ def off_text(model: Permutonestohedron, precision: int = 12) -> str:
         nlen = math.sqrt(sum(c * c for c in normal))
         normal = tuple(c / nlen for c in normal)
         centroid = tuple(sum(points[i][c] for i in ids) / len(ids) for c in range(3))
+        offsets = [tuple(points[i][c] - centroid[c] for c in range(3)) for i in ids]
         u = None
-        for i in ids:
-            d = tuple(points[i][c] - centroid[c] for c in range(3))
+        for d in offsets:
             dlen = math.sqrt(sum(c * c for c in d))
             if dlen > 1e-9:
                 u = tuple(c / dlen for c in d)
@@ -457,14 +457,12 @@ def off_text(model: Permutonestohedron, precision: int = 12) -> str:
             normal[2] * u[0] - normal[0] * u[2],
             normal[0] * u[1] - normal[1] * u[0],
         )
-
-        def angle(i):
-            d = tuple(points[i][c] - centroid[c] for c in range(3))
-            return math.atan2(
-                sum(d[c] * v[c] for c in range(3)),
-                sum(d[c] * u[c] for c in range(3)),
+        angle = {
+            i: math.atan2(
+                sum(d[c] * v[c] for c in range(3)), sum(d[c] * u[c] for c in range(3))
             )
-
-        ordered = sorted(ids, key=angle)
+            for i, d in zip(ids, offsets)
+        }
+        ordered = sorted(ids, key=angle.__getitem__)
         lines.append(f"{len(ordered)} " + " ".join(map(str, ordered)))
     return "\n".join(lines) + "\n"

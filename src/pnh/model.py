@@ -117,8 +117,12 @@ class Permutonestohedron:
         )
 
     @cached_property
+    def chamber_vertices(self) -> VRep:
+        return chamber_vertices(self.building, self.suitable)
+
+    @cached_property
     def vrep(self) -> VRep:
-        return all_vertices(self.building, self.suitable, self.weyl)
+        return all_vertices(self.chamber_vertices, self.weyl)
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -126,7 +130,7 @@ class Permutonestohedron:
 
     @cached_property
     def chamber(self) -> Chamber:
-        base = chamber_vertices(self.building, self.suitable)
+        base = self.chamber_vertices
         return Chamber(self.building, base, self.fundamental_hs, self.weyl)
 
     @cached_property
@@ -264,7 +268,9 @@ class Permutonestohedron:
         )
 
         if level == "full":
-            reports.append(nestohedron_check(self.building, self.suitable))
+            reports.append(
+                nestohedron_check(self.building, self.suitable, chamber.base)
+            )
             reports.append(chamber.incidence_report())
             reports.append(self._face_vertex_report())
         return reports

@@ -19,14 +19,13 @@ over every vertex, and assume no orbit fact.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations, repeat
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul, or_
+from operator import add, mul
 
-from .errors import EmptyFacet, NotInChamber, SingularSystem, VerificationFailed
+from .errors import EmptyFacet, NotInChamber, VerificationFailed
 from .flats import BuildingSet, Flat, iter_bits, simple_index_set
 from .halfspaces import HalfSpace, SuitableList
 from .linalg import Vec, int_mat_vec, solve_integer
@@ -127,15 +126,10 @@ def _coincidences(points) -> tuple[tuple[int, int], ...]:
     return tuple((j, i) for j, i in pairs if j != i)
 
 
-def all_vertices(
-    building: BuildingSet,
-    suitable: SuitableList,
-    weyl: WeylGroup,
-    require_distinct: bool = True,
-) -> VRep:
-    """Orbit of the chamber vertices; one entry per (sigma, nested) pair.
+def all_vertices(base: VRep, weyl: WeylGroup, require_distinct: bool = True) -> VRep:
+    """Orbit of the chamber vertices ``base``; one entry per (sigma, nested) pair.
 
-    W acts on the base vertices of ``chamber_vertices`` one Coxeter step
+    W acts on the base vertices (``chamber_vertices``) one Coxeter step
     per image (``WeylGroup.orbit``): the images under sigma = tau s_g are
     tau's plus n multiply-adds each, or tau's own tuple where s_g fixes a
     base vertex.  The images are the stored form (``VRep``).  Pairs mapping
@@ -143,7 +137,6 @@ def all_vertices(
     ``require_distinct`` (the default, appropriate for suitable lists) any
     coincidence raises VerificationFailed.
     """
-    base = chamber_vertices(building, suitable)
     vertices = tuple(weyl.orbit(base.vertices))
     coincidences = _coincidences(vertices)
     if coincidences and require_distinct:
@@ -314,101 +307,73 @@ def verify_hrep_vrep(
     return report
 
 
-def nestohedron_check(building: BuildingSet, suitable: SuitableList) -> CheckReport:
-    """Chamber-side characterisation of the nestohedron vertices.
+def nestohedron_check(
+    building: BuildingSet, suitable: SuitableList, base: VRep
+) -> CheckReport:
+    """Certify the base points as the vertices of the chamber nestohedron
+    Q = {(x, delta) = a, (x, delta_perp_A) <= a - eps_A, A proper member},
+    one v_S per maximal nested set S, from three local facts.
 
-    (a) every maximal nested set's vertex satisfies the strict chamber
-    inequalities and (c) is strictly inside every member inequality it is
-    not tight on; (b) every size-n independent non-nested family is cut
-    off strictly by a predicted inequality.  A family is independent when
-    its equations fix one point (``_chamber_solve``).  Each point is kept
-    as integers over one denominator and each comparison with a member's
-    bound is one integer cross-multiplication.
+    (a) v_S lies in the open chamber; (c) it is tight on the proper members
+    of S and strictly inside every other one; (r) every ridge S - {A}, A a
+    proper member of S, lies in exactly two listed maximal nested sets.
+    The rows of S and (x, delta) = a fix v_S (``chamber_vertices`` solved
+    them), so by (c) v_S is a simple vertex of Q and dropping A's row
+    leaves the edge of Q from v_S along A.  The ridge partner S' of (S, A)
+    puts v_S' on that edge, a vertex of Q other than v_S, as (c) puts it
+    strictly inside A.  So every edge at a listed vertex is bounded and
+    ends at a listed vertex; a polyhedron's graph is connected (Balinski,
+    1961), and a pointed one whose vertices have only bounded edges is
+    bounded, so the listed points are all of Q's vertices and Q lies in
+    the open chamber.  Every nested-set complex is a sphere (Postnikov,
+    arXiv:math/0507163), so (r) holds for every building set and guards
+    the listing.  Points are read as stored, integers over ``base.scale``;
+    ``checked`` counts V0 (k - 1) comparisons with a member's bound, each
+    one integer cross-multiplication, and the distinct ridges.
     """
     rs = building.rs
-    n = rs.rank
     data = building.fund_data
     rhs = _chamber_rhs(building, suitable)
-    failures = []
-    checked = 0
-
     proper = [f for f in building.fund if f != building.V]
-    nested_ok = set(enumerate_maximal_nested_sets(building))
+    failures = []
 
-    def excess(f: Flat, y, d: int) -> int:
-        # the sign of (y / d, delta_perp_f) minus its bound, in integers
+    def excess(f: Flat, y) -> int:
+        # the sign of (y / scale, delta_perp_f) minus its bound, in integers
         r, dot = rhs[f], sum(map(mul, data[f].gram_delta_perp, y))
-        return dot * r.denominator - r.numerator * d
+        return dot * r.denominator - r.numerator * base.scale
 
-    for s in sorted(nested_ok):
-        y, d = _base_point(building, rhs, s)
+    for s, y in sorted(zip(base.max_nested, base.vertices)):
+        dims = tuple(g.dim for g in s)
+        if any(c <= 0 for c in int_mat_vec(rs.int_gram, y)):
+            failures.append(f"vertex of {dims} leaves the open chamber")
         for f in proper:
-            checked += 1
             if f in s:
-                if excess(f, y, d) != 0:
+                if excess(f, y) != 0:
                     failures.append(f"expected tightness fails on {f.describe(rs)}")
-            elif excess(f, y, d) >= 0:
+            elif excess(f, y) >= 0:
                 failures.append(
-                    f"vertex of {tuple(g.dim for g in s)} not strictly inside "
-                    f"member inequality of {f.describe(rs)}"
+                    f"vertex of {dims} not strictly inside member inequality "
+                    f"of {f.describe(rs)}"
                 )
 
-    for combo in combinations(proper, n - 1):
-        family = NestedSet(tuple(sorted(combo)) + (building.V,))
-        if family in nested_ok:
-            continue
-        try:
-            y, d, gx = _chamber_solve(building, rhs, combo)
-        except SingularSystem:
-            continue
-        checked += 1
-        if any(c <= 0 for c in gx):
-            # left the open chamber: the crossed wall's line inequality must
-            # exclude the point strictly
-            i = next(i for i, c in enumerate(gx) if c <= 0)
-            line = building.fund_flat_for_indices(1 << i)
-            if excess(line, y, d) <= 0:
-                failures.append(
-                    f"chamber-violating point of {family} not excluded by the "
-                    f"line inequality of simple root {i}"
-                )
-            continue
-        witnesses = _sum_witnesses(building, family)
-        witness = next((w for w in witnesses if w not in combo), None)
-        if witness is None:
-            failures.append(
-                f"no excluding member outside the family found for non-nested "
-                f"dims {tuple(f.dim for f in combo)}"
-            )
-            continue
-        if excess(witness, y, d) <= 0:
-            failures.append(
-                f"point of non-nested family (dims "
-                f"{tuple(f.dim for f in combo)}) not strictly excluded by "
-                f"{witness.describe(rs)}"
-            )
-
-    return CheckReport(
-        "nestohedron vertex characterisation", not failures, checked, tuple(failures)
+    ridges = Counter(
+        tuple(g for g in s if g != f)
+        for s in base.max_nested
+        for f in s
+        if f != building.V
     )
-
-
-def _sum_witnesses(building: BuildingSet, family: NestedSet) -> list[Flat]:
-    """Fundamental members expressible as a non-redundant sum of >= 2
-    family members (nonempty exactly when the family is not nested)."""
-    masks = [building.fund_index_sets[f] for f in family if f != building.V]
-    found = []
-    for size in range(2, len(masks) + 1):
-        for combo in combinations(masks, size):
-            union = reduce(or_, combo)
-            # non-redundant: every member keeps an index no other one has
-            others = [reduce(or_, combo[:i] + combo[i + 1 :]) for i in range(size)]
-            if any(m & ~o == 0 for m, o in zip(combo, others)):
-                continue
-            hit = building.fund_flat_for_indices(union)
-            if hit is not None and union not in combo:
-                found.append(hit)
-    return found
+    failures += [
+        f"ridge of dims {tuple(g.dim for g in ridge)} lies in {seen} maximal "
+        "nested sets, not 2"
+        for ridge, seen in sorted(ridges.items())
+        if seen != 2
+    ]
+    return CheckReport(
+        "nestohedron vertex characterisation",
+        not failures,
+        len(base.vertices) * len(proper) + len(ridges),
+        tuple(failures),
+    )
 
 
 def facet_vertex_sets(

@@ -2,7 +2,9 @@
 materialised path it replaced in ``verify``: ``verify_hrep_vrep`` over the
 V-rep and H-rep, and the simplicity test and face report kept in
 ``materialised.py``; the OFF export's facet sets against the all-pairs
-``facet_vertex_sets``; tampering with each input of the certificate fails
+``facet_vertex_sets``; the nestohedron certificate against the family scan
+it replaced and a brute-force vertex enumeration, on the matrix, mutants
+and random eps lists; tampering with each input of the certificate fails
 it."""
 
 from fractions import Fraction
@@ -11,13 +13,16 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import materialised
 import pnh.faces
 import pnh.model
+import pnh.polytope
 from conftest import make_model
 from pnh.chamber import Chamber, dominant, face_vertices_geometric
-from pnh.errors import EmptyFacet, SingularSystem, VerificationFailed
+from pnh.errors import EmptyFacet, PnhError, SingularSystem, VerificationFailed
 from pnh.exports import building_from_json, off_text
 from pnh.faces import FacePair, face_types
 from pnh.flats import (
@@ -27,13 +32,20 @@ from pnh.flats import (
     is_irreducible,
     simple_index_set,
 )
-from pnh.halfspaces import orthogonal_flats
+from pnh.halfspaces import (
+    SuitableList,
+    check_increasing,
+    orthogonal_flats,
+    ratio_table,
+)
 from pnh.linalg import int_mat_vec, mat_vec, solve_linear_system
 from pnh.model import Permutonestohedron, build_model
 from pnh.polytope import (
     _chamber_rhs,
     _chamber_solve,
+    chamber_vertices,
     facet_vertex_sets,
+    nestohedron_check,
     verify_hrep_vrep,
 )
 from pnh.roots import build_root_system
@@ -164,6 +176,113 @@ def test_off_export_builds_no_all_vertex_incidence(spec, kind):
     model = make_model(spec, kind)
     assert off_text(model).startswith("OFF\n")
     assert "incidence" not in vars(model)
+
+
+def test_the_base_vertices_are_solved_once_per_model(monkeypatch):
+    listing = pnh.polytope.enumerate_maximal_nested_sets
+    calls = []
+
+    def counted(building):
+        calls.append(building)
+        return listing(building)
+
+    monkeypatch.setattr(pnh.polytope, "enumerate_maximal_nested_sets", counted)
+    for run in (lambda model: model.verify("full"), off_text):
+        calls.clear()
+        run(make_model("A3", "minimal"))
+        assert len(calls) == 1
+
+
+def _verdicts(building, suitable) -> tuple:
+    """The family scan's, the certificate's and the vertex enumeration's
+    verdicts: each a pass flag, or the type of the PnhError it raised."""
+    out = []
+    try:
+        out.append(materialised.family_nestohedron_check(building, suitable).passed)
+    except PnhError as exc:
+        out.append(type(exc))
+    try:
+        base = chamber_vertices(building, suitable)
+        out.append(nestohedron_check(building, suitable, base).passed)
+        out.append(materialised.vertex_enumeration(building, suitable, base))
+    except PnhError as exc:
+        out += [type(exc)] * 2
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec, kind", MATRIX)
+def test_nestohedron_certificate_equals_its_oracles(spec, kind):
+    model = _model(spec, kind)
+    base = model.chamber_vertices
+    assert _verdicts(model.building, model.suitable) == (True, True, True)
+    # V0 (k - 1) comparisons and the ridges: n - 1 per vertex, each twice
+    n, proper = model.rs.rank, len(model.building.fund) - 1
+    m = len(base.vertices)
+    report = nestohedron_check(model.building, model.suitable, base)
+    assert report.checked == m * proper + m * (n - 1) // 2
+
+
+def _mutants(model):
+    """(name, suitable, base) with one input of the certificate broken: a
+    maximal nested set dropped, eps_1 shifted, a base coordinate moved."""
+    suitable, base = model.suitable, model.chamber_vertices
+    k = len(base.vertices) // 2
+    moved = list(base.vertices)
+    moved[k] = (moved[k][0] + 1,) + moved[k][1:]
+    shifted = (suitable.eps[0] + Fraction(1, 1000),) + suitable.eps[1:]
+    return [
+        (
+            "dropped",
+            suitable,
+            base._replace(
+                vertices=base.vertices[:k] + base.vertices[k + 1 :],
+                max_nested=base.max_nested[:k] + base.max_nested[k + 1 :],
+            ),
+        ),
+        ("shifted", suitable._replace(eps=shifted), base),
+        ("moved", suitable, base._replace(vertices=tuple(moved))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, kind", [("A3", "minimal"), ("B3", "maximal"), ("D4", "minimal")]
+)
+def test_nestohedron_mutants_fail(spec, kind):
+    model = _model(spec, kind)
+    n = model.rs.rank
+    for name, suitable, base in _mutants(model):
+        report = nestohedron_check(model.building, suitable, base)
+        assert not report.passed, name
+        assert not materialised.vertex_enumeration(model.building, suitable, base)
+        ridges = [line for line in report.details if line.startswith("ridge")]
+        if name == "dropped":
+            # each of the dropped set's n - 1 ridges is left in one set
+            assert len(ridges) == n - 1 == len(report.details)
+            once = "in 1 maximal nested sets, not 2"
+            assert all(line.endswith(once) for line in ridges)
+        else:
+            assert not ridges
+            assert any("tightness fails" in line for line in report.details)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(MATRIX[2:6]), st.data())
+def test_random_eps_lists_agree_with_the_vertex_enumeration(spec_kind, data):
+    # each proper dimension's eps scaled by a factor in [1/40, 40]: about
+    # half raise NotInChamber, and of the rest some fail
+    model = _model(*spec_kind)
+    a, eps = model.suitable
+    factor = st.fractions(Fraction(1, 40), Fraction(40), max_denominator=40)
+    drawn = [e * data.draw(factor) for e in eps[:-1]]
+    suitable = SuitableList(a, (*drawn, eps[-1]))
+    old, new, brute = _verdicts(model.building, suitable)
+    assert new == brute
+    if old is True or isinstance(old, type) or isinstance(new, type):
+        assert new == old
+    elif old != new:
+        # the family scan failed a nestohedron: verify fails on the growth
+        # conditions all the same, so its exit code is the scan's
+        assert check_increasing(ratio_table(model.building), suitable.eps, a)
 
 
 def _a3_min_with(fundamental=None, base=None) -> Permutonestohedron:

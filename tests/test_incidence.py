@@ -182,7 +182,7 @@ def test_vertices_walked_with_a_non_isometric_generator_fail_the_oracle():
     for tau, g in zip(broken.parent[1:], broken.letter[1:]):
         elements.append(mat_mul(elements[tau], gens[g]))
     broken.elements = tuple(elements)
-    vrep = all_vertices(model.building, model.suitable, broken, require_distinct=False)
+    vrep = all_vertices(model.chamber_vertices, broken, require_distinct=False)
     m = len(vrep.max_nested)
     base = vrep.vertices[:m]
     assert all(

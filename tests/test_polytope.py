@@ -9,7 +9,7 @@ from pnh.flats import build_minimal
 from pnh.halfspaces import SuitableList, suitable_list
 from pnh.linalg import mat_vec
 from pnh.nested import enumerate_maximal_nested_sets
-from pnh.polytope import all_vertices, euler_check, vertex
+from pnh.polytope import all_vertices, chamber_vertices, euler_check, vertex
 from pnh.roots import build_root_system
 from pnh.weyl import enumerate_group
 
@@ -126,7 +126,8 @@ def test_coinciding_vertices_reported():
     # eps = 1/4 parks both chamber vertices on the bisector point (1/2, 1/2):
     # inside the open chamber, so only the coincidence detector can object
     bad = SuitableList(Fraction(1), (Fraction(1, 4), Fraction(1)))
-    vrep = all_vertices(b, bad, w, require_distinct=False)
+    base = chamber_vertices(b, bad)
+    vrep = all_vertices(base, w, require_distinct=False)
     assert vrep.coincidences
     with pytest.raises(VerificationFailed):
-        all_vertices(b, bad, w, require_distinct=True)
+        all_vertices(base, w, require_distinct=True)
