@@ -37,11 +37,11 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import EmptyFacet, VerificationFailed
-from .faces import support_masks
+from .faces import label_mask, support_masks
 from .flats import iter_bits, simple_index_set
 from .linalg import int_mat_vec
 from .polytope import CheckReport, Incidence, predicted_base
-from .weyl import standard_parabolic
+from .weyl import parabolic_order, standard_parabolic
 
 
 def dominant(rs, prim: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -70,16 +70,15 @@ class Chamber:
     VerificationFailed when two base points coincide.
     """
 
-    def __init__(self, building, base, fundamental, weyl):
+    def __init__(self, building, base, fundamental):
+        rs = self.rs = building.rs
+        self.group_order = parabolic_order(rs, (1 << rs.rank) - 1)
         if base.coincidences:
             raise VerificationFailed(
-                f"{weyl.order * len(base.coincidences)} coinciding vertex pairs; "
-                "eps list unsuitable?"
+                f"{self.group_order * len(base.coincidences)} coinciding vertex "
+                "pairs; eps list unsuitable?"
             )
-        rs = self.rs = building.rs
-        self.building, self.base, self.fundamental, self.weyl = (
-            building, base, fundamental, weyl
-        )
+        self.building, self.base, self.fundamental = building, base, fundamental
         self.vertices = base.vertices
         self.kernel = kernel = Incidence(rs, base)
         self.plus, self.stabiliser, self.tight, self.top, self.violated = (
@@ -104,18 +103,15 @@ class Chamber:
             if first.setdefault((mu, hs.bound), h) == h
         ]
 
-    def order(self, mask: int) -> int:
-        return standard_parabolic(self.weyl, mask).order
-
     @property
     def vertex_count(self) -> int:
-        return self.weyl.order * len(self.vertices)
+        return self.group_order * len(self.vertices)
 
     @property
     def facet_count(self) -> int:
         """Sum over the W-orbits of |W| / |W_J(mu+)|."""
-        w = self.weyl.order
-        return sum(w // self.order(self.stabiliser[h]) for h in self.heads)
+        w, rs = self.group_order, self.rs
+        return sum(w // parabolic_order(rs, self.stabiliser[h]) for h in self.heads)
 
     def incidence_report(self) -> CheckReport:
         """Membership and exact equality pattern for vertices vs inequalities.
@@ -180,10 +176,8 @@ def _predicted(building, max_nested, hs) -> tuple[int, int]:
     decomposition members' label subgroup (none for the chamber
     inequality)."""
     mask = simple_index_set(building.rs, hs.flat)
-    labels = 0
-    for p in building.fund_decomposition(mask) if hs.kind != "chamber" else ():
-        labels |= building.fund_index_sets[p]
-    return predicted_base(building, max_nested, mask), labels
+    parts = building.fund_decomposition(mask) if hs.kind != "chamber" else ()
+    return predicted_base(building, max_nested, mask), label_mask(building, parts)
 
 
 def is_simple(chamber: Chamber) -> bool:
@@ -207,7 +201,7 @@ def is_simple(chamber: Chamber) -> bool:
     return all(c == chamber.rs.rank for c in per_vertex)
 
 
-def facet_sets(chamber: Chamber, halfspaces) -> list[frozenset[int]]:
+def facet_sets(chamber: Chamber, halfspaces, weyl) -> list[frozenset[int]]:
     """The vertex ids on each of ``halfspaces``, the images sigma h of the
     fundamental inequalities, with no scan over V: by the facts of the
     module docstring, the tau v_S with tau in sigma W_J(mu_h) and v_S tight
@@ -227,21 +221,21 @@ def facet_sets(chamber: Chamber, halfspaces) -> list[frozenset[int]]:
     out = []
     for hs in halfspaces:
         h = chamber.position[simple_index_set(rs, hs.flat)]
-        sub = standard_parabolic(chamber.weyl, chamber.stabiliser[h])
+        sub = standard_parabolic(weyl, chamber.stabiliser[h])
         base = list(iter_bits(chamber.tight[h]))
         coset = sub.cosets[sub.coset[hs.sigma_id]]
         out.append(frozenset([tau * m + k for tau in coset for k in base]))
     return out
 
 
-def face_vertices_geometric(ctx, face, chamber: Chamber) -> tuple[int, frozenset]:
+def face_vertices_geometric(building, face, chamber: Chamber) -> tuple[int, frozenset]:
     """The vertices of ``face`` on every supporting hyperplane, for a face at
     the identity coset: (J, T) for the sigma v_S with sigma in W_J and S in
     the base ids T.  The hyperplanes are chosen combinatorially
     (``support_masks``); which base vertices lie on each, and which simple
     reflections fix its normal, come from exact inner products."""
     j, tight = (1 << chamber.rs.rank) - 1, chamber.kernel.full
-    for mask in support_masks(ctx.building, face):
+    for mask in support_masks(building, face):
         h = chamber.position[mask]
         j &= chamber.stabiliser[h]
         tight &= chamber.tight[h]

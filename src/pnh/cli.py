@@ -14,8 +14,8 @@ import sys
 
 from . import __version__
 from .errors import PnhError
-# perfbench/spans.py wraps build_document, poset_document and to_json_bytes
-# under these names, so all three stay importable from here
+# perfbench/spans.py wraps build_document, poset_document, to_json_bytes and
+# enumerate_group under these names, so all four stay importable from here
 from .exports import (  # noqa: F401
     build_document,
     fvector_table,
@@ -30,7 +30,7 @@ from .exports import (  # noqa: F401
 from .flats import build_maximal, build_minimal, interval_building_set
 from .model import build_model
 from .roots import build_root_system, parse_type_spec
-from .weyl import DEFAULT_GROUP_CAP, check_group_cap, enumerate_group
+from .weyl import DEFAULT_GROUP_CAP, check_group_cap, enumerate_group  # noqa: F401
 
 _BUILDING_CHOICES = "minimal, maximal, interval, or file:<path>"
 
@@ -137,26 +137,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _make_model(args):
-    # the root system of a type whose group is over the cap is not built
+    # a type over the cap is refused by its rank or by |W|, before any building set
     components = parse_type_spec(args.type, args.group_cap)
-    check_group_cap(components, args.group_cap)
+    rs = build_root_system(args.type)
+    check_group_cap(rs, args.group_cap)
     spec = args.building
     if spec == "interval":
         if any(c != ("A", 1) for c in components):
             raise ValueError("--building interval needs --type A1^n")
         # the building set carries its own A1^n root system
         building = interval_building_set(len(components))
-        rs = building.rs
-    else:
-        rs = build_root_system(args.type)
-    weyl = enumerate_group(rs, cap=args.group_cap)
-    if spec == "minimal":
+    elif spec == "minimal":
         building = build_minimal(rs)
     elif spec == "maximal":
         building = build_maximal(rs)
     elif spec.startswith("file:"):
         building = load_building_set(rs, spec[5:])
-    elif spec != "interval":
+    else:
         raise ValueError(f"--building must be {_BUILDING_CHOICES}, got {spec!r}")
     a = parse_rat(args.a)
     if a <= 0:
@@ -164,8 +161,7 @@ def _make_model(args):
     epsilons = None
     if args.epsilons is not None:
         epsilons = [parse_rat(t) for t in args.epsilons.split(",")]
-    return build_model(building, a=a, epsilons=epsilons, weyl=weyl,
-                       group_cap=args.group_cap)
+    return build_model(building, a=a, epsilons=epsilons, group_cap=args.group_cap)
 
 
 def _job_config(args, **extra) -> dict:

@@ -26,6 +26,7 @@ from .faces import covering_edges
 from .flats import Flat, flat_closure, validate_building_set
 from .model import Permutonestohedron
 from .counting import closed_form_counts
+from .weyl import parabolic_order
 
 JSON_INDENT = 2
 # rows of a top-level list rendered and written together
@@ -373,7 +374,8 @@ def fvector_table(model: Permutonestohedron) -> str:
     name = rs.type_name() or f"rank-{rs.rank} custom"
     lines = [
         f"f-vector: {name}, {model.building.kind} building set",
-        f"group order {model.weyl.order}, {fvec[-2]} defining half-spaces",
+        f"group order {parabolic_order(rs, (1 << rs.rank) - 1)}, "
+        f"{fvec[-2]} defining half-spaces",
         "",
     ]
     header = f"{'dim':>4} {'faces':>10}"

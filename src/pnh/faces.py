@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import reduce
 from itertools import combinations, groupby
-from operator import is_, mul
+from operator import is_, mul, or_
 from sys import byteorder
 
 from .errors import (
@@ -40,7 +41,8 @@ from .flats import BuildingSet, Flat
 from .halfspaces import HalfSpace, HalfSpaceIndex, orthogonal_flats
 from .nested import NestedSet, enumerate_nested_sets
 from .polytope import VRep
-from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_subgroup, subgroup_product
+from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_order, parabolic_subgroup
+from .weyl import subgroup_product
 
 
 class FacePair(namedtuple("FacePair", "rep nested labels")):
@@ -49,13 +51,19 @@ class FacePair(namedtuple("FacePair", "rep nested labels")):
     __slots__ = ()
 
 
+def list_nested_sets(building: BuildingSet) -> tuple[NestedSet, ...]:
+    """The nested sets the face types run over, in enumeration order (listed
+    here, where perfbench/spans.py wraps ``enumerate_nested_sets``)."""
+    return tuple(enumerate_nested_sets(building))
+
+
 class FaceContext:
     """Shared machinery for face enumeration and comparison."""
 
-    def __init__(self, building: BuildingSet, weyl: WeylGroup):
+    def __init__(self, building: BuildingSet, weyl: WeylGroup, nested_sets: tuple):
         self.building = building
         self.weyl = weyl
-        self.nested_sets = tuple(enumerate_nested_sets(building))
+        self.nested_sets = nested_sets
 
     def parabolic(self, flat: Flat) -> Subgroup:
         return parabolic_subgroup(self.weyl, flat)
@@ -67,11 +75,10 @@ class FaceContext:
         return self.building.rs.rank - len(face.nested) + len(face.labels)
 
 
-def face_types(ctx: FaceContext) -> Iterator[tuple[NestedSet, tuple[Flat, ...], int]]:
-    """Each face type (S, L, dimension), in listing order: nested sets in
-    enumeration order, then label sets by size and combination order."""
-    n = ctx.building.rs.rank
-    for s in ctx.nested_sets:
+def face_types(nested_sets, n) -> Iterator[tuple[NestedSet, tuple[Flat, ...], int]]:
+    """Each face type (S, L, dimension) of rank n, in listing order: nested
+    sets in the order given, then label sets by size and combination order."""
+    for s in nested_sets:
         minimal = s.minimal_elements()
         for size in range(len(minimal) + 1):
             for labels in combinations(minimal, size):
@@ -82,16 +89,26 @@ def enumerate_faces(ctx: FaceContext) -> list[FacePair]:
     """All faces, deterministically ordered: each type's cosets in turn."""
     return [
         FacePair(rep, s, labels)
-        for s, labels, _ in face_types(ctx)
+        for s, labels, _ in face_types(ctx.nested_sets, ctx.building.rs.rank)
         for rep in left_cosets(ctx.label_subgroup(labels))
     ]
 
 
-def f_vector(ctx: FaceContext) -> tuple[int, ...]:
-    """Face counts by dimension, via coset indices (no enumeration)."""
-    counts = [0] * (ctx.building.rs.rank + 1)
-    for _, labels, dim in face_types(ctx):
-        counts[dim] += ctx.weyl.order // ctx.label_subgroup(labels).order
+def label_mask(building: BuildingSet, labels) -> int:
+    """The simple indices J of the labelled flats, W_L = W_J."""
+    return reduce(or_, map(building.fund_index_sets.__getitem__, labels), 0)
+
+
+def f_vector(building: BuildingSet, nested_sets) -> tuple[int, ...]:
+    """Face counts by dimension, with no group: a type (S, L) has |W| / |W_L|
+    faces, the orders read from the root heights once per label mask."""
+    rs = building.rs
+    order, index = parabolic_order(rs, (1 << rs.rank) - 1), {}
+    counts = [0] * (rs.rank + 1)
+    for _, labels, dim in face_types(nested_sets, rs.rank):
+        mask = label_mask(building, labels)
+        index[mask] = index.get(mask) or order // parabolic_order(rs, mask)
+        counts[dim] += index[mask]
     return tuple(counts)
 
 
@@ -189,9 +206,7 @@ def support_masks(building: BuildingSet, face: FacePair) -> list[int]:
     if not face.labels:
         masks = [(1 << building.rs.rank) - 1]
         return masks + [building.fund_index_sets[b] for b in proper]
-    d_mask = 0
-    for a in face.labels:
-        d_mask |= building.fund_index_sets[a]
+    d_mask = label_mask(building, face.labels)
     if len(face.labels) >= 2:
         parts = building.fund_decomposition(d_mask)
         if parts != tuple(sorted(face.labels)):

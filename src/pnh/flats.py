@@ -169,13 +169,13 @@ class FlatData(namedtuple("FlatData", "flat pi delta_perp gram_delta_perp ratio"
     __slots__ = ()
 
 
-def flat_data(rs: RootSystem, flat: Flat, building=None) -> FlatData:
+def flat_data(rs: RootSystem, flat: Flat) -> FlatData:
     """Exact pi and delta_perp for a fundamental flat (or the whole space).
 
     For the whole space the convention is pi = delta_perp = delta.  The
     computed data is checked: delta_perp vanishes against every root of the
     flat, and its weight-basis coefficients off the flat's simple indices
-    are >= 1.  ``building`` is accepted and unused.
+    are >= 1.
     """
     n = rs.rank
     half = Fraction(1, 2)

@@ -29,15 +29,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
-from operator import or_
 
 from .errors import LemmaViolated, NotBuilding, VerificationFailed
 from .flats import (
     BuildingSet,
     Flat,
-    flat_data,  # noqa: F401 - imported from here by callers
     fundamental_flats,
     iter_bits,
     simple_index_set,
@@ -140,27 +137,25 @@ class LemmaReport(namedtuple("LemmaReport", "checked violations")):
 def _decompositions(building: BuildingSet, target_mask: int):
     """Non-redundant families of >= 2 proper fundamental members summing to
     the fundamental flat with simple-index set ``target_mask``."""
-    candidates = [
+    candidates = sorted(
         (f, m)
         for f, m in building.fund_index_sets.items()
         if m & ~target_mask == 0 and m != target_mask
-    ]
-    candidates.sort(key=lambda fm: fm[0])
+    )
     results = []
 
-    def extend(start: int, chosen: list, covered: int):
-        # non-redundant: every member keeps an index private to it
-        if covered == target_mask and len(chosen) >= 2 and all(
-            m & ~reduce(or_, [mg for g, mg in chosen if g is not f]) for f, m in chosen
-        ):
-            results.append(tuple(f for f, _ in chosen))
+    def extend(start: int, chosen: list, private: list, covered: int):
+        # each member keeps its ``private`` indices to itself; private masks only
+        # shrink, so a member adding none, or emptying another's, is redundant for good
+        if covered == target_mask and len(chosen) >= 2:
+            results.append(tuple(chosen))
         for k in range(start, len(candidates)):
             f, m = candidates[k]
-            if m & ~covered == 0:
-                continue  # adds nothing new: redundant forever
-            extend(k + 1, chosen + [(f, m)], covered | m)
+            kept = [p & ~m for p in private] + [m & ~covered]
+            if all(kept):
+                extend(k + 1, chosen + [f], kept, covered | m)
 
-    extend(0, [], 0)
+    extend(0, [], [], 0)
     return results
 
 

@@ -25,6 +25,8 @@ from .faces import (
     face_types,
     face_vertices,
     is_face_leq,
+    label_mask,
+    list_nested_sets,
 )
 from .flats import (
     BuildingSet,
@@ -63,6 +65,7 @@ from .weyl import (
     WeylGroup,
     canonical_coset_rep,
     enumerate_group,
+    parabolic_order,
 )
 
 
@@ -94,8 +97,12 @@ class Permutonestohedron:
         return self._suitable or suitable_list(self.building, self._a)
 
     @cached_property
+    def nested_sets(self) -> tuple[NestedSet, ...]:
+        return list_nested_sets(self.building)
+
+    @cached_property
     def face_ctx(self) -> FaceContext:
-        return FaceContext(self.building, self.weyl)
+        return FaceContext(self.building, self.weyl, self.nested_sets)
 
     @cached_property
     def fundamental_hs(self) -> list[HalfSpace]:
@@ -130,8 +137,7 @@ class Permutonestohedron:
 
     @cached_property
     def chamber(self) -> Chamber:
-        base = self.chamber_vertices
-        return Chamber(self.building, base, self.fundamental_hs, self.weyl)
+        return Chamber(self.building, self.chamber_vertices, self.fundamental_hs)
 
     @cached_property
     def faces(self) -> list[FacePair]:
@@ -139,11 +145,11 @@ class Permutonestohedron:
 
     @cached_property
     def facet_sets(self) -> list[frozenset[int]]:
-        return facet_sets(self.chamber, self.halfspaces)
+        return facet_sets(self.chamber, self.halfspaces, self.weyl)
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
-        return f_vector(self.face_ctx)
+        return f_vector(self.building, self.nested_sets)
 
     @property
     def vertex_count(self) -> int:
@@ -301,21 +307,24 @@ class Permutonestohedron:
         the sigma in W_J and T of ``face_vertices_geometric``.  Undecided,
         and failed, while a vertex violates an inequality.
         """
-        ctx, chamber = self.face_ctx, self.chamber
+        building, chamber = self.building, self.chamber
         max_nested = chamber.base.max_nested
         failures = []
         if any(chamber.violated):
             failures.append("not decided: a vertex violates a defining inequality")
-        for s, labels, _ in face_types(ctx) if not failures else ():
-            sub = ctx.label_subgroup(labels)
-            face = FacePair(sub.reps[0], s, labels)
+        types = () if failures else face_types(self.nested_sets, self.rs.rank)
+        for s, labels, _ in types:
+            mask = label_mask(building, labels)
             base = [k for k, t in enumerate(max_nested) if s.flat_set <= t.flat_set]
-            j, tight = face_vertices_geometric(ctx, face, chamber)
-            if (j, tight) != (sub.mask, frozenset(base)):
+            face = FacePair(None, s, labels)  # no group: only its type is read
+            j, tight = face_vertices_geometric(building, face, chamber)
+            if (j, tight) != (mask, frozenset(base)):
+                face = face._replace(rep=self.face_ctx.label_subgroup(labels).reps[0])
                 failures.append(
-                    f"face {face}: pair description gives {sub.order * len(base)} "
-                    f"vertices, supporting hyperplanes give "
-                    f"{chamber.order(j) * len(tight)}"
+                    f"face {face}: pair description gives "
+                    f"{parabolic_order(self.rs, mask) * len(base)} vertices, "
+                    "supporting hyperplanes give "
+                    f"{parabolic_order(self.rs, j) * len(tight)}"
                 )
         return CheckReport(
             "face vertices vs supporting hyperplanes",
@@ -399,9 +408,7 @@ class FacetFactorisation(
             raise VerificationFailed("interval face coset is not inside the facet")
         h = weyl.mul(weyl.inv(self.facet.rep), p.rep)
 
-        removed = 0
-        for part in self.parts:
-            removed |= model.building.fund_index_sets[part]
+        removed = label_mask(model.building, self.parts)
         masks = (model.building.fund_index_sets[k] & ~removed for k in p.nested)
         quotient_nested = frozenset(frozenset(iter_bits(m)) for m in masks if m)
 

@@ -11,13 +11,14 @@ earlier tau, and orbits follow those steps: s_g x = x + delta_g(x) alpha_g
 with delta_g(x) = -(row g of C) . x (Humphreys, Reflection Groups and
 Coxeter Groups, 1.10), so sigma x = tau x + delta_g(x) (column g of tau),
 n multiply-adds, and is tau x itself when delta_g(x) = 0.  Label subgroups
-are standard parabolics W_J, each stored as a map from elements to cosets.
+are standard parabolics W_J, each stored as a map from elements to cosets;
+their orders, |W|'s too, come from the root heights (``parabolic_order``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial
+from math import prod
 from operator import itemgetter, mul
 
 from .errors import GroupTooLarge
@@ -34,27 +35,20 @@ from .linalg import (
 DEFAULT_GROUP_CAP = 50_000
 
 
-def expected_group_order(components) -> int | None:
-    """Order of the reflection group, or None when the type is unknown."""
-    if components is None:
-        return None
-    order = 1
-    for letter, m in components:
-        if letter == "A":
-            order *= factorial(m + 1)
-        elif letter in ("B", "C"):
-            order *= 2**m * factorial(m)
-        else:  # D
-            order *= 2 ** (m - 1) * factorial(m)
+def parabolic_order(rs, mask: int) -> int:
+    """|W_J| for the simple indices J in ``mask``, with no group: the product
+    of (ht a + 1) / ht a over the positive roots a supported in J, ht a being
+    a's coordinate sum (Kostant 1959; Macdonald, Math. Ann. 199, 1972)."""
+    heights = [sum(r) for r, s in zip(rs.positive_roots, rs.supports) if not s & ~mask]
+    return prod(h + 1 for h in heights) // prod(heights)
+
+
+def check_group_cap(rs, cap: int) -> int:
+    """|W| from the root heights; raises GroupTooLarge when it exceeds cap."""
+    order = parabolic_order(rs, (1 << rs.rank) - 1)
+    if order > cap:
+        raise GroupTooLarge(f"|W| = {order} exceeds cap {cap}")
     return order
-
-
-def check_group_cap(components, cap: int) -> int | None:
-    """The predicted group order; raises GroupTooLarge when it exceeds cap."""
-    predicted = expected_group_order(components)
-    if predicted is not None and predicted > cap:
-        raise GroupTooLarge(f"|W| = {predicted} exceeds cap {cap}")
-    return predicted
 
 
 class WeylGroup:
@@ -62,7 +56,7 @@ class WeylGroup:
 
     def __init__(self, rs, cap: int = DEFAULT_GROUP_CAP):
         self.rs = rs
-        predicted = check_group_cap(rs.components, cap)
+        predicted = check_group_cap(rs, cap)
 
         n = rs.rank
         # per generator g, (r, C[g][r]) for each Dynkin neighbour r of g
@@ -93,7 +87,7 @@ class WeylGroup:
                 raise GroupTooLarge(f"group enumeration passed cap {cap}")
             frontier = new
 
-        if predicted is not None and len(seen) != predicted:
+        if len(seen) != predicted:
             raise GroupTooLarge(
                 f"enumerated {len(seen)} elements, expected {predicted}"
             )
@@ -186,10 +180,6 @@ class Subgroup(namedtuple("Subgroup", "mask coset cosets reps")):
     @property
     def member_ids(self) -> tuple[int, ...]:
         return self.cosets[0]
-
-    @property
-    def order(self) -> int:
-        return len(self.member_ids)
 
 
 def standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:

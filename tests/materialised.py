@@ -10,6 +10,10 @@ Two oracles of ``nestohedron_check``, each solving every family of n - 1
 proper fundamental members: the family scan it replaced
 (``family_nestohedron_check``), and a brute-force vertex enumeration of the
 chamber nestohedron (``vertex_enumeration``).
+
+The epsilon lemma's search as it was before its private-mask pruning
+(``decompositions``): it prunes only a member that adds no index, and
+tests each covering family for redundancy at the end.
 """
 
 from fractions import Fraction
@@ -213,3 +217,30 @@ def vertex_enumeration(building, suitable, base) -> bool:
         for s, y in zip(base.max_nested, base.vertices)
     }
     return found == listed
+
+
+def decompositions(building: BuildingSet, target_mask: int):
+    """Non-redundant families of >= 2 proper fundamental members summing to
+    the fundamental flat with simple-index set ``target_mask``."""
+    candidates = [
+        (f, m)
+        for f, m in building.fund_index_sets.items()
+        if m & ~target_mask == 0 and m != target_mask
+    ]
+    candidates.sort(key=lambda fm: fm[0])
+    results = []
+
+    def extend(start: int, chosen: list, covered: int):
+        # non-redundant: every member keeps an index private to it
+        if covered == target_mask and len(chosen) >= 2 and all(
+            m & ~reduce(or_, [mg for g, mg in chosen if g is not f]) for f, m in chosen
+        ):
+            results.append(tuple(f for f, _ in chosen))
+        for k in range(start, len(candidates)):
+            f, m = candidates[k]
+            if m & ~covered == 0:
+                continue  # adds nothing new: redundant forever
+            extend(k + 1, chosen + [(f, m)], covered | m)
+
+    extend(0, [], 0)
+    return results

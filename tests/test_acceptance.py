@@ -14,7 +14,8 @@ from conftest import make_model
 from pnh.counting import maximal_face_count, minimal_face_count
 from pnh.errors import LemmaViolated
 from pnh.faces import aut_action_on_halfspaces, support_halfspaces
-from pnh.halfspaces import SuitableList, flat_data, verify_epsilon_lemma
+from pnh.flats import flat_data
+from pnh.halfspaces import SuitableList, verify_epsilon_lemma
 from pnh.linalg import mat_vec, rank, solve_linear_system
 from pnh.nested import is_nested
 from pnh.polytope import euler_check, verify_hrep_vrep
@@ -183,7 +184,7 @@ def test_criterion_07_chamber_membership_and_exclusion(
     # full-size non-nested tuples are strictly cut off, rank-3 minimal family
     model = a3_min
     rs, building, s_list = model.rs, model.building, model.suitable
-    data = {f: flat_data(rs, f, building) for f in building.fund}
+    data = {f: flat_data(rs, f) for f in building.fund}
     v_flat = building.V
     excluded = 0
     for pair in combinations([f for f in building.fund if f != v_flat], 2):

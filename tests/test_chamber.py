@@ -5,7 +5,7 @@ V-rep and H-rep, and the simplicity test and face report kept in
 ``facet_vertex_sets``; the nestohedron certificate against the family scan
 it replaced and a brute-force vertex enumeration, on the matrix, mutants
 and random eps lists; tampering with each input of the certificate fails
-it."""
+it.  The epsilon lemma's pruned search lists what the unpruned one did."""
 
 from fractions import Fraction
 from functools import cache
@@ -34,6 +34,7 @@ from pnh.flats import (
 )
 from pnh.halfspaces import (
     SuitableList,
+    _decompositions,
     check_increasing,
     orthogonal_flats,
     ratio_table,
@@ -135,15 +136,25 @@ def test_certificate_equals_the_materialised_path(spec, kind):
         assert not chamber.violated[h]
 
 
+@pytest.mark.parametrize("spec, kind", MATRIX + [("A5", "maximal")])
+def test_decompositions_equal_the_unpruned_search(spec, kind):
+    # the same families in the same order, for every fundamental member
+    building = _model(spec, kind).building
+    for mask in building.fund_index_sets.values():
+        assert _decompositions(building, mask) == materialised.decompositions(
+            building, mask
+        )
+
+
 @pytest.mark.parametrize("spec, kind", MATRIX[:8] + MATRIX[11:])
 def test_face_types_equal_the_materialised_faces(spec, kind):
     # the vertices on the supporting hyperplanes of each type's face, over
     # all of V, are the sigma v_T with sigma in W_J and T in the base ids
     model = _model(spec, kind)
     ctx, chamber, m = model.face_ctx, model.chamber, len(model.chamber.vertices)
-    for s, labels, _ in face_types(ctx):
+    for s, labels, _ in face_types(model.nested_sets, model.rs.rank):
         face = FacePair(ctx.label_subgroup(labels).reps[0], s, labels)
-        j, tight = face_vertices_geometric(ctx, face, chamber)
+        j, tight = face_vertices_geometric(model.building, face, chamber)
         expected = materialised.face_vertices_geometric(
             ctx, face, model.vrep, model.halfspace_index, model.incidence
         )
@@ -290,7 +301,7 @@ def _a3_min_with(fundamental=None, base=None) -> Permutonestohedron:
     fundamental = list(model.fundamental_hs if fundamental is None else fundamental)
     model.fundamental_hs = fundamental
     if base is not None:
-        model.chamber = Chamber(model.building, base, fundamental, model.weyl)
+        model.chamber = Chamber(model.building, base, fundamental)
     return model
 
 
@@ -404,8 +415,8 @@ def test_tampered_face_label_set_fails(monkeypatch):
     model = make_model("A3", "minimal")
     lines = sorted(f for f in model.building.fund if f.dim == 1)
 
-    def relabelled(ctx):
-        for s, labels, dim in face_types(ctx):
+    def relabelled(nested_sets, n):
+        for s, labels, dim in face_types(nested_sets, n):
             if labels == (lines[0],) and len(s) == 2:
                 labels = (lines[1],)
             yield s, labels, dim

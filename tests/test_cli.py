@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import pnh.cli
+import pnh.model
 from pnh.cli import run
 
 
@@ -348,17 +349,51 @@ def test_interval_building(tmp_path):
 def test_interval_building_enumerates_one_group(monkeypatch, tmp_path):
     # the group of the building's own A1^n system, not a second one for --type
     calls = []
-    real = pnh.cli.enumerate_group
+    real = pnh.model.enumerate_group
 
     def counted(rs, cap):
         calls.append(rs.components)
         return real(rs, cap=cap)
 
-    monkeypatch.setattr("pnh.cli.enumerate_group", counted)
+    monkeypatch.setattr("pnh.model.enumerate_group", counted)
     out = tmp_path / "iv.json"
     assert run(["poset", "--type", "A1^4", "--building", "interval",
                 "--output", str(out)]) == 0
     assert calls == [(("A", 1),) * 4]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["verify", "--level", "full", "--type", "A3"],
+         _VERIFY_FULL_DIGESTS["A3", "minimal"]),
+        (["verify", "--level", "full", "--type", "B3", "--building", "maximal"],
+         _VERIFY_FULL_DIGESTS["B3", "maximal"]),
+        (["verify", "--level", "fast", "--type", "A2xB2"],
+         "0b3f775fe78dc72611644268c27a760c338cb6383193542c10cfcd3f5299de66"),
+        (["fvector", "--type", "A4", "--building", "maximal"],
+         "1e93f53eea20c4d03ba0cdd7b3dcbdfef2e431f378456f924105d647f40050ce"),
+    ],
+)
+def test_verify_and_fvector_build_no_group(argv, digest, monkeypatch, tmp_path):
+    # every order is read from the root heights: no group, so no coset table
+    def unreachable(*args):
+        raise AssertionError("made a group")
+
+    monkeypatch.setattr("pnh.model.enumerate_group", unreachable)
+    monkeypatch.setattr("pnh.weyl.WeylGroup.__init__", unreachable)
+    out = tmp_path / "out"
+    assert run([*argv, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_group_cap_is_checked_before_the_building_set(monkeypatch, capsys):
+    def unreachable(rs):
+        raise AssertionError(f"built the building set of {rs}")
+
+    monkeypatch.setattr("pnh.cli.build_minimal", unreachable)
+    assert run(["fvector", "--type", "A8"]) == 2
+    assert capsys.readouterr().err == "pnh: error: |W| = 362880 exceeds cap 50000\n"
 
 
 def test_building_from_file(tmp_path, capsys):

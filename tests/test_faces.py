@@ -16,11 +16,11 @@ from pnh.faces import (
     enumerate_faces,
     support_halfspaces,
 )
-from pnh.flats import interval_building_set, simple_index_set
+from pnh.flats import build_minimal, interval_building_set, simple_index_set
 from pnh.halfspaces import HalfSpace
 from pnh.linalg import int_mat_vec, mat_mul, mat_vec, primitive_vector
 from pnh.model import Permutonestohedron
-from pnh.roots import diagram_automorphisms
+from pnh.roots import build_root_system, diagram_automorphisms
 
 from conftest import make_model, primitive_key
 
@@ -35,6 +35,19 @@ def test_face_enumeration_matches_f_vector(a2, a3_min):
             by_dim.setdefault(model.face_ctx.dimension(f), 0)
             by_dim[model.face_ctx.dimension(f)] += 1
         assert tuple(by_dim[d] for d in range(len(fvec))) == fvec
+
+
+def test_a7_f_vector_needs_no_group(monkeypatch):
+    # the value the enumeration of W gives; here every order comes from the
+    # root heights
+    def unreachable(rs, cap):
+        raise AssertionError("enumerated W")
+
+    monkeypatch.setattr("pnh.model.enumerate_group", unreachable)
+    model = Permutonestohedron(build_minimal(build_root_system("A7")))
+    assert model.f_vector == (
+        17297280, 70519680, 114488640, 93451680, 39581640, 7942032, 545834, 1
+    )
 
 
 def test_faces_have_canonical_reps(a2):

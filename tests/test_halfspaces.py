@@ -6,12 +6,18 @@ import pytest
 from conftest import primitive_key
 from pnh.cli import run
 from pnh.errors import LemmaViolated, VerificationFailed
-from pnh.flats import build_minimal, flat_closure, full_flat, simple_index_set
+from pnh.flats import (
+    build_maximal,
+    build_minimal,
+    flat_closure,
+    flat_data,
+    full_flat,
+    simple_index_set,
+)
 from pnh.halfspaces import (
     SuitableList,
     all_halfspaces,
     check_increasing,
-    flat_data,
     fundamental_halfspaces,
     orthogonal_flats,
     ratio_table,
@@ -27,15 +33,14 @@ def test_flat_data_a2(
     a2, b2, a3_min, a3_max, a4_min, b3_min, b3_max, a13_min, d4_min
 ):
     rs = build_root_system("A2")
-    b = build_minimal(rs)
     line = flat_closure(rs, [0])
-    data = flat_data(rs, line, b)
+    data = flat_data(rs, line)
     assert data.pi == (Fraction(1, 2), 0)
     assert data.delta_perp == (Fraction(1, 2), 1)
     # orthogonal to the flat's roots
     assert rs.inner(data.delta_perp, rs.positive_roots[0]) == 0
     v = full_flat(rs)
-    vd = flat_data(rs, v, b)
+    vd = flat_data(rs, v)
     assert vd.pi == rs.delta == vd.delta_perp
     # the stored row is primitive, and its ratio times it is Gram times
     # delta_perp, for every fundamental member
@@ -62,13 +67,20 @@ def test_flat_data_runs_once_per_fundamental_member(
     # every layer of a model reads the building set's one table
     made = []
 
-    def counted(rs, flat, building=None):
+    def counted(rs, flat):
         made.append(flat)
-        return flat_data(rs, flat, building)
+        return flat_data(rs, flat)
 
     monkeypatch.setattr("pnh.flats.flat_data", counted)
     assert run(argv + ["--output", str(tmp_path / "out")]) == 0
     assert len(made) == len(set(made)) == members
+
+
+def test_a6_maximal_epsilon_lemma_count():
+    # 2.49 M recursive calls before the private-mask pruning
+    building = build_maximal(build_root_system("A6"))
+    report = verify_epsilon_lemma(building, suitable_list(building))
+    assert (report.checked, report.violations) == (10_064, [])
 
 
 def test_ratio_table_a3_minimal():
@@ -235,7 +247,7 @@ def test_a_stabiliser_one_index_too_large_moves_the_normal(a3_min):
 
 def test_a_trivial_stabiliser_repeats_a_key(a3_min):
     trivial = a3_min.face_ctx.label_subgroup(())
-    assert trivial.order == 1
+    assert len(trivial.member_ids) == 1
     with pytest.raises(VerificationFailed, match="coincide"):
         all_halfspaces(
             a3_min.building,

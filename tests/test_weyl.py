@@ -10,11 +10,13 @@ from pnh.flats import build_minimal, flat_closure, standard_flat
 from pnh.halfspaces import fundamental_halfspaces
 from pnh.linalg import identity, int_mat_vec, mat_mul, mat_vec, primitive_vector
 from pnh.polytope import chamber_vertices
-from pnh.roots import build_root_system
+from pnh.roots import RootSystem, build_root_system
 from pnh.weyl import (
     canonical_coset_rep,
+    check_group_cap,
     enumerate_group,
     left_cosets,
+    parabolic_order,
     parabolic_subgroup,
     standard_parabolic,
     subgroup_product,
@@ -162,7 +164,7 @@ def test_walked_orbits_of_drawn_vectors_are_the_matrix_images(spec, data):
 
 
 def test_walk_cap_fires_without_a_predicted_order(monkeypatch):
-    monkeypatch.setattr("pnh.weyl.expected_group_order", lambda components: None)
+    monkeypatch.setattr("pnh.weyl.parabolic_order", lambda rs, mask: 1)
     with pytest.raises(GroupTooLarge, match="passed cap 10"):
         enumerate_group(build_root_system("A3"), cap=10)
 
@@ -179,6 +181,49 @@ def test_group_orders():
         ("A2xA1", 12),
     ]:
         assert enumerate_group(build_root_system(spec)).order == order
+
+
+@pytest.mark.parametrize(
+    "spec", ["A2", "B2", "A3", "B3", "C3", "D4", "A1^3", "A2xA1", "A2xB2"]
+)
+def test_parabolic_orders_equal_the_enumerated_ones(spec):
+    rs = build_root_system(spec)
+    w = enumerate_group(rs)
+    full = (1 << rs.rank) - 1
+    assert parabolic_order(rs, full) == w.order
+    for mask in range(full + 1):
+        assert parabolic_order(rs, mask) == len(standard_parabolic(w, mask).member_ids)
+
+
+def _simply_laced(n: int, edges) -> list[list[int]]:
+    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -1
+    return gram
+
+
+# Bourbaki's numbering: the chain 1-3-4-5-..., with 2 joined to 4
+_E_EDGES = [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+
+
+@pytest.mark.parametrize(
+    "gram, order",
+    [
+        ([[2, -3], [-3, 6]], 12),
+        ([[4, -2, 0, 0], [-2, 4, -2, 0], [0, -2, 2, -1], [0, 0, -1, 2]], 1_152),
+        (_simply_laced(6, _E_EDGES[:5]), 51_840),
+        (_simply_laced(7, _E_EDGES[:6]), 2_903_040),
+        (_simply_laced(8, _E_EDGES), 696_729_600),
+    ],
+    ids=["G2", "F4", "E6", "E7", "E8"],
+)
+def test_exceptional_group_orders_need_no_group(gram, order):
+    # no enumeration: E8's group alone would hold 696,729,600 matrices
+    rs = RootSystem.from_gram(gram)
+    assert parabolic_order(rs, (1 << rs.rank) - 1) == order
+    assert check_group_cap(rs, order) == order
+    with pytest.raises(GroupTooLarge, match=f"^\\|W\\| = {order} exceeds cap"):
+        check_group_cap(rs, order - 1)
 
 
 def test_group_cap_enforced():
@@ -268,7 +313,7 @@ def test_label_subgroups_match_generated_closure(a2, b2, a3_min, b3_max, a13_min
             simple = {i for f in labels for i in range(rs.rank) if f.bits >> i & 1}
             closure = _closure(w, [w.generator_ids[j] for j in sorted(simple)])
             assert sub.member_ids == tuple(sorted(closure)), labels
-            assert sub.order == len(closure)
+            assert len(sub.member_ids) == len(closure)
             for a in range(w.order):
                 coset = {w.mul(a, h) for h in closure}
                 assert set(sub.cosets[sub.coset[a]]) == coset
