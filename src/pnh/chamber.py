@@ -40,7 +40,7 @@ from .errors import EmptyFacet, VerificationFailed
 from .faces import label_mask, support_masks
 from .flats import iter_bits, simple_index_set
 from .linalg import int_mat_vec
-from .polytope import CheckReport, Incidence, predicted_base
+from .polytope import CheckReport, Incidence
 from .weyl import parabolic_order, standard_parabolic
 
 
@@ -127,7 +127,7 @@ class Chamber:
         failures = []
         for h, hs in enumerate(self.fundamental):
             name = f"{hs.kind} inequality of {hs.flat.describe(rs)}"
-            expected, labels = _predicted(self.building, max_nested, hs)
+            expected, labels = _predicted(self.building, self.base, hs)
             mu = self.plus[h]
             at = "sigma=0" if mu == hs.prim else f"dominant image {mu}"
             ints, bound, denominator = kernel.row(hs._replace(prim=mu))
@@ -170,14 +170,14 @@ class Chamber:
         )
 
 
-def _predicted(building, max_nested, hs) -> tuple[int, int]:
+def _predicted(building, base, hs) -> tuple[int, int]:
     """(base mask, label mask) predicted for a fundamental inequality from
-    nested sets alone: ``predicted_base``, and the simple indices of its
-    decomposition members' label subgroup (none for the chamber
-    inequality)."""
+    nested sets alone: the v_S whose S holds its flat's decomposition
+    members (``VRep.base_ids``), and the simple indices of those members'
+    label subgroup (none for the chamber inequality, tight on every v_S)."""
     mask = simple_index_set(building.rs, hs.flat)
     parts = building.fund_decomposition(mask) if hs.kind != "chamber" else ()
-    return predicted_base(building, max_nested, mask), label_mask(building, parts)
+    return base.base_ids(parts), label_mask(building, parts)
 
 
 def is_simple(chamber: Chamber) -> bool:

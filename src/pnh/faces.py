@@ -37,8 +37,8 @@ from .errors import (
     NotCrossingFacet,
     VerificationFailed,
 )
-from .flats import BuildingSet, Flat
-from .halfspaces import HalfSpace, HalfSpaceIndex, orthogonal_flats
+from .flats import BuildingSet, Flat, iter_bits
+from .halfspaces import HalfSpace, orthogonal_flats
 from .nested import NestedSet, enumerate_nested_sets
 from .polytope import VRep
 from .weyl import Subgroup, WeylGroup, left_cosets, parabolic_order, parabolic_subgroup
@@ -177,18 +177,15 @@ def covering_edges(ctx: FaceContext, faces: list[FacePair]) -> list[list[int]]:
 
 
 def face_vertices(ctx: FaceContext, face: FacePair, vrep: VRep) -> frozenset[int]:
-    """Vertex ids of a face from the pair description."""
+    """Vertex ids of a face from the pair description: the sigma v_T with
+    sigma in the face's coset and T holding its nested set."""
     sub = ctx.label_subgroup(face.labels)
-    coset = sub.cosets[sub.coset[face.rep]]
-    flats = face.nested.flat_set
-    m = len(vrep.max_nested)
-    out = set()
-    for k, t in enumerate(vrep.max_nested):
-        if flats <= t.flat_set:
-            out.update(sigma * m + k for sigma in coset)
-    if not out:
+    base = list(iter_bits(vrep.base_ids(face.nested)))
+    if not base:
         raise EmptyFacet(f"face {face} has no vertices")
-    return frozenset(out)
+    m = len(vrep.max_nested)
+    coset = sub.cosets[sub.coset[face.rep]]
+    return frozenset([sigma * m + k for sigma in coset for k in base])
 
 
 def support_masks(building: BuildingSet, face: FacePair) -> list[int]:
@@ -216,19 +213,6 @@ def support_masks(building: BuildingSet, face: FacePair) -> list[int]:
     return [d_mask] + [
         building.fund_index_sets[b] | d_mask for b in proper if b not in face.labels
     ]
-
-
-def support_halfspaces(
-    ctx: FaceContext,
-    face: FacePair,
-    index: HalfSpaceIndex,
-) -> list[int]:
-    """H-rep positions of the hyperplanes whose intersection carries the face:
-    the image, by the face's coset representative, of the fundamental
-    inequality of each of its ``support_masks``, found in ``index`` by the
-    representative's coset of the inequality's stabiliser.
-    """
-    return [index.position(m, face.rep) for m in support_masks(ctx.building, face)]
 
 
 def crossing_facet_parts(ctx: FaceContext, face: FacePair) -> tuple[Flat, ...]:

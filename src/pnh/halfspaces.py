@@ -40,7 +40,7 @@ from .flats import (
     simple_index_set,
 )
 from .linalg import Vec, primitive_vector, vsub
-from .weyl import Subgroup, WeylGroup
+from .weyl import WeylGroup, standard_parabolic
 
 
 class RatioTable:
@@ -276,10 +276,7 @@ def orthogonal_flats(rs, a: Flat, b: Flat) -> bool:
 
 
 def all_halfspaces(
-    building: BuildingSet,
-    suitable: SuitableList,
-    weyl: WeylGroup,
-    label_subgroup,
+    building: BuildingSet, suitable: SuitableList, weyl: WeylGroup
 ) -> list[HalfSpace]:
     """W-orbit of the fundamental inequalities, one image per coset.
 
@@ -289,9 +286,6 @@ def all_halfspaces(
     least id and made by ``WeylGroup.orbit``, one Coxeter step per coset.
     W acts unimodularly, so the images of the primitive integer normal are
     primitive with no gcd; each shares its base's ``bound`` and ``ratio``.
-    ``label_subgroup`` maps a tuple of flats to their label subgroup
-    (``FaceContext.label_subgroup``); it is given the flat's decomposition,
-    a member's being the member itself.
 
     Two checks pin the stabiliser down, each raising VerificationFailed:
     every simple reflection s_j, j in J, fixes the primitive normal (its
@@ -306,8 +300,7 @@ def all_halfspaces(
             raise VerificationFailed(f"nonpositive offset in {base.kind} inequality")
         sub, sigmas = None, range(weyl.order)
         if base.kind != "chamber":
-            mask = simple_index_set(rs, base.flat)
-            sub = label_subgroup(building.fund_decomposition(mask))
+            sub = standard_parabolic(weyl, simple_index_set(rs, base.flat))
             deltas = weyl.deltas(base.prim)
             for j in iter_bits(sub.mask):
                 if deltas[j]:
@@ -329,44 +322,3 @@ def all_halfspaces(
                 f"{hs.flat.describe(rs)} (sigma {hs.sigma_id}) coincide"
             )
     return out
-
-
-class HalfSpaceIndex(namedtuple("HalfSpaceIndex", "halfspaces orbits")):
-    """Positions in an H-rep, by orbit coordinates.
-
-    A fundamental inequality is named by its flat's simple-index mask (the
-    full mask for the chamber inequality) and its images by the left cosets
-    of its stabiliser W_J: ``orbits[mask]`` is W_J and the position in
-    ``halfspaces`` of each coset's image.
-    """
-
-    __slots__ = ()
-
-    def position(self, mask: int, sigma: int) -> int:
-        """Position of sigma's image of the fundamental inequality ``mask``."""
-        sub, positions = self.orbits[mask]
-        return positions[sub.coset[sigma]]
-
-
-def index_halfspaces(
-    rs,
-    halfspaces: list[HalfSpace],
-    stabilisers: dict[Flat, Subgroup],
-    trivial: Subgroup,
-) -> HalfSpaceIndex:
-    """Index an H-rep by (mask, coset of ``sigma_id``), with ``stabilisers``
-    the W_J of each member or non-member flat and ``trivial`` the chamber
-    inequality's.  Raises VerificationFailed unless each coset of each
-    orbit holds exactly one inequality."""
-    orbits: dict[int, tuple[Subgroup, list]] = {}
-    for i, hs in enumerate(halfspaces):
-        # the chamber inequality's flat is the whole space: the full mask
-        sub = trivial if hs.kind == "chamber" else stabilisers[hs.flat]
-        mask = simple_index_set(rs, hs.flat)
-        slots = orbits.setdefault(mask, (sub, [None] * len(sub.reps)))[1]
-        slots[sub.coset[hs.sigma_id]] = i
-    # H inequalities filling H slots with none empty fill each slot once
-    slots = [p for _, p in orbits.values()]
-    if sum(map(len, slots)) != len(halfspaces) or any(None in p for p in slots):
-        raise VerificationFailed("the inequalities do not fill each coset once")
-    return HalfSpaceIndex(halfspaces, orbits)

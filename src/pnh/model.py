@@ -28,21 +28,13 @@ from .faces import (
     label_mask,
     list_nested_sets,
 )
-from .flats import (
-    BuildingSet,
-    Flat,
-    iter_bits,
-    restricted_building_set,
-    simple_index_set,
-)
+from .flats import BuildingSet, Flat, iter_bits, restricted_building_set
 from .halfspaces import (
     HalfSpace,
-    HalfSpaceIndex,
     SuitableList,
     all_halfspaces,
     check_increasing,
     fundamental_halfspaces,
-    index_halfspaces,
     ratio_table,
     suitable_list,
     verify_epsilon_lemma,
@@ -61,7 +53,6 @@ from .polytope import (
 )
 from .weyl import (
     DEFAULT_GROUP_CAP,
-    Subgroup,
     WeylGroup,
     canonical_coset_rep,
     enumerate_group,
@@ -110,22 +101,13 @@ class Permutonestohedron:
 
     @cached_property
     def halfspaces(self) -> list[HalfSpace]:
-        return all_halfspaces(
-            self.building, self.suitable, self.weyl, self.face_ctx.label_subgroup
-        )
-
-    @cached_property
-    def halfspace_index(self) -> HalfSpaceIndex:
-        return index_halfspaces(
-            self.rs,
-            self.halfspaces,
-            self.subgroups_by_flat(),
-            self.face_ctx.label_subgroup(()),
-        )
+        return all_halfspaces(self.building, self.suitable, self.weyl)
 
     @cached_property
     def chamber_vertices(self) -> VRep:
-        return chamber_vertices(self.building, self.suitable)
+        n = self.rs.rank
+        maximal = (s for s in self.nested_sets if len(s) == n)
+        return chamber_vertices(self.building, self.suitable, maximal)
 
     @cached_property
     def vrep(self) -> VRep:
@@ -173,18 +155,6 @@ class Permutonestohedron:
 
     def face_leq(self, p: FacePair, q: FacePair) -> bool:
         return is_face_leq(self.face_ctx, p, q)
-
-    def subgroups_by_flat(self) -> dict[Flat, Subgroup]:
-        """W_J of each member or non-member inequality's flat: the label
-        subgroup of the members that decompose it (a member decomposes as
-        itself)."""
-        return {
-            hs.flat: self.face_ctx.label_subgroup(
-                self.building.fund_decomposition(simple_index_set(self.rs, hs.flat))
-            )
-            for hs in self.fundamental_hs
-            if hs.kind != "chamber"
-        }
 
     # -- verification -----------------------------------------------------
 
@@ -308,21 +278,20 @@ class Permutonestohedron:
         and failed, while a vertex violates an inequality.
         """
         building, chamber = self.building, self.chamber
-        max_nested = chamber.base.max_nested
         failures = []
         if any(chamber.violated):
             failures.append("not decided: a vertex violates a defining inequality")
         types = () if failures else face_types(self.nested_sets, self.rs.rank)
         for s, labels, _ in types:
             mask = label_mask(building, labels)
-            base = [k for k, t in enumerate(max_nested) if s.flat_set <= t.flat_set]
+            base = chamber.base.base_ids(s)
             face = FacePair(None, s, labels)  # no group: only its type is read
             j, tight = face_vertices_geometric(building, face, chamber)
-            if (j, tight) != (mask, frozenset(base)):
+            if (j, tight) != (mask, frozenset(iter_bits(base))):
                 face = face._replace(rep=self.face_ctx.label_subgroup(labels).reps[0])
                 failures.append(
                     f"face {face}: pair description gives "
-                    f"{parabolic_order(self.rs, mask) * len(base)} vertices, "
+                    f"{parabolic_order(self.rs, mask) * base.bit_count()} vertices, "
                     "supporting hyperplanes give "
                     f"{parabolic_order(self.rs, j) * len(tight)}"
                 )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -29,8 +30,9 @@ from .errors import EmptyFacet, NotInChamber, VerificationFailed
 from .flats import BuildingSet, Flat, iter_bits, simple_index_set
 from .halfspaces import HalfSpace, SuitableList
 from .linalg import Vec, int_mat_vec, solve_integer
-from .nested import NestedSet, enumerate_maximal_nested_sets
-from .weyl import Subgroup, WeylGroup
+# perfbench/spans.py wraps enumerate_maximal_nested_sets under this name
+from .nested import NestedSet, enumerate_maximal_nested_sets  # noqa: F401
+from .weyl import WeylGroup, standard_parabolic
 
 
 class VRep(namedtuple("VRep", "vertices scale max_nested coincidences weyl")):
@@ -42,10 +44,26 @@ class VRep(namedtuple("VRep", "vertices scale max_nested coincidences weyl")):
     position.  Each point is a tuple of integers whose exact coordinates
     are those integers over ``scale``, the one common denominator; ``weyl``
     is the group whose orbit walk made them, None for the base vertices alone
-    (``chamber_vertices``).
+    (``chamber_vertices``).  No ``__slots__``: the instance dictionary holds
+    ``containing``.
     """
 
-    __slots__ = ()
+    @cached_property
+    def containing(self) -> dict[Flat, int]:
+        """Per flat, the bitmask of the base ids k whose max_nested[k] holds it."""
+        out: dict[Flat, int] = {}
+        for k, s in enumerate(self.max_nested):
+            for f in s:
+                out[f] = out.get(f, 0) | 1 << k
+        return out
+
+    def base_ids(self, flats) -> int:
+        """Bitmask of the base ids k whose max_nested[k] holds every one of
+        ``flats``: the AND of their ``containing`` masks."""
+        out = (1 << len(self.max_nested)) - 1
+        for f in flats:
+            out &= self.containing.get(f, 0)
+        return out
 
 
 def vertex(rs, nested: NestedSet, suitable: SuitableList, building: BuildingSet) -> Vec:
@@ -105,11 +123,11 @@ def _base_point(building: BuildingSet, rhs: dict, nested: NestedSet):
     return y, d
 
 
-def chamber_vertices(building: BuildingSet, suitable: SuitableList) -> VRep:
-    """The base vertices v_S, one per maximal nested set, as a ``VRep`` with
-    no group: integers over the lcm of their denominators, and the pairs of
-    equal points as its coincidences."""
-    max_nested = tuple(enumerate_maximal_nested_sets(building))
+def chamber_vertices(building: BuildingSet, suitable: SuitableList, max_nested) -> VRep:
+    """The base vertices v_S, one per maximal nested set in ``max_nested``, as
+    a ``VRep`` with no group: integers over the lcm of their denominators,
+    and the pairs of equal points as its coincidences."""
+    max_nested = tuple(max_nested)
     rhs = _chamber_rhs(building, suitable)
     points = [_base_point(building, rhs, s) for s in max_nested]
     scale = lcm(*(d for _, d in points))
@@ -232,18 +250,10 @@ class CheckReport(
         return head
 
 
-def predicted_base(building: BuildingSet, max_nested, mask: int) -> int:
-    """The base mask predicted tight on the fundamental inequality of ``mask``,
-    from nested sets alone: the v_S whose S holds its decomposition members."""
-    parts = building.fund_decomposition(mask)
-    return sum(1 << k for k, s in enumerate(max_nested) if s.flat_set.issuperset(parts))
-
-
 def verify_hrep_vrep(
     building: BuildingSet,
     halfspaces: list[HalfSpace],
     vrep: VRep,
-    subgroups: dict[Flat, Subgroup],
     raise_on_failure: bool = True,
     incidence: Incidence | None = None,
 ) -> CheckReport:
@@ -251,12 +261,13 @@ def verify_hrep_vrep(
 
     Each inequality is scanned over every vertex and its tight mask
     compared with the predicted one: sigma v_S is predicted tight iff sigma
-    is in the inequality's coset of W_J (``subgroups`` maps each member or
-    non-member flat to its W_J; the chamber inequality's coset is its sigma
-    alone) and S holds its flat's decomposition members
-    (``predicted_base``).  No vertex may violate it.  Only a failing inequality is evaluated pair by pair,
-    to report the failing pairs in (vertex, inequality) order; a violation
-    outranks a mismatch on the same pair.
+    is in the inequality's coset of W_J, the standard parabolic of its
+    flat's simple indices in ``vrep.weyl`` (the chamber inequality's coset
+    is its sigma alone), and S holds its flat's decomposition members
+    (``VRep.base_ids``).  No vertex may violate it.  Only a failing
+    inequality is evaluated pair by pair, to report the failing pairs in
+    (vertex, inequality) order; a violation outranks a mismatch on the same
+    pair.
     """
     rs = building.rs
     if incidence is None:
@@ -265,11 +276,12 @@ def verify_hrep_vrep(
     m = len(max_nested)
     failures = []
     for hi, hs in enumerate(halfspaces):
-        base = predicted_base(building, max_nested, simple_index_set(rs, hs.flat))
+        mask = simple_index_set(rs, hs.flat)
+        base = vrep.base_ids(building.fund_decomposition(mask))
         if hs.kind == "chamber":
             sigmas = (hs.sigma_id,)
         else:
-            sub = subgroups[hs.flat]
+            sub = standard_parabolic(vrep.weyl, mask)
             sigmas = sub.cosets[sub.coset[hs.sigma_id]]
         expected = sum(base << sigma * m for sigma in sigmas)
         if incidence.scan(hs) == (expected, False):

@@ -3,8 +3,10 @@
 The simplicity test and the face report over the whole V-rep
 (``model.vrep``), the whole H-rep (``model.halfspaces``) and the integer
 incidence kernel (``model.incidence``): every inequality over every vertex,
-and every face, with no orbit argument.  ``verify_hrep_vrep``, the
-materialised incidence report, stays in ``pnh.polytope``.
+and every face, with no orbit argument.  A face's supporting hyperplanes
+are found in the H-rep by their exact keys, not by orbit position.
+``verify_hrep_vrep``, the materialised incidence report, stays in
+``pnh.polytope``.
 
 Two oracles of ``nestohedron_check``, each solving every family of n - 1
 proper fundamental members: the family scan it replaced
@@ -22,9 +24,10 @@ from itertools import combinations
 from operator import mul, or_
 
 from pnh.errors import SingularSystem
-from pnh.faces import support_halfspaces
-from pnh.flats import BuildingSet, Flat, iter_bits
+from pnh.faces import support_masks
+from pnh.flats import BuildingSet, Flat, iter_bits, simple_index_set
 from pnh.halfspaces import SuitableList
+from pnh.linalg import int_mat_vec
 from pnh.nested import NestedSet, enumerate_maximal_nested_sets
 from pnh.polytope import (
     CheckReport,
@@ -35,17 +38,42 @@ from pnh.polytope import (
 )
 
 
-def face_vertices_geometric(ctx, face, vrep, index, incidence=None):
-    """Vertex ids lying on every supporting hyperplane of the face.
+def key_positions(halfspaces) -> dict:
+    """The position of each inequality in ``halfspaces``, by its exact key."""
+    return {hs.key(): i for i, hs in enumerate(halfspaces)}
 
-    The hyperplanes are chosen combinatorially; the vertices on each come
-    from the incidence kernel's exact dot products.
+
+def support_halfspaces(model, face, positions=None) -> list:
+    """H-rep positions of the hyperplanes whose intersection carries the face:
+    the image, by the face's coset representative, of the fundamental
+    inequality of each of its ``support_masks``, found in ``model.halfspaces``
+    by its exact key (``positions``, made from the H-rep when not given);
+    None for an image the H-rep does not hold."""
+    if positions is None:
+        positions = key_positions(model.halfspaces)
+    fundamental = {simple_index_set(model.rs, h.flat): h for h in model.fundamental_hs}
+    rep = model.weyl.elements[face.rep]
+    return [
+        positions.get((int_mat_vec(rep, fundamental[m].prim), fundamental[m].bound))
+        for m in support_masks(model.building, face)
+    ]
+
+
+def face_vertices_geometric(model, face, incidence=None, positions=None):
+    """Vertex ids of ``model.vrep`` lying on every supporting hyperplane of
+    the face, none when the H-rep lacks one of them.
+
+    The hyperplanes are chosen combinatorially and found in the H-rep by
+    key (``support_halfspaces``); the vertices on each come from the
+    incidence kernel's exact dot products.
     """
     if incidence is None:
-        incidence = Incidence(ctx.building.rs, vrep)
-    support = [index.halfspaces[i] for i in support_halfspaces(ctx, face, index)]
+        incidence = Incidence(model.rs, model.vrep)
+    found = support_halfspaces(model, face, positions)
+    if None in found:
+        return frozenset()
     mask = incidence.full
-    for tight in incidence.facet_masks(support):
+    for tight in incidence.facet_masks([model.halfspaces[i] for i in found]):
         mask &= tight
     return frozenset(iter_bits(mask))
 
@@ -65,11 +93,10 @@ def simple(model):
 def face_vertex_report(model):
     """Pair description vs supporting hyperplanes, every face checked."""
     failures = []
+    positions = key_positions(model.halfspaces)
     for face in model.faces:
         combinatorial = model.face_vertex_ids(face)
-        geometric = face_vertices_geometric(
-            model.face_ctx, face, model.vrep, model.halfspace_index, model.incidence
-        )
+        geometric = face_vertices_geometric(model, face, model.incidence, positions)
         if combinatorial != geometric:
             failures.append(
                 f"face {face}: pair description gives {len(combinatorial)} "

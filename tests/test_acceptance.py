@@ -11,9 +11,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import make_model
+from materialised import support_halfspaces
 from pnh.counting import maximal_face_count, minimal_face_count
 from pnh.errors import LemmaViolated
-from pnh.faces import aut_action_on_halfspaces, support_halfspaces
+from pnh.faces import aut_action_on_halfspaces
 from pnh.flats import flat_data
 from pnh.halfspaces import SuitableList, verify_epsilon_lemma
 from pnh.linalg import mat_vec, rank, solve_linear_system
@@ -38,9 +39,7 @@ def _finish(num, name, started, budget, ok, detail=""):
 def test_criterion_01_a2_dodecagon(a2):
     t0 = time.perf_counter()
     ok = a2.f_vector == (12, 12, 1)
-    report = verify_hrep_vrep(
-        a2.building, a2.halfspaces, a2.vrep, a2.subgroups_by_flat()
-    )
+    report = verify_hrep_vrep(a2.building, a2.halfspaces, a2.vrep)
     ok = ok and report.passed and report.checked == 144
     _finish(
         1,
@@ -67,12 +66,7 @@ def test_criterion_03_a3_minimal_counts_and_incidence(a3_min):
     ok = ok and euler_check(fvec)
     formula = tuple(minimal_face_count(4, k) for k in (2, 1, 0)) + (1,)
     ok = ok and formula == fvec
-    report = verify_hrep_vrep(
-        a3_min.building,
-        a3_min.halfspaces,
-        a3_min.vrep,
-        a3_min.subgroups_by_flat(),
-    )
+    report = verify_hrep_vrep(a3_min.building, a3_min.halfspaces, a3_min.vrep)
     ok = ok and report.passed and report.checked == 120 * 74
     _finish(
         3,
@@ -281,7 +275,7 @@ def test_criterion_08_facet_factorisation(a3_min, a4_min, b3_min, b3_max):
     # holds on every vertex, and its tight set, found by exact inner products,
     # is the combinatorial vertex set with the right affine rank.
     def geometric_facet(model, face):
-        [i] = support_halfspaces(model.face_ctx, face, model.halfspace_index)
+        [i] = support_halfspaces(model, face)
         normal, offset = model.halfspaces[i].normal, model.halfspaces[i].offset
         # the points are integers over one scale, so the offset is scaled too
         gn = mat_vec(model.rs.gram, normal)

@@ -5,7 +5,9 @@ V-rep and H-rep, and the simplicity test and face report kept in
 ``facet_vertex_sets``; the nestohedron certificate against the family scan
 it replaced and a brute-force vertex enumeration, on the matrix, mutants
 and random eps lists; tampering with each input of the certificate fails
-it.  The epsilon lemma's pruned search lists what the unpruned one did."""
+it.  The epsilon lemma's pruned search lists what the unpruned one did.
+Each fundamental inequality has one image per coset of its flat's W_J, and
+a run lists the nested sets once."""
 
 from fractions import Fraction
 from functools import cache
@@ -17,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import materialised
+import pnh.cli
 import pnh.faces
 import pnh.model
-import pnh.polytope
+import pnh.nested
 from conftest import make_model
 from pnh.chamber import Chamber, dominant, face_vertices_geometric
 from pnh.errors import EmptyFacet, PnhError, SingularSystem, VerificationFailed
@@ -41,6 +44,7 @@ from pnh.halfspaces import (
 )
 from pnh.linalg import int_mat_vec, mat_vec, solve_linear_system
 from pnh.model import Permutonestohedron, build_model
+from pnh.nested import enumerate_maximal_nested_sets
 from pnh.polytope import (
     _chamber_rhs,
     _chamber_solve,
@@ -106,7 +110,6 @@ def test_certificate_equals_the_materialised_path(spec, kind):
         model.building,
         model.halfspaces,
         model.vrep,
-        model.subgroups_by_flat(),
         raise_on_failure=False,
         incidence=model.incidence,
     )
@@ -122,18 +125,40 @@ def test_certificate_equals_the_materialised_path(spec, kind):
     m = len(chamber.vertices)
     assert chamber.vertices == model.vrep.vertices[:m]
     assert chamber.base.scale == model.vrep.scale
-    # per fundamental inequality: dominant, its base tight mask and its
-    # stabiliser those of its identity image in the H-rep
-    index = model.halfspace_index
+    # per fundamental inequality: dominant, its base tight mask that of its
+    # identity image in the H-rep, found by key, and its stabiliser the W_J
+    # of its flat (J empty for the chamber inequality)
+    positions = materialised.key_positions(model.halfspaces)
     for h, hs in enumerate(model.fundamental_hs):
-        sub, positions = index.orbits[simple_index_set(model.rs, hs.flat)]
-        image = model.halfspaces[positions[0]]
-        assert image.key() == hs.key()
+        image = model.halfspaces[positions[hs.key()]]
+        assert (image.kind, image.flat, image.sigma_id) == (hs.kind, hs.flat, 0)
         assert chamber.plus[h] == hs.prim
         assert chamber.tight[h] == chamber.top[h]
         assert chamber.tight[h] == model.incidence.scan(image)[0] & chamber.kernel.full
-        assert chamber.stabiliser[h] == sub.mask
+        j = 0 if hs.kind == "chamber" else simple_index_set(model.rs, hs.flat)
+        assert chamber.stabiliser[h] == j
         assert not chamber.violated[h]
+
+
+@pytest.mark.parametrize("spec, kind", MATRIX)
+def test_each_inequality_has_one_image_per_coset_of_its_stabiliser(spec, kind):
+    # the sigma_ids of a fundamental inequality's images are the least ids
+    # of the left cosets of W_J, J its flat's simple indices (none for the
+    # chamber inequality), one image per coset, each that sigma's image
+    model = _model(spec, kind)
+    weyl = model.weyl
+    orbits = {}
+    for hs in model.halfspaces:
+        orbits.setdefault((hs.kind, hs.flat), []).append(hs)
+    assert len(orbits) == len(model.fundamental_hs)
+    for fund in model.fundamental_hs:
+        j = 0 if fund.kind == "chamber" else simple_index_set(model.rs, fund.flat)
+        least = [ids[0] for ids in standard_parabolic(weyl, j).cosets]
+        orbit = orbits[fund.kind, fund.flat]
+        assert sorted(hs.sigma_id for hs in orbit) == sorted(least)
+        for hs in orbit:
+            assert hs.prim == int_mat_vec(weyl.elements[hs.sigma_id], fund.prim)
+            assert (hs.bound, hs.ratio) == (fund.bound, fund.ratio)
 
 
 @pytest.mark.parametrize("spec, kind", MATRIX + [("A5", "maximal")])
@@ -152,11 +177,12 @@ def test_face_types_equal_the_materialised_faces(spec, kind):
     # all of V, are the sigma v_T with sigma in W_J and T in the base ids
     model = _model(spec, kind)
     ctx, chamber, m = model.face_ctx, model.chamber, len(model.chamber.vertices)
+    positions = materialised.key_positions(model.halfspaces)
     for s, labels, _ in face_types(model.nested_sets, model.rs.rank):
         face = FacePair(ctx.label_subgroup(labels).reps[0], s, labels)
         j, tight = face_vertices_geometric(model.building, face, chamber)
         expected = materialised.face_vertices_geometric(
-            ctx, face, model.vrep, model.halfspace_index, model.incidence
+            model, face, model.incidence, positions
         )
         members = standard_parabolic(model.weyl, j).member_ids
         assert expected == {sigma * m + k for sigma in members for k in tight}
@@ -190,17 +216,38 @@ def test_off_export_builds_no_all_vertex_incidence(spec, kind):
 
 
 def test_the_base_vertices_are_solved_once_per_model(monkeypatch):
-    listing = pnh.polytope.enumerate_maximal_nested_sets
+    solve = pnh.model.chamber_vertices
     calls = []
 
-    def counted(building):
-        calls.append(building)
-        return listing(building)
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
 
-    monkeypatch.setattr(pnh.polytope, "enumerate_maximal_nested_sets", counted)
+    monkeypatch.setattr(pnh.model, "chamber_vertices", counted)
     for run in (lambda model: model.verify("full"), off_text):
         calls.clear()
         run(make_model("A3", "minimal"))
+        assert len(calls) == 1
+
+
+def test_the_nested_sets_are_listed_once_per_run(monkeypatch, tmp_path):
+    listing = pnh.nested.enumerate_nested_sets
+    calls = []
+
+    def counted(building, *args):
+        calls.append(building)
+        return listing(building, *args)
+
+    # replaced under every name a caller looks it up by
+    for module in (pnh.nested, pnh.faces):
+        monkeypatch.setattr(module, "enumerate_nested_sets", counted)
+    out = str(tmp_path / "out")
+    for run in (
+        lambda: make_model("A3", "minimal").verify("full"),
+        lambda: pnh.cli.run(["build", "--type", "A3", "--output", out]),
+    ):
+        calls.clear()
+        run()
         assert len(calls) == 1
 
 
@@ -213,7 +260,9 @@ def _verdicts(building, suitable) -> tuple:
     except PnhError as exc:
         out.append(type(exc))
     try:
-        base = chamber_vertices(building, suitable)
+        base = chamber_vertices(
+            building, suitable, enumerate_maximal_nested_sets(building)
+        )
         out.append(nestohedron_check(building, suitable, base).passed)
         out.append(materialised.vertex_enumeration(building, suitable, base))
     except PnhError as exc:
@@ -493,11 +542,3 @@ def test_orthogonal_flats_equals_the_gram_products():
                     for j in b.indices()
                 )
                 assert orthogonal_flats(rs, a, b) == expected
-
-
-def test_support_halfspaces_are_the_support_masks_images(a3_min):
-    index = a3_min.halfspace_index
-    for face in a3_min.faces:
-        masks = pnh.faces.support_masks(a3_min.building, face)
-        got = pnh.faces.support_halfspaces(a3_min.face_ctx, face, index)
-        assert got == [index.position(m, face.rep) for m in masks]

@@ -14,7 +14,7 @@ from pnh.faces import (
     covering_edges,
     crossing_facet_parts,
     enumerate_faces,
-    support_halfspaces,
+    support_masks,
 )
 from pnh.flats import build_minimal, interval_building_set, simple_index_set
 from pnh.halfspaces import HalfSpace
@@ -23,6 +23,7 @@ from pnh.model import Permutonestohedron
 from pnh.roots import build_root_system, diagram_automorphisms
 
 from conftest import make_model, primitive_key
+from materialised import key_positions, support_halfspaces
 
 
 def test_face_enumeration_matches_f_vector(a2, a3_min):
@@ -102,7 +103,7 @@ def test_top_face_has_no_supporting_hyperplanes(a2):
         for f in a2.faces
         if a2.face_ctx.dimension(f) == a2.rs.rank
     )
-    assert support_halfspaces(a2.face_ctx, top, a2.halfspace_index) == []
+    assert support_masks(a2.building, top) == []
 
 
 def test_vertices_match_supporting_hyperplanes(a2, b2):
@@ -219,8 +220,9 @@ def test_support_positions_equal_fraction_translation(
     a2, b2, a3_min, a3_max, b3_min, b3_max, a13_min
 ):
     for model in (a2, b2, a3_min, a3_max, b3_min, b3_max, a13_min):
+        positions = key_positions(model.halfspaces)
         for face in model.faces:
-            got = support_halfspaces(model.face_ctx, face, model.halfspace_index)
+            got = support_halfspaces(model, face, positions)
             keys = [model.halfspaces[i].key() for i in got]
             assert keys == _fraction_support_keys(model, face), face
 

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+import pnh.halfspaces
 from conftest import primitive_key
 from pnh.cli import run
 from pnh.errors import LemmaViolated, VerificationFailed
@@ -26,7 +27,7 @@ from pnh.halfspaces import (
 )
 from pnh.linalg import mat_vec
 from pnh.roots import build_root_system
-from pnh.weyl import parabolic_subgroup
+from pnh.weyl import parabolic_subgroup, standard_parabolic
 
 
 def test_flat_data_a2(
@@ -212,21 +213,23 @@ def test_coset_orbits_equal_the_walk_over_all_of_w(name, request):
     assert all(len(ids) == 1 for ids in shared.values())
 
 
-def _member_subgroups(model, change):
-    """``label_subgroup`` with each member inequality's subgroup replaced by
-    ``change(flat, its true subgroup)``."""
-    members = {h.flat for h in model.fundamental_hs if h.kind == "member"}
+def _member_parabolics(model, change):
+    """``standard_parabolic`` with each member inequality's W_J replaced by
+    ``change(flat, its true W_J)``."""
+    members = {
+        simple_index_set(model.rs, h.flat): h.flat
+        for h in model.fundamental_hs
+        if h.kind == "member"
+    }
 
-    def label_subgroup(flats):
-        sub = model.face_ctx.label_subgroup(flats)
-        if len(flats) == 1 and flats[0] in members:
-            return change(flats[0], sub)
-        return sub
+    def parabolic(weyl, mask):
+        sub = standard_parabolic(weyl, mask)
+        return change(members[mask], sub) if mask in members else sub
 
-    return label_subgroup
+    return parabolic
 
 
-def test_a_stabiliser_one_index_too_large_moves_the_normal(a3_min):
+def test_a_stabiliser_one_index_too_large_moves_the_normal(a3_min, monkeypatch):
     rs = a3_min.rs
 
     def grown(flat, sub):
@@ -236,22 +239,20 @@ def test_a_stabiliser_one_index_too_large_moves_the_normal(a3_min):
         assert bigger.mask == simple_index_set(rs, flat) | 1 << extra
         return bigger
 
+    monkeypatch.setattr(
+        pnh.halfspaces, "standard_parabolic", _member_parabolics(a3_min, grown)
+    )
     with pytest.raises(VerificationFailed, match="moves the member normal"):
-        all_halfspaces(
-            a3_min.building,
-            a3_min.suitable,
-            a3_min.weyl,
-            _member_subgroups(a3_min, grown),
-        )
+        all_halfspaces(a3_min.building, a3_min.suitable, a3_min.weyl)
 
 
-def test_a_trivial_stabiliser_repeats_a_key(a3_min):
-    trivial = a3_min.face_ctx.label_subgroup(())
+def test_a_trivial_stabiliser_repeats_a_key(a3_min, monkeypatch):
+    trivial = standard_parabolic(a3_min.weyl, 0)
     assert len(trivial.member_ids) == 1
+    monkeypatch.setattr(
+        pnh.halfspaces,
+        "standard_parabolic",
+        _member_parabolics(a3_min, lambda flat, sub: trivial),
+    )
     with pytest.raises(VerificationFailed, match="coincide"):
-        all_halfspaces(
-            a3_min.building,
-            a3_min.suitable,
-            a3_min.weyl,
-            _member_subgroups(a3_min, lambda flat, sub: trivial),
-        )
+        all_halfspaces(a3_min.building, a3_min.suitable, a3_min.weyl)

@@ -1,6 +1,8 @@
 """``pnh`` has no runtime dependencies: every import in ``src/pnh`` is of
 the standard library or of ``pnh`` itself (``numpy`` and ``sympy`` may be
-installed alongside, but the package must not reach for them).  Importing
+installed alongside, but the package must not reach for them).  Every name
+a module imports is used there, or is one the benchmark's traced run wraps
+at that module (``perfbench/spans.py``).  Importing
 the CLI loads no standard-library extension module beyond a fixed few:
 each one is a shared library whose load raises the process's memory and
 start-up time."""
@@ -12,6 +14,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pnh"
+sys.path.insert(0, str(SRC.parents[1] / "perfbench"))
+
+from spans import WRAPS  # noqa: E402
 
 
 def _imported_roots(tree):
@@ -34,6 +39,31 @@ def test_every_import_is_stdlib_or_pnh():
         if name != "pnh" and name not in sys.stdlib_module_names
     ]
     assert not outside
+
+
+def _unused_imports(tree):
+    """Names bound by an import and never read in the module."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_imported_name_is_used_or_wrapped():
+    wrapped = {(module, attr) for module, attr, *_ in WRAPS}
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in sorted(_unused_imports(ast.parse(path.read_text(), str(path))))
+        if ("pnh." + path.stem, name) not in wrapped
+    ]
+    assert not unused
 
 
 # what ``import pnh.cli`` loads today, by way of fractions (``_decimal`` and

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 import materialised
 from conftest import make_model, simple_reflection_matrix
-from materialised import face_vertices_geometric
+from materialised import face_vertices_geometric, key_positions, support_halfspaces
 from pnh.errors import EmptyFacet, VerificationFailed
-from pnh.faces import support_halfspaces
 from pnh.flats import simple_index_set
 from pnh.linalg import identity, int_mat_vec, mat_mul, mat_vec
 from pnh.polytope import all_vertices, facet_vertex_sets, verify_hrep_vrep
+from pnh.weyl import standard_parabolic
 
 
 def _values(model, normal, vrep=None):
@@ -38,8 +38,13 @@ def _tight(model, normal, offset):
 def _predictor(model):
     """The tightness pattern, decided by group products."""
     weyl = model.weyl
-    subgroups = model.subgroups_by_flat()
-    members = {flat: frozenset(sub.member_ids) for flat, sub in subgroups.items()}
+    members = {
+        hs.flat: frozenset(
+            standard_parabolic(weyl, simple_index_set(model.rs, hs.flat)).member_ids
+        )
+        for hs in model.fundamental_hs
+        if hs.kind != "chamber"
+    }
 
     def predicted(hs, sigma, nested):
         if hs.kind == "chamber":
@@ -103,7 +108,6 @@ def _hrep(model):
         model.building,
         model.halfspaces,
         model.vrep,
-        model.subgroups_by_flat(),
         raise_on_failure=False,
         incidence=model.incidence,
     )
@@ -193,16 +197,14 @@ def test_vertices_walked_with_a_non_isometric_generator_fail_the_oracle():
     _check_mutant(model)
 
 
-def test_inequality_normal_from_another_coset_fails_the_oracle(a3_min):
+def test_inequality_normal_from_another_coset_fails_the_oracle():
     # a member inequality takes the normal of another coset's image of the
     # same fundamental inequality, keeping its own sigma label
     model = make_model("A3", "minimal")
     halfspaces = list(model.halfspaces)
-    index = a3_min.halfspace_index
     member = next(h.flat for h in halfspaces if h.kind == "member")
-    mask = simple_index_set(model.rs, member)
-    positions = index.orbits[mask][1]
-    p, q = positions[1], positions[2]
+    orbit = [i for i, h in enumerate(halfspaces) if h.flat == member]
+    p, q = orbit[1], orbit[2]
     halfspaces[p] = halfspaces[p]._replace(prim=halfspaces[q].prim)
     model.halfspaces = halfspaces
     _check_mutant(model)
@@ -218,20 +220,16 @@ def test_facet_sets_match_fraction_reference(
 
 def test_face_vertices_geometric_match_fraction_reference(a2, b2, a3_min, a13_min):
     for model in (a2, b2, a3_min, a13_min):
-        index = model.halfspace_index
+        positions = key_positions(model.halfspaces)
         for face in model.faces:
             expected = frozenset(range(model.vertex_count))
-            for i in support_halfspaces(model.face_ctx, face, index):
+            for i in support_halfspaces(model, face, positions):
                 hs = model.halfspaces[i]
                 expected &= _tight(model, hs.normal, hs.offset)
-            got = face_vertices_geometric(
-                model.face_ctx, face, model.vrep, index, model.incidence
-            )
+            got = face_vertices_geometric(model, face, model.incidence, positions)
             assert got == expected, face
     for face in a2.faces:
-        assert face_vertices_geometric(
-            a2.face_ctx, face, a2.vrep, a2.halfspace_index
-        ) == a2.face_vertex_ids(face)
+        assert face_vertices_geometric(a2, face) == a2.face_vertex_ids(face)
 
 
 def test_hrep_vrep_matches_fraction_reference(a3_min):
@@ -252,9 +250,7 @@ def test_hrep_vrep_matches_fraction_reference(a3_min):
             tight = value == hs.offset
             expect = predicted(hs, vi // m, vrep.max_nested[vi % m])
             passed = passed and value <= hs.offset and tight == expect
-    report = verify_hrep_vrep(
-        model.building, model.halfspaces, model.vrep, model.subgroups_by_flat()
-    )
+    report = verify_hrep_vrep(model.building, model.halfspaces, model.vrep)
     pairs = model.vertex_count * model.facet_count
     assert (report.passed, report.checked) == (passed, pairs)
 
@@ -268,7 +264,7 @@ def test_relabelled_inequality_fails_with_equality_mismatch(a3_min):
     members = [i for i, h in enumerate(halfspaces) if h.kind == "member"]
     for i in (members[0], members[-1]):
         hs = halfspaces[i]
-        sub = model.subgroups_by_flat()[hs.flat]
+        sub = standard_parabolic(model.weyl, simple_index_set(model.rs, hs.flat))
         other = next(
             x
             for x in range(model.weyl.order)
@@ -279,7 +275,6 @@ def test_relabelled_inequality_fails_with_equality_mismatch(a3_min):
         model.building,
         halfspaces,
         model.vrep,
-        model.subgroups_by_flat(),
         raise_on_failure=False,
         incidence=model.incidence,
     )
@@ -297,11 +292,7 @@ def test_moved_vertex_fails_with_exact_values(a2):
     for factor in (Fraction(1001, 1000), Fraction(2)):
         moved = _moved(a2.vrep, factor)
         report = verify_hrep_vrep(
-            a2.building,
-            a2.halfspaces,
-            moved,
-            a2.subgroups_by_flat(),
-            raise_on_failure=False,
+            a2.building, a2.halfspaces, moved, raise_on_failure=False
         )
         assert not report.passed
         on_vertex = [
@@ -337,7 +328,7 @@ def test_shifted_inequality_fails_the_incidence_report(a2):
     # an empty tight set is a reported mismatch here, not an EmptyFacet
     shifted = list(a2.halfspaces)
     shifted[3] = shifted[3]._replace(bound=shifted[3].bound + 1)
-    args = (a2.building, shifted, a2.vrep, a2.subgroups_by_flat())
+    args = (a2.building, shifted, a2.vrep)
     report = verify_hrep_vrep(*args, raise_on_failure=False, incidence=a2.incidence)
     assert not report.passed
     assert report.details
@@ -382,7 +373,6 @@ def test_one_moved_vertex_or_shifted_bound_fails_with_the_reference_lines(
         model.building,
         halfspaces,
         vrep,
-        model.subgroups_by_flat(),
         raise_on_failure=False,
         incidence=incidence,
     )

@@ -126,7 +126,7 @@ def test_coinciding_vertices_reported():
     # eps = 1/4 parks both chamber vertices on the bisector point (1/2, 1/2):
     # inside the open chamber, so only the coincidence detector can object
     bad = SuitableList(Fraction(1), (Fraction(1, 4), Fraction(1)))
-    base = chamber_vertices(b, bad)
+    base = chamber_vertices(b, bad, enumerate_maximal_nested_sets(b))
     vrep = all_vertices(base, w, require_distinct=False)
     assert vrep.coincidences
     with pytest.raises(VerificationFailed):

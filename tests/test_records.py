@@ -12,7 +12,7 @@ from pnh.roots import diagram_automorphisms
 
 RECORDS = {
     "Flat", "FlatData", "SubRootSystem", "SuitableList", "LemmaReport",
-    "HalfSpace", "HalfSpaceIndex", "NestedSet", "CombinatorialBuildingSet",
+    "HalfSpace", "NestedSet", "CombinatorialBuildingSet",
     "FacePair", "VRep", "CheckReport", "FacetFactorisation",
     "DiagramAutomorphism", "Subgroup",
 }
@@ -46,7 +46,6 @@ def records_of(model):
     yield model.suitable
     yield verify_epsilon_lemma(building, model.suitable)
     yield from model.halfspaces
-    yield model.halfspace_index
     yield from enumerate_nested_sets(building)
     yield factorisation.quotient
     yield from model.faces

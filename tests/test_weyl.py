@@ -9,7 +9,6 @@ from pnh.errors import GroupTooLarge
 from pnh.flats import build_minimal, flat_closure, standard_flat
 from pnh.halfspaces import fundamental_halfspaces
 from pnh.linalg import identity, int_mat_vec, mat_mul, mat_vec, primitive_vector
-from pnh.polytope import chamber_vertices
 from pnh.roots import RootSystem, build_root_system
 from pnh.weyl import (
     canonical_coset_rep,
@@ -131,7 +130,7 @@ def test_walked_orbits_are_the_matrix_images(spec):
     # delta_j(mu) = 0}, and each primitive fundamental weight
     model = make_model(spec, "minimal")
     w = model.weyl
-    _check_walk(w, chamber_vertices(model.building, model.suitable).vertices)
+    _check_walk(w, model.chamber_vertices.vertices)
     for hs in fundamental_halfspaces(model.building, model.suitable):
         _check_walk(w, [hs.prim])
         mask = sum(1 << j for j, d in enumerate(w.deltas(hs.prim)) if not d)
