@@ -35,7 +35,6 @@ from .errors import (
 )
 from .linalg import (
     Echelon,
-    int_mat_vec,
     mat_vec,
     primitive_vector,
     solve_columns,
@@ -128,12 +127,19 @@ def all_flats(rs: RootSystem, cap: int = DEFAULT_FLAT_CAP) -> list[Flat]:
 
     Every flat of a root arrangement is W-conjugate to a standard parabolic
     flat span(alpha_j : j in J) (Bourbaki, *Lie* VI, section 1.7, Prop. 24;
-    Humphreys, *Reflection Groups and Coxeter Groups*, section 1.12).  So the
-    2^n - 1 standard flats are closed under the n simple reflections, each
-    acting on root bitsets through ``rs.simple_reflection_perms``.  Raises
+    Humphreys, *Reflection Groups and Coxeter Groups*, section 1.12), so the
+    orbits of the 2^n - 1 standard flats are all of them.  Raises
     TooManyFlats as soon as more than ``cap`` flats are found."""
-    frontier = fundamental_flats(rs)
-    found = {f.bits: f for f in frontier}
+    return _orbits(rs, fundamental_flats(rs), cap)
+
+
+def _orbits(rs: RootSystem, seeds: list[Flat], cap: int) -> list[Flat]:
+    """The W-orbits of the flats ``seeds``, sorted: their closure under the
+    n simple reflections, each acting on root bitsets through
+    ``rs.simple_reflection_perms``.  Raises TooManyFlats as soon as more
+    than ``cap`` flats are found."""
+    found = {f.bits: f for f in seeds}
+    frontier = list(found.values())
     if len(found) > cap:
         raise TooManyFlats(f"flat enumeration passed cap {cap}")
     while frontier:
@@ -228,11 +234,9 @@ class BuildingSet:
             f: simple_index_set(rs, f) for f in self.fund
         }
         self._fund_by_indices = {v: k for k, v in self.fund_index_sets.items()}
-        self._decomp_cache: dict[Flat, tuple[Flat, ...]] = {}
         self._fund_decomp_cache: dict[int, tuple[Flat, ...]] = {}
         self.preserved_diagram_automorphisms: tuple = ()
         self.contains_every_flat = False
-        self.parent_root_of: tuple[int, ...] | None = None
         self.sub_index_of: dict[int, int] | None = None
         self.parent_flat: Flat | None = None
         # the inequality list last acted on, as faces.aut_action_on_halfspaces
@@ -258,17 +262,10 @@ class BuildingSet:
         it."""
         if flat in self.flats:
             return (flat,)
-        got = self._decomp_cache.get(flat)
-        if got is None:
-            inside = [g for g in self.sorted_flats if flat.contains(g)]
-            maximal = [
-                g
-                for g in inside
-                if not any(h is not g and h.contains(g) for h in inside)
-            ]
-            got = tuple(sorted(maximal))
-            self._decomp_cache[flat] = got
-        return got
+        inside = [g for g in self.sorted_flats if flat.contains(g)]
+        return tuple(
+            g for g in inside if not any(h is not g and h.contains(g) for h in inside)
+        )
 
     def fund_decomposition(self, index_mask: int) -> tuple[Flat, ...]:
         """Maximal fundamental members inside the simple-index set ``index_mask``."""
@@ -318,21 +315,12 @@ def _check_w_invariance(rs: RootSystem, flats: frozenset[Flat]) -> None:
     """Stability under W; the simple reflections generate it, so checking
     their root permutations ``rs.simple_reflection_perms`` suffices."""
     for i, perm in enumerate(rs.simple_reflection_perms):
-        moved = _moved_flat(perm, flats)
-        if moved is not None:
-            raise NotWInvariant(
-                f"simple reflection {i} moves flat {moved.describe(rs)}"
-                " outside the family"
-            )
-
-
-def _moved_flat(root_perm, flats: frozenset[Flat]) -> Flat | None:
-    """A flat that the permutation ``root_perm`` of the positive roots moves
-    outside ``flats``, or None when it preserves them."""
-    for f in flats:
-        if Flat(f.dim, _image_bits(root_perm, f.bits)) not in flats:
-            return f
-    return None
+        for f in flats:
+            if Flat(f.dim, _image_bits(perm, f.bits)) not in flats:
+                raise NotWInvariant(
+                    f"simple reflection {i} moves flat {f.describe(rs)}"
+                    " outside the family"
+                )
 
 
 def validate_building_set(
@@ -340,24 +328,18 @@ def validate_building_set(
 ) -> BuildingSet:
     """Check the building-set axioms and return the validated family.
 
-    Reads only the root system: W-invariance is checked on the simple
-    reflections' root permutations, and the decomposition of every flat on
-    root bitsets.  Raises MissingV / NotBuilding / NotWInvariant with a
-    witness message.  As a courtesy the returned object records which
-    diagram symmetries preserve the family, and whether it holds every flat.
+    Reads only the root system and lists no flats.  Raises MissingV /
+    NotBuilding / NotWInvariant with a witness message.  W-invariance is
+    checked on the simple reflections' root permutations.  Every flat is
+    then W-conjugate to a standard flat, and W permutes the family, so the
+    rest is read off the 2^n - 1 standard flats:
+    - each one's maximal members sum directly to it, and span it exactly
+      when their root bitsets cover it (every root lies on a line flat, and
+      every line is a member);
+    - a diagram symmetry, which permutes the standard flats, preserves the
+      family iff it permutes the standard members' simple-index masks;
+    - the family holds every flat iff it holds every standard one.
     """
-    return _validated(rs, flats, all_flats(rs), kind)
-
-
-def _validated(
-    rs: RootSystem, flats: Iterable[Flat], every: list[Flat], kind: str
-) -> BuildingSet:
-    """``validate_building_set`` with the flats of ``rs`` already listed in
-    ``every``, so that a builder that listed them need not do it again.
-
-    The maximal members inside a flat span it exactly when their root
-    bitsets cover it: every root of the flat lies on a line flat, and every
-    line is a member."""
     family = frozenset(flats)
     bs = BuildingSet(rs, family, kind=kind)
     if bs.V not in family:
@@ -366,7 +348,7 @@ def _validated(
         if line not in family:
             raise NotBuilding(f"missing line flat {line.describe(rs)}")
     _check_w_invariance(rs, family)
-    for flat in every:
+    for flat in fundamental_flats(rs):
         parts = bs.g_decomposition(flat)
         if sum(p.dim for p in parts) != flat.dim:
             raise NotBuilding(
@@ -379,33 +361,29 @@ def _validated(
             raise NotBuilding(
                 f"maximal members of {flat.describe(rs)} do not span it"
             )
-    preserved = []
-    for auto in diagram_automorphisms(rs):
-        # a diagram automorphism permutes the positive roots (no signs)
-        perm = [rs.root_index[int_mat_vec(auto.matrix, r)] for r in rs.positive_roots]
-        if _moved_flat(perm, family) is None:
-            preserved.append(auto)
-    bs.preserved_diagram_automorphisms = tuple(preserved)
-    bs.contains_every_flat = family.issuperset(every)
+    masks = set(bs.fund_index_sets.values())
+    bs.preserved_diagram_automorphisms = tuple(
+        auto
+        for auto in diagram_automorphisms(rs)
+        if {_image_bits(auto.perm, m) for m in masks} == masks
+    )
+    bs.contains_every_flat = len(masks) == 2**rs.rank - 1
     return bs
 
 
 def build_maximal(rs: RootSystem, weyl=None) -> BuildingSet:
     """Every flat.  ``weyl`` is accepted and ignored: validation reads only
     the root system, and ``perfbench/worker.py`` still passes its group."""
-    every = all_flats(rs)
-    return _validated(rs, every, every, "maximal")
+    return validate_building_set(rs, all_flats(rs), "maximal")
 
 
 def build_minimal(rs: RootSystem, weyl=None) -> BuildingSet:
-    """Irreducible flats, with the whole space adjoined when reducible.
+    """Irreducible flats, with the whole space adjoined when reducible: the
+    W-orbits of the irreducible standard flats, and V, which W fixes.
     ``weyl`` is accepted and ignored, as in ``build_maximal``."""
-    every = all_flats(rs)
-    flats = [f for f in every if is_irreducible(rs, f)]
-    v = full_flat(rs)
-    if v not in flats:
-        flats.append(v)
-    return _validated(rs, flats, every, "minimal")
+    seeds = [f for f in fundamental_flats(rs) if is_irreducible(rs, f)]
+    flats = _orbits(rs, seeds + [full_flat(rs)], DEFAULT_FLAT_CAP)
+    return validate_building_set(rs, flats, "minimal")
 
 
 def interval_building_set(n: int) -> BuildingSet:
@@ -432,8 +410,8 @@ def restricted_building_set(building: BuildingSet, flat: Flat) -> BuildingSet:
 
     Pre: ``flat`` is a member.  The returned building set lives over a new
     RootSystem whose simple roots are the indecomposable positive roots of
-    the sub-root-system; the attribute ``parent_root_of`` maps its positive
-    root indices back to the ambient ones.
+    the sub-root-system; the attribute ``sub_index_of`` maps the ambient
+    positive root indices of ``flat`` to its own.
     """
     if flat not in building:
         raise NotBuilding("restriction flat must belong to the building set")
@@ -447,13 +425,12 @@ def restricted_building_set(building: BuildingSet, flat: Flat) -> BuildingSet:
                 bits |= 1 << sub.sub_index_of[i]
             members.append(Flat(g.dim, bits))
     out = validate_building_set(sub.system, members, kind=f"{building.kind}-restricted")
-    out.parent_root_of = sub.parent_root_of
     out.sub_index_of = dict(sub.sub_index_of)
     out.parent_flat = flat
     return out
 
 
-class SubRootSystem(namedtuple("SubRootSystem", "system parent_root_of sub_index_of")):
+class SubRootSystem(namedtuple("SubRootSystem", "system sub_index_of")):
     __slots__ = ()
 
 
@@ -494,7 +471,6 @@ def _sub_root_system(rs: RootSystem, flat: Flat) -> SubRootSystem:
         if ech.add(tuple(basis_cols[r])):
             ech_rows.append(r)
     square = tuple(tuple(basis_cols[r]) for r in ech_rows)
-    parent_root_of = [0] * len(inside)
     sub_index_of: dict[int, int] = {}
     targets = [
         tuple(rs.positive_roots[i][r] for r in ech_rows) for i in inside
@@ -505,7 +481,5 @@ def _sub_root_system(rs: RootSystem, flat: Flat) -> SubRootSystem:
         if any(x.denominator != 1 for x in key):
             raise NotBuilding("ambient root has non-integral sub-coordinates")
         key = tuple(int(x) for x in key)
-        sub_idx = sub.root_index[key]
-        parent_root_of[sub_idx] = i
-        sub_index_of[i] = sub_idx
-    return SubRootSystem(sub, tuple(parent_root_of), sub_index_of)
+        sub_index_of[i] = sub.root_index[key]
+    return SubRootSystem(sub, sub_index_of)

@@ -18,6 +18,7 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import GroupTooLarge, UnsupportedType
 from .linalg import Mat, Vec, int_mat_vec, mat_vec, rank, solve_columns, vdot
@@ -132,7 +133,6 @@ class RootSystem:
             sum(1 << j for j, c in enumerate(r) if c) for r in self.positive_roots
         )
         self.simple_reflection_perms = self._simple_reflection_perms()
-        self.non_orthogonal = self._non_orthogonal_masks()
 
     # -- construction -------------------------------------------------
 
@@ -214,9 +214,12 @@ class RootSystem:
             perms.append(tuple(images))
         return tuple(perms)
 
-    def _non_orthogonal_masks(self):
+    @cached_property
+    def non_orthogonal(self) -> tuple[int, ...]:
         """For each positive root, the bitmask of the positive roots with a
-        nonzero inner product with it (itself included)."""
+        nonzero inner product with it (itself included); made on first use,
+        so that a type over the group cap is refused before its O(N^2 n)
+        cost."""
         images = [int_mat_vec(self.int_gram, r) for r in self.positive_roots]
         masks = []
         for gx in images:

@@ -1,3 +1,4 @@
+import time
 from functools import cache
 
 import pytest
@@ -22,11 +23,10 @@ from pnh.flats import (
     standard_flat,
     validate_building_set,
     _component_masks,
-    _validated,
 )
 from conftest import generator_root_perms
-from pnh.linalg import Echelon
-from pnh.roots import build_root_system
+from pnh.linalg import Echelon, int_mat_vec
+from pnh.roots import build_root_system, diagram_automorphisms
 from pnh.weyl import enumerate_group
 
 ORACLE_TYPES = (
@@ -110,6 +110,22 @@ def reference_components(rs, flat):
             ech.add(rs.positive_roots[i])
         components.append(Flat(ech.rank, sum(1 << i for i in comp)))
     return sorted(components)
+
+
+def reference_recorded_facts(rs, family, every):
+    """The diagram symmetries that preserve ``family`` and whether it holds
+    every flat of ``every``: each symmetry's permutation of the positive
+    roots applied to every member, and the family against every flat."""
+    family = frozenset(family)
+    preserved = []
+    for auto in diagram_automorphisms(rs):
+        perm = [rs.root_index[int_mat_vec(auto.matrix, r)] for r in rs.positive_roots]
+        if all(
+            Flat(f.dim, sum(1 << perm[i] for i in f.indices())) in family
+            for f in family
+        ):
+            preserved.append(auto)
+    return tuple(preserved), family.issuperset(every)
 
 
 @cache
@@ -286,33 +302,56 @@ def test_preserved_diagram_automorphisms_recorded():
     assert len(mn.preserved_diagram_automorphisms) == 6
 
 
-def test_flats_enumerated_once_per_builder(monkeypatch):
+def test_only_build_maximal_lists_every_flat(monkeypatch):
+    """With ``all_flats`` made to raise, the minimal builder, validation
+    (direct and from a file), the interval and restricted families and a
+    full verify still succeed; ``build_maximal`` lists the flats once."""
     import pnh.flats as flats_module
+    from pnh.exports import building_from_json
     from pnh.model import Permutonestohedron
 
+    rs = build_root_system("A3")
+    every = all_flats(rs)
+    doc = {
+        "roots": [list(r) for r in rs.positive_roots],
+        "flats": [list(f.indices()) for f in every],
+    }
+
+    def refused(*args, **kwargs):
+        raise AssertionError("all_flats called")
+
+    monkeypatch.setattr(flats_module, "all_flats", refused)
+    mn = build_minimal(rs)
+    assert not mn.contains_every_flat
+    assert validate_building_set(rs, every).contains_every_flat
+    assert building_from_json(rs, doc).contains_every_flat
+    assert len(interval_building_set(3).flats) == 6
+    plane = next(f for f in mn.fund if f.dim == 2)
+    assert len(restricted_building_set(mn, plane).flats) == 4
+    model = Permutonestohedron(mn)
+    assert not model.is_maximal_building
+    assert all(r.passed for r in model.verify("full"))
+
     calls = []
-    every = flats_module.all_flats
 
     def counted(rs, *args, **kwargs):
         calls.append(rs)
-        return every(rs, *args, **kwargs)
+        return all_flats(rs, *args, **kwargs)
 
     monkeypatch.setattr(flats_module, "all_flats", counted)
-    rs = build_root_system("A3")
-    w = enumerate_group(rs)
-    mn = build_minimal(rs)
-    mx = build_maximal(rs)
-    assert len(calls) == 2
-    # the record replaces a third enumeration in the verification battery
-    assert (mn.contains_every_flat, mx.contains_every_flat) == (False, True)
-    for building, maximal in ((mn, False), (mx, True)):
-        model = Permutonestohedron(building, weyl=w)
-        assert model.is_maximal_building is maximal
-        assert all(r.passed for r in model.verify("full"))
-    assert len(calls) == 2
-    # a custom family holding every flat is recorded as such
-    assert validate_building_set(rs, every(rs)).contains_every_flat
-    assert len(calls) == 3
+    assert build_maximal(rs).contains_every_flat
+    assert calls == [rs]
+
+
+def test_build_minimal_lists_only_its_members():
+    # listing every flat of these takes seconds; their members alone do not
+    for spec, count in (("A8", 502), ("B7", 1213), ("D7", 1185)):
+        rs = build_root_system(spec)
+        start = time.perf_counter()
+        building = build_minimal(rs)
+        elapsed = time.perf_counter() - start
+        assert len(building.flats) == count
+        assert elapsed < 1.0, (spec, elapsed)
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)
@@ -349,12 +388,11 @@ def test_builders_equal_reference_families(name):
         (build_minimal(rs), irreducible),
         (build_maximal(rs), every),
     ):
-        expected = _validated(rs, family, every, built.kind)
-        assert built.sorted_flats == expected.sorted_flats
-        assert built.preserved_diagram_automorphisms == (
-            expected.preserved_diagram_automorphisms
-        )
-        assert built.contains_every_flat == expected.contains_every_flat
+        assert built.sorted_flats == tuple(sorted(family))
+        assert (
+            built.preserved_diagram_automorphisms,
+            built.contains_every_flat,
+        ) == reference_recorded_facts(rs, family, every)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,11 +443,13 @@ def reference_validation_error(rs, family):
 @cache
 def family_pool(name):
     """(root system, the flats every drawn family holds, the W-orbits of the
-    other flats) for the random families of the property test."""
+    other flats, every flat) for the random families of the property
+    test."""
     rs = build_root_system(name)
     fixed = line_flats(rs) + [full_flat(rs)]
     perms = generator_root_perms(rs, enumerate_group(rs))
-    others = [f for f in reference_all_flats(rs) if f not in fixed]
+    every = reference_all_flats(rs)
+    others = [f for f in every if f not in fixed]
     orbits = []
     for f in others:
         if any(f in orbit for orbit in orbits):
@@ -423,16 +463,18 @@ def family_pool(name):
                     orbit.add(moved)
                     frontier.append(moved)
         orbits.append(sorted(orbit))
-    return rs, fixed, orbits
+    return rs, fixed, orbits, every
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["A3", "B3"]), st.data())
+@given(st.sampled_from(["A3", "B3", "D4"]), st.data())
 def test_validation_agrees_with_group_matrix_reference(name, data):
     """V, every line, a union of W-orbits of the other flats, and a few of
     those flats toggled, so that invariant, non-invariant and
-    non-decomposing families are all drawn."""
-    rs, fixed, orbits = family_pool(name)
+    non-decomposing families are all drawn.  An accepted family also
+    records the reference's diagram symmetries (D4 has six, triality
+    among them) and maximality flag."""
+    rs, fixed, orbits, every = family_pool(name)
     chosen = data.draw(st.sets(st.sampled_from(range(len(orbits)))))
     family = set(fixed).union(*(orbits[k] for k in chosen))
     toggled = data.draw(
@@ -441,7 +483,12 @@ def test_validation_agrees_with_group_matrix_reference(name, data):
     family ^= toggled
     expected = reference_validation_error(rs, family)
     if expected is None:
-        assert validate_building_set(rs, family).flats == frozenset(family)
+        building = validate_building_set(rs, family)
+        assert building.flats == frozenset(family)
+        assert (
+            building.preserved_diagram_automorphisms,
+            building.contains_every_flat,
+        ) == reference_recorded_facts(rs, family, every)
     else:
         with pytest.raises(expected):
             validate_building_set(rs, family)
