@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import __version__
 from .errors import PnhError
@@ -76,7 +77,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse keeps no state between
+    ``parse_args`` calls, each of which fills a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="pnh",
         description="Exact-arithmetic permutonestohedra: construction, "

@@ -25,6 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     MissingV,
@@ -33,14 +34,7 @@ from .errors import (
     TooManyFlats,
     VerificationFailed,
 )
-from .linalg import (
-    Echelon,
-    mat_vec,
-    primitive_vector,
-    solve_columns,
-    vdot,
-    vsub,
-)
+from .linalg import Echelon, int_mat_vec, primitive_vector, solve_columns
 from .roots import RootSystem, diagram_automorphisms
 
 DEFAULT_FLAT_CAP = 2**20
@@ -167,12 +161,21 @@ def simple_index_set(rs: RootSystem, flat: Flat) -> int | None:
     return mask if mask.bit_count() == flat.dim else None
 
 
-class FlatData(namedtuple("FlatData", "flat pi delta_perp gram_delta_perp ratio")):
-    """Half-sum of the roots of a flat and the complementary part of delta,
-    with Gram times delta_perp as a primitive integer row and a positive
-    ratio: (x, delta_perp) = ratio * dot(gram_delta_perp, x)."""
+class FlatData(namedtuple("FlatData", "flat pi2 delta_perp2 gram_delta_perp ratio")):
+    """Twice the half-sum pi of the roots of a flat and twice the complementary
+    part delta_perp of delta, as integer vectors, with Gram times delta_perp
+    as a primitive integer row and a positive ratio:
+    (x, delta_perp) = ratio * dot(gram_delta_perp, x)."""
 
     __slots__ = ()
+
+    @property
+    def pi(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, 2) for c in self.pi2)
+
+    @property
+    def delta_perp(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, 2) for c in self.delta_perp2)
 
 
 def flat_data(rs: RootSystem, flat: Flat) -> FlatData:
@@ -181,41 +184,38 @@ def flat_data(rs: RootSystem, flat: Flat) -> FlatData:
     For the whole space the convention is pi = delta_perp = delta.  The
     computed data is checked: delta_perp vanishes against every root of the
     flat, and its weight-basis coefficients off the flat's simple indices
-    are >= 1.
+    are >= 1.  Both are read off row = int_gram (2 delta_perp), which is
+    2 gram_scale Gram delta_perp.
     """
-    n = rs.rank
-    half = Fraction(1, 2)
-    pi = tuple(
-        sum(rs.positive_roots[i][c] for i in flat.indices()) * half
-        for c in range(n)
-    )
-    if flat.dim == n:
-        if pi != rs.delta:
+    roots = [rs.positive_roots[i] for i in flat.indices()]
+    pi2 = tuple(map(sum, zip(*roots)))
+    if flat.dim == rs.rank:
+        if pi2 != rs.delta2:
             raise VerificationFailed("half-sum over the whole space is not delta")
-        dperp = pi
-        row = mat_vec(rs.gram, pi)
+        dperp2 = pi2
+        row = int_mat_vec(rs.int_gram, pi2)
     else:
-        dperp = vsub(rs.delta, pi)
-        row = mat_vec(rs.gram, dperp)
-        for i in flat.indices():
-            if vdot(row, rs.positive_roots[i]) != 0:
-                raise VerificationFailed(
-                    f"delta_perp not orthogonal to flat {flat.describe(rs)}"
-                )
-        # omega_coefficients, read off the row: 2 (dperp, alpha_s) / (alpha_s, alpha_s)
-        coeffs = [2 * row[s] / rs.gram[s][s] for s in range(n)]
+        dperp2 = tuple([d - p for d, p in zip(rs.delta2, pi2)])
+        row = int_mat_vec(rs.int_gram, dperp2)
+        if any(sum(map(mul, row, r)) for r in roots):
+            raise VerificationFailed(
+                f"delta_perp not orthogonal to flat {flat.describe(rs)}"
+            )
+        # weight coefficient s = 2 (dperp, alpha_s) / (alpha_s, alpha_s)
+        #                      = row[s] / int_gram[s][s]
         simple_mask = simple_index_set(rs, flat)
-        for s in range(n) if simple_mask is not None else ():
+        for s in range(rs.rank) if simple_mask is not None else ():
             inside = simple_mask >> s & 1
-            if inside and coeffs[s] != 0:
+            if inside and row[s] != 0:
                 raise VerificationFailed("delta_perp has weight on its own flat")
-            if not inside and coeffs[s] < 1:
+            if not inside and row[s] < rs.int_gram[s][s]:
                 raise VerificationFailed(
                     "delta_perp weight-coefficient below 1 off the flat"
                 )
     prim = primitive_vector(row)
-    ratio = next(Fraction(x) / p for p, x in zip(prim, row) if p)
-    return FlatData(flat, pi, dperp, prim, ratio)
+    k = next(k for k, p in enumerate(prim) if p)
+    ratio = Fraction(row[k], 2 * rs.gram_scale * prim[k])
+    return FlatData(flat, pi2, dperp2, prim, ratio)
 
 
 class BuildingSet:

@@ -17,8 +17,9 @@ of the standard parabolic W_J, and ``all_halfspaces`` enumerates each orbit
 by those cosets, one Coxeter step from an earlier coset's primitive
 integer normal.  A ``HalfSpace`` stores that integer form, (x, prim) <= bound,
 and one exact ratio per orbit that gives back the ``Fraction`` normal and
-offset of the statement above; ``fundamental_halfspaces`` is the one place
-that turns a ``Fraction`` normal into it.  The positive list
+offset of the statement above; ``fundamental_halfspaces`` makes it from
+each normal doubled to an integer vector, 2 delta - sum 2 pi, so the ratio
+is half its gcd.  The positive list
 eps_1 < ... < eps_n = a must grow fast enough relative to the ratio table
 below for the construction to close up; ``suitable_list`` builds such a
 list and ``verify_epsilon_lemma`` checks the required inequalities
@@ -39,7 +40,7 @@ from .flats import (
     iter_bits,
     simple_index_set,
 )
-from .linalg import Vec, primitive_vector, vsub
+from .linalg import Vec, int_mat_vec, primitive_vector, vsub
 from .weyl import WeylGroup, standard_parabolic
 
 
@@ -60,21 +61,24 @@ class RatioTable:
 
 
 def ratio_table(building: BuildingSet) -> RatioTable:
+    """The ratios read off 2 pi, whose factors of 2 cancel: each is
+    compared as a pair of integers and made a Fraction once per key."""
     data = building.fund_data
-    stats: dict[Flat, tuple[Fraction, Fraction]] = {}
+    stats: dict[Flat, tuple[int, int]] = {}
     for f in building.fund:
-        support = [c for c in data[f].pi if c != 0]
-        stats[f] = (max(data[f].pi), min(support))
-    per_dim: dict[tuple[int, int], Fraction] = {}
+        pi2 = data[f].pi2
+        stats[f] = (max(pi2), min(c for c in pi2 if c))
+    per_dim: dict[tuple[int, int], tuple[int, int]] = {}
     for a in building.fund:
         for b in building.fund:
-            if b.dim >= a.dim or not a.contains(b) or a == b:
+            if b.dim >= a.dim or not a.contains(b):
                 continue
-            r = stats[a][0] / stats[b][1]
+            top, bottom = stats[a][0], stats[b][1]
             key = (a.dim, b.dim)
-            if key not in per_dim or per_dim[key] < r:
-                per_dim[key] = r
-    return RatioTable(per_dim)
+            best = per_dim.get(key)
+            if best is None or best[0] * bottom < top * best[1]:
+                per_dim[key] = (top, bottom)
+    return RatioTable({key: Fraction(*r) for key, r in per_dim.items()})
 
 
 class SuitableList(namedtuple("SuitableList", "a eps")):
@@ -170,15 +174,20 @@ def verify_epsilon_lemma(
     table = ratio_table(building)
     checked = 0
     violations = []
+    # the bound depends only on dim B and the multiset of the parts' dimensions
+    bounds: dict[tuple, tuple[Fraction, bool]] = {}
     for b in building.fund:
         mask = building.fund_index_sets[b]
+        eps_b = suitable.for_dim(b.dim)
         for parts in _decompositions(building, mask):
             checked += 1
-            bound = sum(
-                table.ratio(b.dim, p.dim) * suitable.for_dim(p.dim) for p in parts
-            )
-            if suitable.for_dim(b.dim) <= bound:
-                violations.append((b, parts, suitable.for_dim(b.dim), bound))
+            key = (b.dim, *sorted([p.dim for p in parts]))
+            got = bounds.get(key)
+            if got is None:
+                bound = sum(table.ratio(b.dim, d) * suitable.for_dim(d) for d in key[1:])
+                got = bounds[key] = bound, eps_b <= bound
+            if got[1]:
+                violations.append((b, parts, eps_b, got[0]))
     report = LemmaReport(checked, violations)
     if violations and raise_on_violation:
         b, parts, eps_b, bound = violations[0]
@@ -219,10 +228,12 @@ class HalfSpace(namedtuple("HalfSpace", "prim bound ratio kind flat sigma_id")):
         return self.prim, self.bound
 
 
-def _fundamental(normal: Vec, offset, kind: str, flat: Flat) -> HalfSpace:
-    """(x, normal) <= offset in the stored form, at the identity."""
-    prim = primitive_vector(normal)
-    ratio = next(Fraction(x) / p for p, x in zip(prim, normal) if p)
+def _fundamental(normal2: Vec, offset, kind: str, flat: Flat) -> HalfSpace:
+    """(x, normal2 / 2) <= offset in the stored form, at the identity, for
+    an integer vector ``normal2``: the ratio is half its gcd."""
+    prim = primitive_vector(normal2)
+    k = next(k for k, p in enumerate(prim) if p)
+    ratio = Fraction(normal2[k] // prim[k], 2)
     return HalfSpace(prim, offset / ratio, ratio, kind, flat, 0)
 
 
@@ -232,13 +243,13 @@ def fundamental_halfspaces(
     """The defining inequalities attached to the fundamental chamber."""
     rs = building.rs
     data = building.fund_data
-    out = [_fundamental(rs.delta, suitable.a, "chamber", building.V)]
+    out = [_fundamental(rs.delta2, suitable.a, "chamber", building.V)]
     fund_members = set(building.fund)
     for f in building.fund:
         if f == building.V:
             continue
         offset = suitable.a - suitable.for_dim(f.dim)
-        out.append(_fundamental(data[f].delta_perp, offset, "member", f))
+        out.append(_fundamental(data[f].delta_perp2, offset, "member", f))
     for b in fundamental_flats(rs):
         if b in fund_members:
             continue
@@ -247,17 +258,18 @@ def fundamental_halfspaces(
         for p, q in combinations(parts, 2):
             if not orthogonal_flats(rs, p, q):
                 raise NotBuilding("decomposition members are not pairwise orthogonal")
-        normal = rs.delta
+        normal2 = rs.delta2
         offset = suitable.a
         for p in parts:
-            normal = vsub(normal, data[p].pi)
+            normal2 = vsub(normal2, data[p].pi2)
             offset -= suitable.for_dim(p.dim)
-        coeffs = rs.omega_coefficients(normal)
+        # the weight coefficient of s has the sign of row[s]
+        row = int_mat_vec(rs.int_gram, normal2)
         for s in range(rs.rank):
             inside = mask >> s & 1
-            if inside and coeffs[s] != 0:
+            if inside and row[s] != 0:
                 raise VerificationFailed("nonmember normal has weight on its flat")
-            if not inside and coeffs[s] <= 0:
+            if not inside and row[s] <= 0:
                 raise VerificationFailed(
                     "nonmember normal has nonpositive weight off its flat"
                 )
@@ -265,7 +277,7 @@ def fundamental_halfspaces(
             raise VerificationFailed(
                 f"nonpositive offset {offset} for nonmember {b.describe(rs)}"
             )
-        out.append(_fundamental(normal, offset, "nonmember", b))
+        out.append(_fundamental(normal2, offset, "nonmember", b))
     return out
 
 

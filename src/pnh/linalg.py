@@ -150,13 +150,15 @@ def solve_columns(a: Sequence[Sequence], bs: Sequence[Sequence]) -> list[Vec]:
     return [tuple([Fraction(v, det) for v in y]) for y in ys]
 
 
-def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[Vec, int]:
-    """(y, d) with a @ y = d * b, for a square integer matrix ``a``: d is its
-    determinant, nonzero, so y / d solves a @ x = b; no Fraction is made.
+def solve_integer(
+    a: Sequence[Sequence[int]], bs: Sequence[Sequence[int]]
+) -> tuple[list[Vec], int]:
+    """(ys, d) with a @ y = d * b for each b in ``bs`` and its y, for a square
+    integer matrix ``a``: d is its determinant up to sign, nonzero, so y / d
+    solves a @ x = b; one elimination pass, and no Fraction is made.
     Raises SingularSystem when ``a`` is not invertible."""
-    n = len(a)
-    ys, det = _eliminate([tuple(row) + (v,) for row, v in zip(a, b)], n, 1)
-    return ys[0], det
+    rows = [tuple(row) + tuple(b[i] for b in bs) for i, row in enumerate(a)]
+    return _eliminate(rows, len(a), len(bs))
 
 
 def _eliminate(rows: list[tuple[int, ...]], n: int, k: int) -> tuple[list, int]:

@@ -100,9 +100,9 @@ def _chamber_solve(
     data = building.fund_data
     rows = (building.V,) + members
     unit = lcm(*(rhs[f].denominator for f in rows))
-    y, det = solve_integer(
+    (y,), det = solve_integer(
         [data[f].gram_delta_perp for f in rows],
-        [rhs[f].numerator * (unit // rhs[f].denominator) for f in rows],
+        [[rhs[f].numerator * (unit // rhs[f].denominator) for f in rows]],
     )
     d = det * unit
     g = gcd(d, *y) * (1 if d > 0 else -1)

@@ -9,7 +9,8 @@ roots then have squared length 4 in types B and C).
 ``RootSystem.from_gram`` builds the system spanned by an arbitrary base of
 simple roots (used for sub-root-systems cut out by flats); such systems
 skip the type-specific normalisation checks but satisfy all structural
-ones.
+ones.  The checks run on ``int_gram``, 2 delta and each 2 omega_i; ``gram``,
+``delta`` and ``weights`` are made in Fractions on first use.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import GroupTooLarge, UnsupportedType
-from .linalg import Mat, Vec, int_mat_vec, mat_vec, rank, solve_columns, vdot
+from .linalg import Mat, Vec, int_mat_vec, rank, solve_integer, vdot
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
@@ -96,7 +98,7 @@ def _expected_positive_count(letter: str, m: int) -> int:
 
 
 def _reflect_simple(cartan, i: int, x: tuple) -> tuple:
-    c = sum(cartan[i][j] * x[j] for j in range(len(x)))
+    c = sum(map(mul, cartan[i], x))
     if c == 0:
         return x
     return x[:i] + (x[i] - c,) + x[i + 1 :]
@@ -112,22 +114,20 @@ class RootSystem:
     """Immutable root-system data: Gram, Cartan, positive roots, weights."""
 
     def __init__(self, gram: Mat, components: tuple[tuple[str, int], ...] | None):
-        self.gram: Mat = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        # the Gram matrix scaled to integers: int_gram = gram_scale * gram
-        self.gram_scale = math.lcm(*(x.denominator for row in self.gram for x in row))
+        # the Gram matrix scaled to integers: int_gram = gram_scale * gram, with
+        # int and Fraction entries read through their numerator and denominator
+        scale = self.gram_scale = math.lcm(*(x.denominator for row in gram for x in row))
         self.int_gram = tuple(
-            tuple(int(x * self.gram_scale) for x in row) for row in self.gram
+            tuple(x.numerator * (scale // x.denominator) for x in row) for row in gram
         )
         self.components = components
         self.rank = len(gram)
         self.cartan = self._cartan()
         self.positive_roots = self._enumerate_positive_roots()
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
-        self.weights = self._fundamental_weights()
-        self.delta = tuple(
-            sum(r[i] for r in self.positive_roots) / Fraction(2)
-            for i in range(self.rank)
-        )
+        # 2 delta, the sum of the positive roots
+        self.delta2 = tuple(map(sum, zip(*self.positive_roots)))
+        self.weights2 = self._fundamental_weights()
         self._check()
         self.supports = tuple(
             sum(1 << j for j, c in enumerate(r) if c) for r in self.positive_roots
@@ -152,22 +152,18 @@ class RootSystem:
 
     @classmethod
     def from_gram(cls, gram) -> "RootSystem":
+        """The system of a Gram matrix of int and Fraction entries."""
         return cls(tuple(tuple(row) for row in gram), None)
 
     def _cartan(self):
-        n = self.rank
         cartan = []
-        for i in range(n):
-            d = self.gram[i][i]
+        for i, g in enumerate(self.int_gram):
+            d = g[i]
             if d <= 0:
                 raise UnsupportedType("Gram matrix is not positive on the diagonal")
-            row = []
-            for j in range(n):
-                c = 2 * self.gram[i][j] / d
-                if c.denominator != 1:
-                    raise UnsupportedType("Gram matrix is not crystallographic")
-                row.append(int(c))
-            cartan.append(tuple(row))
+            if any(2 * x % d for x in g):
+                raise UnsupportedType("Gram matrix is not crystallographic")
+            cartan.append(tuple([2 * x // d for x in g]))
         return tuple(cartan)
 
     def _enumerate_positive_roots(self):
@@ -191,13 +187,28 @@ class RootSystem:
         )
         return tuple(simple) + tuple(rest)
 
-    def _fundamental_weights(self):
-        targets = []
-        for i in range(self.rank):
-            col = [Fraction(0)] * self.rank
-            col[i] = self.gram[i][i] / Fraction(2)
-            targets.append(tuple(col))
-        return tuple(solve_columns(self.gram, targets))
+    def _fundamental_weights(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(ys, d) with 2 omega_i = ys[i] / d, from one integer solve of
+        int_gram ys[i] = d int_gram[i][i] e_i."""
+        g, n = self.int_gram, self.rank
+        targets = [[g[i][i] if j == i else 0 for j in range(n)] for i in range(n)]
+        ys, d = solve_integer(g, targets)
+        return tuple(ys), d
+
+    @cached_property
+    def gram(self) -> Mat:
+        """The Gram matrix in Fractions, as the JSON and the OFF export read it."""
+        s = self.gram_scale
+        return tuple(tuple(Fraction(x, s) for x in row) for row in self.int_gram)
+
+    @cached_property
+    def delta(self) -> Vec:
+        return tuple(Fraction(c, 2) for c in self.delta2)
+
+    @cached_property
+    def weights(self) -> tuple[Vec, ...]:
+        ys, d = self.weights2
+        return tuple(tuple(Fraction(y, 2 * d) for y in w) for w in ys)
 
     def _simple_reflection_perms(self):
         """For each simple reflection s_i, the permutation of the positive
@@ -233,21 +244,13 @@ class RootSystem:
     # -- inner products ------------------------------------------------
 
     def inner(self, x: Vec, y: Vec):
-        return vdot(mat_vec(self.gram, x), y)
-
-    def omega_coefficients(self, x: Vec) -> Vec:
-        """Coordinates of ``x`` in the fundamental-weight basis.
-
-        Coefficient i equals 2(x, alpha_i)/(alpha_i, alpha_i).
-        """
-        gx = mat_vec(self.gram, x)
-        return tuple(2 * gx[i] / self.gram[i][i] for i in range(self.rank))
+        return Fraction(vdot(int_mat_vec(self.int_gram, x), y), self.gram_scale)
 
     # -- sanity --------------------------------------------------------
 
     def _check(self):
         n = self.rank
-        if rank(self.positive_roots) != n:
+        if rank(self.positive_roots[:n]) != n:
             raise UnsupportedType("simple roots do not span")
         if self.components is not None:
             expected = sum(_expected_positive_count(l, m) for l, m in self.components)
@@ -260,16 +263,15 @@ class RootSystem:
             if not {2 * g} <= set(scaled) <= {2 * g, 4 * g}:
                 lengths = {Fraction(x, g) for x in scaled}
                 raise UnsupportedType(f"unexpected root lengths {lengths}")
-        for i in range(n):
-            coeffs = self.omega_coefficients(self.weights[i])
-            if any(c != (1 if j == i else 0) for j, c in enumerate(coeffs)):
+        # 2 (omega_i, alpha_j) / (alpha_j, alpha_j) = [i == j], cross-multiplied by d
+        ys, d = self.weights2
+        for i, y in enumerate(ys):
+            row = int_mat_vec(self.int_gram, y)
+            if any(c != d * self.int_gram[i][i] * (i == j) for j, c in enumerate(row)):
                 raise UnsupportedType("fundamental weights fail their defining property")
-        if self.delta != tuple(
-            sum(w[i] for w in self.weights) for i in range(n)
-        ):
+        if tuple(map(sum, zip(*ys))) != tuple([d * c for c in self.delta2]):
             raise UnsupportedType("half-sum of positive roots != sum of weights")
-        gd = mat_vec(self.gram, self.delta)
-        if any(c <= 0 for c in gd):
+        if any(c <= 0 for c in int_mat_vec(self.int_gram, self.delta2)):
             raise UnsupportedType("delta is not in the open fundamental chamber")
 
     # -- misc ----------------------------------------------------------
@@ -294,7 +296,7 @@ def diagram_automorphisms(rs: RootSystem) -> list[DiagramAutomorphism]:
     products of many isomorphic components.
     """
     n = rs.rank
-    g = rs.gram
+    g = rs.int_gram
     perms: list[tuple[int, ...]] = []
 
     def extend(partial: list[int], used: set[int]):
@@ -320,10 +322,10 @@ def diagram_automorphisms(rs: RootSystem) -> list[DiagramAutomorphism]:
         matrix = tuple(
             tuple(1 if perm[j] == r else 0 for j in range(n)) for r in range(n)
         )
-        image = {mat_vec(matrix, root) for root in rs.positive_roots}
+        image = {int_mat_vec(matrix, root) for root in rs.positive_roots}
         if image != set(rs.positive_roots):
             raise UnsupportedType("diagram symmetry does not permute positive roots")
-        if mat_vec(matrix, rs.delta) != rs.delta:
+        if int_mat_vec(matrix, rs.delta2) != rs.delta2:
             raise UnsupportedType("diagram symmetry moves delta")
         out.append(DiagramAutomorphism(perm, matrix))
     return out

@@ -16,6 +16,14 @@ chamber nestohedron (``vertex_enumeration``).
 The epsilon lemma's search as it was before its private-mask pruning
 (``decompositions``): it prunes only a member that adds no index, and
 tests each covering family for redundancy at the end.
+
+The set-up in ``Fraction`` arithmetic that the integer one replaced: the
+weights and delta of a ``RootSystem`` with their checks
+(``fraction_weights_and_delta``), ``flat_data`` (``fraction_flat_data``),
+the ratio table (``fraction_ratio_table``) and ``fundamental_halfspaces``
+(``fraction_fundamental_halfspaces``), each read from the Fraction Gram
+matrix; and the epsilon lemma with one bound summed per family
+(``epsilon_lemma_by_family``).
 """
 
 from fractions import Fraction
@@ -23,11 +31,17 @@ from functools import reduce
 from itertools import combinations
 from operator import mul, or_
 
-from pnh.errors import SingularSystem
+from pnh.errors import SingularSystem, UnsupportedType, VerificationFailed
 from pnh.faces import support_masks
-from pnh.flats import BuildingSet, Flat, iter_bits, simple_index_set
-from pnh.halfspaces import SuitableList
-from pnh.linalg import int_mat_vec
+from pnh.flats import (
+    BuildingSet,
+    Flat,
+    fundamental_flats,
+    iter_bits,
+    simple_index_set,
+)
+from pnh.halfspaces import HalfSpace, SuitableList, _decompositions, ratio_table
+from pnh.linalg import int_mat_vec, mat_vec, primitive_vector, solve_columns, vsub
 from pnh.nested import NestedSet, enumerate_maximal_nested_sets
 from pnh.polytope import (
     CheckReport,
@@ -271,3 +285,145 @@ def decompositions(building: BuildingSet, target_mask: int):
 
     extend(0, [], 0)
     return results
+
+
+def fraction_weights_and_delta(rs) -> tuple:
+    """(cartan, weights, delta) of ``rs`` in Fractions from ``rs.gram``,
+    with the checks the root system made on them; raises UnsupportedType."""
+    gram, n = rs.gram, rs.rank
+    cartan = []
+    for i in range(n):
+        d = gram[i][i]
+        if d <= 0:
+            raise UnsupportedType("Gram matrix is not positive on the diagonal")
+        row = [2 * gram[i][j] / d for j in range(n)]
+        if any(c.denominator != 1 for c in row):
+            raise UnsupportedType("Gram matrix is not crystallographic")
+        cartan.append(tuple(int(c) for c in row))
+    targets = [
+        tuple(gram[i][i] / 2 if j == i else Fraction(0) for j in range(n))
+        for i in range(n)
+    ]
+    weights = tuple(solve_columns(gram, targets))
+    delta = tuple(
+        sum(r[i] for r in rs.positive_roots) / Fraction(2) for i in range(n)
+    )
+    for i, w in enumerate(weights):
+        gw = mat_vec(gram, w)
+        if any(2 * gw[j] / gram[j][j] != (j == i) for j in range(n)):
+            raise UnsupportedType("fundamental weights fail their defining property")
+    if delta != tuple(sum(w[i] for w in weights) for i in range(n)):
+        raise UnsupportedType("half-sum of positive roots != sum of weights")
+    if any(c <= 0 for c in mat_vec(gram, delta)):
+        raise UnsupportedType("delta is not in the open fundamental chamber")
+    return tuple(cartan), weights, delta
+
+
+def fraction_flat_data(rs, flat: Flat) -> tuple:
+    """(flat, pi, delta_perp, gram_delta_perp, ratio) of ``flat_data`` in
+    Fractions: pi the half-sum of the flat's roots, delta_perp = delta - pi
+    (delta for the whole space), and the row Gram delta_perp."""
+    n = rs.rank
+    delta = fraction_weights_and_delta(rs)[2]
+    pi = tuple(
+        sum(rs.positive_roots[i][c] for i in flat.indices()) * Fraction(1, 2)
+        for c in range(n)
+    )
+    if flat.dim == n:
+        if pi != delta:
+            raise VerificationFailed("half-sum over the whole space is not delta")
+        dperp = pi
+    else:
+        dperp = vsub(delta, pi)
+    row = mat_vec(rs.gram, dperp)
+    if flat.dim < n:
+        if any(sum(map(mul, row, rs.positive_roots[i])) for i in flat.indices()):
+            raise VerificationFailed(
+                f"delta_perp not orthogonal to flat {flat.describe(rs)}"
+            )
+        coeffs = [2 * row[s] / rs.gram[s][s] for s in range(n)]
+        simple_mask = simple_index_set(rs, flat)
+        for s in range(n) if simple_mask is not None else ():
+            inside = simple_mask >> s & 1
+            if inside and coeffs[s] != 0:
+                raise VerificationFailed("delta_perp has weight on its own flat")
+            if not inside and coeffs[s] < 1:
+                raise VerificationFailed(
+                    "delta_perp weight-coefficient below 1 off the flat"
+                )
+    prim = primitive_vector(row)
+    ratio = next(Fraction(x) / p for p, x in zip(prim, row) if p)
+    return flat, pi, dperp, prim, ratio
+
+
+def fraction_ratio_table(building: BuildingSet) -> dict:
+    """``ratio_table(building).per_dim`` from the Fraction pi of each member."""
+    pis = {f: fraction_flat_data(building.rs, f)[1] for f in building.fund}
+    per_dim: dict = {}
+    for a in building.fund:
+        for b in building.fund:
+            if b.dim < a.dim and a.contains(b):
+                r = max(pis[a]) / min(c for c in pis[b] if c != 0)
+                key = (a.dim, b.dim)
+                if key not in per_dim or per_dim[key] < r:
+                    per_dim[key] = r
+    return per_dim
+
+
+def _fraction_fundamental(normal, offset, kind: str, flat: Flat) -> HalfSpace:
+    prim = primitive_vector(normal)
+    ratio = next(Fraction(x) / p for p, x in zip(prim, normal) if p)
+    return HalfSpace(prim, offset / ratio, ratio, kind, flat, 0)
+
+
+def fraction_fundamental_halfspaces(building: BuildingSet, suitable) -> list:
+    """``fundamental_halfspaces`` from Fraction normals: delta, each member's
+    delta_perp, and delta minus the parts' pi for each non-member, whose
+    weight coefficients are read from the Fraction Gram matrix."""
+    rs = building.rs
+    data = {f: fraction_flat_data(rs, f) for f in building.fund}
+    delta = data[building.V][1]
+    out = [_fraction_fundamental(delta, suitable.a, "chamber", building.V)]
+    for f in building.fund:
+        if f != building.V:
+            offset = suitable.a - suitable.for_dim(f.dim)
+            out.append(_fraction_fundamental(data[f][2], offset, "member", f))
+    for b in fundamental_flats(rs):
+        if b in building.fund:
+            continue
+        mask = simple_index_set(rs, b)
+        normal, offset = delta, suitable.a
+        for p in building.fund_decomposition(mask):
+            normal = vsub(normal, data[p][1])
+            offset -= suitable.for_dim(p.dim)
+        gn = mat_vec(rs.gram, normal)
+        for s in range(rs.rank):
+            coeff = 2 * gn[s] / rs.gram[s][s]
+            if mask >> s & 1 and coeff != 0:
+                raise VerificationFailed("nonmember normal has weight on its flat")
+            if not mask >> s & 1 and coeff <= 0:
+                raise VerificationFailed(
+                    "nonmember normal has nonpositive weight off its flat"
+                )
+        if offset <= 0:
+            raise VerificationFailed(
+                f"nonpositive offset {offset} for nonmember {b.describe(rs)}"
+            )
+        out.append(_fraction_fundamental(normal, offset, "nonmember", b))
+    return out
+
+
+def epsilon_lemma_by_family(building: BuildingSet, suitable) -> tuple:
+    """(checked, violations) of ``verify_epsilon_lemma``, summing each
+    family's bound sum_i R(dim B, dim B_i) eps_{dim B_i} afresh."""
+    table = ratio_table(building)
+    checked, violations = 0, []
+    for b in building.fund:
+        for parts in _decompositions(building, building.fund_index_sets[b]):
+            checked += 1
+            bound = sum(
+                table.ratio(b.dim, p.dim) * suitable.for_dim(p.dim) for p in parts
+            )
+            if suitable.for_dim(b.dim) <= bound:
+                violations.append((b, parts, suitable.for_dim(b.dim), bound))
+    return checked, violations

@@ -154,9 +154,9 @@ def test_solve_integer_is_solve_linear_system_over_its_determinant(system):
         expected = solve_linear_system(a, b)
     except SingularSystem:
         with pytest.raises(SingularSystem):
-            solve_integer(a, b)
+            solve_integer(a, [b])
         return
-    y, d = solve_integer(a, b)
+    (y,), d = solve_integer(a, [b])
     assert d != 0 and all(type(v) is int for v in (*y, d))
     assert tuple(Fraction(v, d) for v in y) == expected
     assert [sum(r * v for r, v in zip(row, y)) for row in a] == [d * v for v in b]

@@ -69,16 +69,6 @@ def test_delta_is_strictly_dominant():
             assert rs.inner(rs.delta, alpha) > 0
 
 
-def test_omega_coefficients_roundtrip():
-    rs = build_root_system("B3")
-    x = (Fraction(1, 2), Fraction(-3), Fraction(7, 5))
-    coeffs = rs.omega_coefficients(x)
-    back = tuple(
-        sum(c * w[i] for c, w in zip(coeffs, rs.weights)) for i in range(3)
-    )
-    assert back == x
-
-
 def test_diagram_automorphism_counts():
     assert len(diagram_automorphisms(build_root_system("A2"))) == 2
     assert len(diagram_automorphisms(build_root_system("A3"))) == 2
