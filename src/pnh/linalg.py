@@ -129,16 +129,6 @@ def rank(vectors: Iterable[Sequence]) -> int:
     return ech.rank
 
 
-def solve_linear_system(a: Sequence[Sequence], b) -> Vec:
-    """Solve the square system a @ x = b exactly.
-
-    ``b`` may be a single right-hand side (returns a vector) — for several
-    right-hand sides see :func:`solve_columns`.  Raises SingularSystem when
-    the coefficient matrix is not invertible.
-    """
-    return solve_columns(a, [b])[0]
-
-
 def solve_columns(a: Sequence[Sequence], bs: Sequence[Sequence]) -> list[Vec]:
     """Solve a @ x = b for each b in ``bs`` with one elimination pass."""
     n = len(a)

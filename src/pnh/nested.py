@@ -6,6 +6,15 @@ space V.  A set is nested when no antichain of two or more members sums to
 a member of the building set.  Because a fundamental flat is determined by
 its set of simple-root indices, all checks here run on index bitmasks.
 
+The listings grow a nested family F one member N at a time, and N may join
+exactly when every member of F is comparable with N or disjoint from it, and
+N is a maximal member inside T, the union of N and the members of F disjoint
+from N (Postnikov, arXiv:math/0507163; Feichtner-Kozlov, Selecta Math. 10,
+2004).  Proof: a bad antichain {N, A_1, ...} has its union, a member, inside
+T and strictly above N.  Conversely, the maximal member of T above N is N
+together with the maximal A's inside it, and those form a bad antichain.
+Geometrically the maximal members inside T are ``fund_decomposition(T)``.
+
 The combinatorial side (ground set + family of index subsets) carries the
 same notion for quotients: those faces factor through set-theoretic data
 only.
@@ -14,10 +23,10 @@ only.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
-from .errors import MissingV, NotBuilding, TooManyNestedSets
+from .errors import NotBuilding, TooManyNestedSets
 from .flats import BuildingSet, Flat, iter_bits
 
 DEFAULT_NESTED_CAP = 200_000
@@ -56,67 +65,20 @@ class NestedSet(namedtuple("NestedSet", "flats")):
         )
 
 
-def _antichain_masks(masks: list[int]) -> list[tuple[int, ...]]:
-    """All sub-collections of pairwise-incomparable index masks, size >= 1."""
-    out = []
-    m = len(masks)
-    for size in range(1, m + 1):
-        for combo in combinations(range(m), size):
-            ok = True
-            for a, b in combinations(combo, 2):
-                x, y = masks[a], masks[b]
-                if x & ~y == 0 or y & ~x == 0:
-                    ok = False
-                    break
-            if ok:
-                out.append(tuple(masks[i] for i in combo))
-    return out
+def _extends(chosen_masks, new_mask: int, maximal_inside) -> bool:
+    """Can the member ``new_mask`` join the nested family ``chosen_masks``?
 
-
-def is_nested(building: BuildingSet, flats) -> bool:
-    """Nestedness test for a set of fundamental flats containing V.
-
-    No antichain of two or more members may sum to a building-set member.
+    Every chosen member must be comparable with it or disjoint from it, and
+    it must be one of ``maximal_inside(T)``, the maximal members inside T =
+    ``new_mask`` together with the chosen members disjoint from it.
     """
-    flats = sorted(set(flats))
-    if building.V not in flats:
-        raise MissingV("nested sets must contain the whole space")
-    masks = []
-    for f in flats:
-        mask = building.fund_index_sets.get(f)
-        if mask is None:
-            raise ValueError(f"{f.describe(building.rs)} is not a fundamental member")
-        if f != building.V:
-            masks.append(mask)
-    for chain in _antichain_masks(masks):
-        if len(chain) < 2:
-            continue
-        union = 0
-        for m in chain:
-            union |= m
-        if building.fund_flat_for_indices(union) is not None:
+    t = new_mask
+    for m in chosen_masks:
+        if not m & new_mask:
+            t |= m
+        elif m & ~new_mask and new_mask & ~m:
             return False
-    return True
-
-
-def _compatible(building: BuildingSet, chosen_masks: list[int], new: int) -> bool:
-    """Can ``new`` extend the nested family with proper masks ``chosen_masks``?
-
-    Only antichains through the new member need checking: the rest were
-    verified when their members were added.
-    """
-    incomparable = [
-        m
-        for m in chosen_masks
-        if m & ~new != 0 and new & ~m != 0
-    ]
-    for sub in _antichain_masks(incomparable):
-        union = new
-        for m in sub:
-            union |= m
-        if building.fund_flat_for_indices(union) is not None:
-            return False
-    return True
+    return new_mask in maximal_inside(t)
 
 
 def enumerate_nested_sets(
@@ -127,16 +89,20 @@ def enumerate_nested_sets(
     Deterministic: members are considered in (dim, bits) order and the
     output is lexicographically sorted by construction.
     """
+    index = building.fund_index_sets
     proper = [f for f in building.fund if f != building.V]
-    masks = [building.fund_index_sets[f] for f in proper]
+    masks = [index[f] for f in proper]
     out: list[NestedSet] = []
+
+    def maximal_inside(t: int) -> list[int]:
+        return [index[f] for f in building.fund_decomposition(t)]
 
     def extend(start: int, flats: list[Flat], chosen: list[int]):
         out.append(NestedSet(tuple(flats) + (building.V,)))
         if len(out) > cap:
             raise TooManyNestedSets(f"nested-set enumeration passed cap {cap}")
         for k in range(start, len(proper)):
-            if _compatible(building, chosen, masks[k]):
+            if _extends(chosen, masks[k], maximal_inside):
                 flats.append(proper[k])
                 chosen.append(masks[k])
                 extend(k + 1, flats, chosen)
@@ -179,47 +145,47 @@ class CombinatorialBuildingSet(
         )
 
     def nested_sets(self) -> list[frozenset[frozenset[int]]]:
-        """Nested sets: contain every maximal member; any two members are
-        comparable or disjoint; no union of an antichain of size >= 2 is a
-        member."""
+        """Nested sets: every maximal member, and members that each join
+        the ones before them by ``_extends``, read as masks over the ground
+        set numbered in sorted order."""
+        bit = {g: 1 << i for i, g in enumerate(sorted(self.ground))}
+
+        def mask(m: frozenset[int]) -> int:
+            return sum(bit[g] for g in m)
+
+        member_masks = [mask(m) for m in self.members]
+
+        @cache
+        def maximal_inside(t: int) -> frozenset[int]:
+            inside = [m for m in member_masks if not m & ~t]
+            return frozenset(
+                m for m in inside if not any(o != m and not m & ~o for o in inside)
+            )
+
         required = frozenset(self.maximal_members())
         optional = sorted(
             (m for m in self.members if m not in required),
             key=lambda m: (len(m), sorted(m)),
         )
+        optional_masks = [mask(m) for m in optional]
         out: list[frozenset[frozenset[int]]] = []
-
-        def ok_with(chosen: list[frozenset[int]], new: frozenset[int]) -> bool:
-            incomparable = []
-            for m in chosen:
-                if m <= new or new <= m:
-                    continue
-                if m & new:
-                    return False
-                incomparable.append(m)
-            for size in range(1, len(incomparable) + 1):
-                for combo in combinations(incomparable, size):
-                    if any(a & b for a, b in combinations(combo, 2)):
-                        continue
-                    union = frozenset().union(new, *combo)
-                    if union in self.members:
-                        return False
-            return True
 
         base = sorted(required, key=lambda m: (len(m), sorted(m)))
         for a, b in combinations(base, 2):
             if a & b:
                 raise NotBuilding("maximal members must be disjoint")
 
-        def extend(start: int, chosen: list[frozenset[int]]):
+        def extend(start: int, chosen: list[frozenset[int]], masks: list[int]):
             out.append(frozenset(chosen) | required)
             for k in range(start, len(optional)):
-                if ok_with(chosen + base, optional[k]):
+                if _extends(masks, optional_masks[k], maximal_inside):
                     chosen.append(optional[k])
-                    extend(k + 1, chosen)
+                    masks.append(optional_masks[k])
+                    extend(k + 1, chosen, masks)
                     chosen.pop()
+                    masks.pop()
 
-        extend(0, [])
+        extend(0, [], [mask(m) for m in base])
         return sorted(out, key=lambda s: (len(s), sorted(sorted(m) for m in s)))
 
 

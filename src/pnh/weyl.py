@@ -177,10 +177,6 @@ class Subgroup(namedtuple("Subgroup", "mask coset cosets reps")):
 
     __slots__ = ()
 
-    @property
-    def member_ids(self) -> tuple[int, ...]:
-        return self.cosets[0]
-
 
 def standard_parabolic(weyl: WeylGroup, mask: int) -> Subgroup:
     """W_J for the simple-index set J given as a bitmask, made once per J."""

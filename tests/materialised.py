@@ -24,6 +24,16 @@ the ratio table (``fraction_ratio_table``) and ``fundamental_halfspaces``
 (``fraction_fundamental_halfspaces``), each read from the Fraction Gram
 matrix; and the epsilon lemma with one bound summed per family
 (``epsilon_lemma_by_family``).
+
+The nestedness test by antichains that ``pnh.nested``'s extension rule
+replaced: ``is_nested``, and the two listings built on it, the oracles of
+``enumerate_nested_sets`` (``antichain_nested_sets``) and of
+``CombinatorialBuildingSet.nested_sets`` (``antichain_combinatorial_nested_sets``).
+Each searches every antichain of incomparable members through the new one.
+
+Two helpers only the tests read: ``solve_linear_system``, the one
+right-hand-side form of ``solve_columns``, and ``member_ids``, the ids of a
+parabolic subgroup's own elements.
 """
 
 from fractions import Fraction
@@ -31,7 +41,12 @@ from functools import reduce
 from itertools import combinations
 from operator import mul, or_
 
-from pnh.errors import SingularSystem, UnsupportedType, VerificationFailed
+from pnh.errors import (
+    MissingV,
+    SingularSystem,
+    UnsupportedType,
+    VerificationFailed,
+)
 from pnh.faces import support_masks
 from pnh.flats import (
     BuildingSet,
@@ -42,7 +57,11 @@ from pnh.flats import (
 )
 from pnh.halfspaces import HalfSpace, SuitableList, _decompositions, ratio_table
 from pnh.linalg import int_mat_vec, mat_vec, primitive_vector, solve_columns, vsub
-from pnh.nested import NestedSet, enumerate_maximal_nested_sets
+from pnh.nested import (
+    CombinatorialBuildingSet,
+    NestedSet,
+    enumerate_maximal_nested_sets,
+)
 from pnh.polytope import (
     CheckReport,
     Incidence,
@@ -427,3 +446,142 @@ def epsilon_lemma_by_family(building: BuildingSet, suitable) -> tuple:
             if suitable.for_dim(b.dim) <= bound:
                 violations.append((b, parts, suitable.for_dim(b.dim), bound))
     return checked, violations
+
+
+def solve_linear_system(a, b):
+    """Solve the square system a @ x = b exactly; SingularSystem when the
+    coefficient matrix is not invertible."""
+    return solve_columns(a, [b])[0]
+
+
+def member_ids(subgroup) -> tuple[int, ...]:
+    """The ids of W_J itself: the identity's coset."""
+    return subgroup.cosets[0]
+
+
+def _antichain_masks(masks: list[int]) -> list[tuple[int, ...]]:
+    """All sub-collections of pairwise-incomparable index masks, size >= 1."""
+    out = []
+    m = len(masks)
+    for size in range(1, m + 1):
+        for combo in combinations(range(m), size):
+            ok = True
+            for a, b in combinations(combo, 2):
+                x, y = masks[a], masks[b]
+                if x & ~y == 0 or y & ~x == 0:
+                    ok = False
+                    break
+            if ok:
+                out.append(tuple(masks[i] for i in combo))
+    return out
+
+
+def is_nested(building: BuildingSet, flats) -> bool:
+    """Nestedness test for a set of fundamental flats containing V.
+
+    No antichain of two or more members may sum to a building-set member.
+    """
+    flats = sorted(set(flats))
+    if building.V not in flats:
+        raise MissingV("nested sets must contain the whole space")
+    masks = []
+    for f in flats:
+        mask = building.fund_index_sets.get(f)
+        if mask is None:
+            raise ValueError(f"{f.describe(building.rs)} is not a fundamental member")
+        if f != building.V:
+            masks.append(mask)
+    for chain in _antichain_masks(masks):
+        if len(chain) < 2:
+            continue
+        union = 0
+        for m in chain:
+            union |= m
+        if building.fund_flat_for_indices(union) is not None:
+            return False
+    return True
+
+
+def _compatible(building: BuildingSet, chosen_masks: list[int], new: int) -> bool:
+    """Can ``new`` extend the nested family with proper masks ``chosen_masks``?
+
+    Only antichains through the new member need checking: the rest were
+    verified when their members were added.
+    """
+    incomparable = [
+        m
+        for m in chosen_masks
+        if m & ~new != 0 and new & ~m != 0
+    ]
+    for sub in _antichain_masks(incomparable):
+        union = new
+        for m in sub:
+            union |= m
+        if building.fund_flat_for_indices(union) is not None:
+            return False
+    return True
+
+
+def antichain_nested_sets(building: BuildingSet) -> list[NestedSet]:
+    """``enumerate_nested_sets`` by the antichain search, in the same
+    depth-first order over the proper members in (dim, bits) order."""
+    proper = [f for f in building.fund if f != building.V]
+    masks = [building.fund_index_sets[f] for f in proper]
+    out: list[NestedSet] = []
+
+    def extend(start: int, flats: list[Flat], chosen: list[int]):
+        out.append(NestedSet(tuple(flats) + (building.V,)))
+        for k in range(start, len(proper)):
+            if _compatible(building, chosen, masks[k]):
+                flats.append(proper[k])
+                chosen.append(masks[k])
+                extend(k + 1, flats, chosen)
+                flats.pop()
+                chosen.pop()
+
+    extend(0, [], [])
+    return out
+
+
+def antichain_combinatorial_nested_sets(
+    cbs: CombinatorialBuildingSet,
+) -> list[frozenset[frozenset[int]]]:
+    """``CombinatorialBuildingSet.nested_sets`` by the antichain search:
+    every maximal member; any two members comparable or disjoint; no union
+    of an antichain of size >= 2 a member."""
+    required = frozenset(cbs.maximal_members())
+    optional = sorted(
+        (m for m in cbs.members if m not in required),
+        key=lambda m: (len(m), sorted(m)),
+    )
+    out: list[frozenset[frozenset[int]]] = []
+
+    def ok_with(chosen: list[frozenset[int]], new: frozenset[int]) -> bool:
+        incomparable = []
+        for m in chosen:
+            if m <= new or new <= m:
+                continue
+            if m & new:
+                return False
+            incomparable.append(m)
+        for size in range(1, len(incomparable) + 1):
+            for combo in combinations(incomparable, size):
+                if any(a & b for a, b in combinations(combo, 2)):
+                    continue
+                union = frozenset().union(new, *combo)
+                if union in cbs.members:
+                    return False
+        return True
+
+    base = sorted(required, key=lambda m: (len(m), sorted(m)))
+
+    def extend(start: int, chosen: list[frozenset[int]]):
+        out.append(frozenset(chosen) | required)
+        for k in range(start, len(optional)):
+            if ok_with(chosen + base, optional[k]):
+                chosen.append(optional[k])
+                extend(k + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    return sorted(out, key=lambda s: (len(s), sorted(sorted(m) for m in s)))

@@ -23,7 +23,7 @@ from pnh.model import Permutonestohedron
 from pnh.roots import build_root_system, diagram_automorphisms
 
 from conftest import make_model, primitive_key
-from materialised import key_positions, support_halfspaces
+from materialised import key_positions, member_ids, support_halfspaces
 
 
 def test_face_enumeration_matches_f_vector(a2, a3_min):
@@ -56,7 +56,7 @@ def test_faces_have_canonical_reps(a2):
     for f in a2.faces:
         sub = ctx.label_subgroup(f.labels)
         assert f.rep == min(
-            (a2.weyl.mul(f.rep, h) for h in sub.member_ids),
+            (a2.weyl.mul(f.rep, h) for h in member_ids(sub)),
             key=lambda g: a2.weyl.elements[g],
         )
 

@@ -25,7 +25,9 @@ from pnh.flats import (
     _component_masks,
 )
 from conftest import generator_root_perms
+from materialised import antichain_nested_sets
 from pnh.linalg import Echelon, int_mat_vec
+from pnh.nested import enumerate_nested_sets
 from pnh.roots import build_root_system, diagram_automorphisms
 from pnh.weyl import enumerate_group
 
@@ -473,7 +475,8 @@ def test_validation_agrees_with_group_matrix_reference(name, data):
     those flats toggled, so that invariant, non-invariant and
     non-decomposing families are all drawn.  An accepted family also
     records the reference's diagram symmetries (D4 has six, triality
-    among them) and maximality flag."""
+    among them) and maximality flag, and lists the nested sets the
+    antichain search lists."""
     rs, fixed, orbits, every = family_pool(name)
     chosen = data.draw(st.sets(st.sampled_from(range(len(orbits)))))
     family = set(fixed).union(*(orbits[k] for k in chosen))
@@ -489,6 +492,7 @@ def test_validation_agrees_with_group_matrix_reference(name, data):
             building.preserved_diagram_automorphisms,
             building.contains_every_flat,
         ) == reference_recorded_facts(rs, family, every)
+        assert enumerate_nested_sets(building) == antichain_nested_sets(building)
     else:
         with pytest.raises(expected):
             validate_building_set(rs, family)

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import materialised
 from conftest import make_model, simple_reflection_matrix
-from materialised import face_vertices_geometric, key_positions, support_halfspaces
+from materialised import (
+    face_vertices_geometric,
+    key_positions,
+    member_ids,
+    support_halfspaces,
+)
 from pnh.errors import EmptyFacet, VerificationFailed
 from pnh.flats import simple_index_set
 from pnh.linalg import identity, int_mat_vec, mat_mul, mat_vec
@@ -40,7 +45,7 @@ def _predictor(model):
     weyl = model.weyl
     members = {
         hs.flat: frozenset(
-            standard_parabolic(weyl, simple_index_set(model.rs, hs.flat)).member_ids
+            member_ids(standard_parabolic(weyl, simple_index_set(model.rs, hs.flat)))
         )
         for hs in model.fundamental_hs
         if hs.kind != "chamber"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from materialised import solve_linear_system
 from pnh.errors import SingularSystem
 from pnh.linalg import (
     Echelon,
@@ -12,7 +13,6 @@ from pnh.linalg import (
     rank,
     solve_columns,
     solve_integer,
-    solve_linear_system,
 )
 
 

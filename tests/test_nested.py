@@ -9,14 +9,36 @@ from pnh.flats import (
     interval_building_set,
     iter_bits,
 )
+from materialised import (
+    antichain_combinatorial_nested_sets,
+    antichain_nested_sets,
+    is_nested,
+)
+from pnh.faces import face_types
 from pnh.nested import (
     CombinatorialBuildingSet,
     enumerate_maximal_nested_sets,
     enumerate_nested_sets,
-    is_nested,
     quotient_building_set,
 )
 from pnh.roots import build_root_system
+
+
+ORACLE_MODELS = [
+    (spec, kind)
+    for spec in (
+        "A3", "B3", "C3", "D4", "A2xB2", "A1^3", "A2xA2", "A4", "B4", "D5",
+        "A5", "A6",
+    )
+    for kind in ("minimal", "maximal")
+] + [("A1^4", "interval")]
+
+
+def _building(spec, kind):
+    if kind == "interval":
+        return interval_building_set(4)
+    builder = build_minimal if kind == "minimal" else build_maximal
+    return builder(build_root_system(spec))
 
 
 def _flats(rs, *index_lists):
@@ -139,3 +161,50 @@ def test_interval_family_gives_catalan_counts():
     assert len(enumerate_maximal_nested_sets(b)) == 5
     b4 = interval_building_set(4)
     assert len(enumerate_maximal_nested_sets(b4)) == 14
+
+
+def _crossing_parts(building, nested_sets):
+    """The distinct label sets of the crossing facets: types (S, L) with S
+    = L + {V}, every proper member labelled."""
+    n = building.rs.rank
+    return sorted({
+        labels
+        for s, labels, dim in face_types(nested_sets, n)
+        if dim == n - 1 and labels and s.flats == labels + (building.V,)
+    })
+
+
+@pytest.mark.parametrize("spec, kind", ORACLE_MODELS)
+def test_listings_equal_the_antichain_search(spec, kind):
+    """Both enumerators list what the antichain search lists, in its order:
+    the geometric one over the fundamental members, the combinatorial one
+    over their index sets and, up to rank 5, over every crossing facet's
+    quotient."""
+    building = _building(spec, kind)
+    expected = antichain_nested_sets(building)
+    assert enumerate_nested_sets(building) == expected
+    comb = to_combinatorial(building)
+    assert comb.nested_sets() == antichain_combinatorial_nested_sets(comb)
+    if building.rs.rank > 5:
+        return
+    parts = _crossing_parts(building, expected)
+    assert parts
+    for labels in parts:
+        quotient = quotient_building_set(building, labels)
+        assert quotient.nested_sets() == antichain_combinatorial_nested_sets(
+            quotient
+        ), labels
+
+
+def test_type_a_totals_are_fubini_and_little_schroeder_numbers():
+    """Every nested set of A_r, V included, is a face of its chamber
+    nestohedron: for the maximal family the (r - 1)-permutohedron, whose
+    faces are the ordered set partitions of r points (Fubini numbers, OEIS
+    A000670); for the minimal family the (r - 1)-associahedron (little
+    Schroeder numbers, OEIS A001003)."""
+    fubini = {3: 13, 4: 75, 5: 541, 6: 4683, 7: 47293}
+    schroeder = {3: 11, 4: 45, 5: 197, 6: 903, 7: 4279, 8: 20793}
+    for builder, totals in ((build_maximal, fubini), (build_minimal, schroeder)):
+        for r, total in totals.items():
+            building = builder(build_root_system(f"A{r}"))
+            assert len(enumerate_nested_sets(building)) == total, (builder, r)
