@@ -214,8 +214,7 @@ def _dispatch(args) -> int:
             code = _run_verification(model, args.verify, sys.stderr)
             if code != 0:
                 return code
-        doc = build_document(model, _job_config(args, verify=args.verify),
-                             lazy_vrep=True)
+        doc = build_document(model, _job_config(args, verify=args.verify))
         _emit(args, json_chunks(doc))
         return 0
     if args.command == "fvector":
@@ -230,8 +229,7 @@ def _dispatch(args) -> int:
         if args.format == "off":
             _emit(args, [off_text(model, precision=args.precision).encode("utf-8")])
         else:
-            doc = build_document(model, _job_config(args, format="json"),
-                                 lazy_vrep=True)
+            doc = build_document(model, _job_config(args, format="json"))
             _emit(args, json_chunks(doc))
         return 0
     if args.command == "poset":

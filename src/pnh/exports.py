@@ -97,14 +97,12 @@ def _common(model: Permutonestohedron, config: dict | None, lists: _IndexLists) 
     }
 
 
-def build_document(
-    model: Permutonestohedron, config: dict | None = None, lazy_vrep: bool = False
-) -> dict:
+def build_document(model: Permutonestohedron, config: dict | None = None) -> dict:
     """The full H/V-representation document for the ``build`` command.
 
-    With ``lazy_vrep`` the ``vrep`` entry is a generator that makes its rows
-    as `json_chunks` asks for them, a slice at a time, so the document's
-    largest list never exists whole."""
+    Its ``vrep`` entry is a generator that makes its rows as `json_chunks`
+    asks for them, a slice at a time, so the document's largest list never
+    exists whole; it can be read once."""
     lists = _IndexLists()
     vrep = model.vrep
     m = len(vrep.max_nested)
@@ -139,7 +137,7 @@ def build_document(
         "a": rat_str(model.suitable.a),
         "epsilons": [rat_str(e) for e in model.suitable.eps],
         "hrep": hrep,
-        "vrep": rows if lazy_vrep else list(rows),
+        "vrep": rows,
     }
 
 
@@ -358,7 +356,11 @@ def building_from_json(rs, doc: dict):
 
 def load_building_set(rs, path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return building_from_json(rs, json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return building_from_json(rs, doc)
 
 
 # -- f-vector table -------------------------------------------------------

@@ -34,7 +34,7 @@ from .errors import (
     TooManyFlats,
     VerificationFailed,
 )
-from .linalg import Echelon, int_mat_vec, primitive_vector, solve_columns
+from .linalg import Echelon, int_mat_vec, primitive_vector
 from .roots import RootSystem, diagram_automorphisms
 
 DEFAULT_FLAT_CAP = 2**20
@@ -237,8 +237,6 @@ class BuildingSet:
         self._fund_decomp_cache: dict[int, tuple[Flat, ...]] = {}
         self.preserved_diagram_automorphisms: tuple = ()
         self.contains_every_flat = False
-        self.sub_index_of: dict[int, int] | None = None
-        self.parent_flat: Flat | None = None
         # the inequality list last acted on, as faces.aut_action_on_halfspaces
         # prepared it
         self.action_keys = None
@@ -406,80 +404,33 @@ def interval_building_set(n: int) -> BuildingSet:
 
 
 def restricted_building_set(building: BuildingSet, flat: Flat) -> BuildingSet:
-    """The induced building set on the root system cut out by ``flat``.
+    """The induced building set on the root system of the member ``flat``.
 
-    Pre: ``flat`` is a member.  The returned building set lives over a new
-    RootSystem whose simple roots are the indecomposable positive roots of
-    the sub-root-system; the attribute ``sub_index_of`` maps the ambient
-    positive root indices of ``flat`` to its own.
+    ``flat`` must be a fundamental member span(alpha_j : j in J), and its
+    root system is then the standard parabolic one, the Gram block of J
+    (Humphreys, *Reflection Groups and Coxeter Groups*, section 1.10): its
+    positive roots are the flat's, in their own order, since both orders
+    sort by (height, coordinates) after the simple roots.  So each member
+    inside keeps its root bitset, renumbered by ``within``.  Raises
+    NotBuilding for a flat that is not a member or not fundamental.
     """
     if flat not in building:
         raise NotBuilding("restriction flat must belong to the building set")
     rs = building.rs
-    sub = _sub_root_system(rs, flat)
-    members = []
-    for g in building.sorted_flats:
-        if flat.contains(g):
-            bits = 0
-            for i in g.indices():
-                bits |= 1 << sub.sub_index_of[i]
-            members.append(Flat(g.dim, bits))
-    out = validate_building_set(sub.system, members, kind=f"{building.kind}-restricted")
-    out.sub_index_of = dict(sub.sub_index_of)
-    out.parent_flat = flat
-    return out
+    mask = simple_index_set(rs, flat)
+    if mask is None:
+        raise NotBuilding(f"{flat.describe(rs)} is not spanned by simple roots")
+    gram = rs.gram
+    simple = list(iter_bits(mask))
+    sub = RootSystem.from_gram([[gram[i][j] for j in simple] for i in simple])
+    members = [within(flat, g) for g in building.sorted_flats if flat.contains(g)]
+    return validate_building_set(sub, members, kind=f"{building.kind}-restricted")
 
 
-class SubRootSystem(namedtuple("SubRootSystem", "system sub_index_of")):
-    __slots__ = ()
-
-
-def _sub_root_system(rs: RootSystem, flat: Flat) -> SubRootSystem:
-    inside = sorted(flat.indices())
-    coord_set = {rs.positive_roots[i] for i in inside}
-    base = []
-    for i in inside:
-        root = rs.positive_roots[i]
-        decomposable = False
-        for j in inside:
-            other = rs.positive_roots[j]
-            residue = tuple(a - b for a, b in zip(root, other))
-            if any(residue) and residue in coord_set:
-                decomposable = True
-                break
-        if not decomposable:
-            base.append(i)
-    if len(base) != flat.dim:
-        raise NotBuilding(
-            f"found {len(base)} indecomposable roots in a dim-{flat.dim} flat"
-        )
-    gram = tuple(
-        tuple(rs.inner(rs.positive_roots[i], rs.positive_roots[j]) for j in base)
-        for i in base
-    )
-    sub = RootSystem.from_gram(gram)
-    if len(sub.positive_roots) != len(inside):
-        raise NotBuilding("sub-root-system size mismatch")
-
-    # Express each ambient root of the flat in the sub-simple basis to get
-    # the index correspondence.  The basis matrix is n x dim; restrict to
-    # dim independent coordinate rows to solve.
-    basis_cols = tuple(zip(*(rs.positive_roots[i] for i in base)))
-    ech_rows: list[int] = []
-    ech = Echelon()
-    for r in range(rs.rank):
-        if ech.add(tuple(basis_cols[r])):
-            ech_rows.append(r)
-    square = tuple(tuple(basis_cols[r]) for r in ech_rows)
-    sub_index_of: dict[int, int] = {}
-    targets = [
-        tuple(rs.positive_roots[i][r] for r in ech_rows) for i in inside
-    ]
-    coords = solve_columns(square, targets)
-    for i, c in zip(inside, coords):
-        key = tuple(c)
-        if any(x.denominator != 1 for x in key):
-            raise NotBuilding("ambient root has non-integral sub-coordinates")
-        key = tuple(int(x) for x in key)
-        sub_index_of[i] = sub.root_index[key]
-    return SubRootSystem(sub, sub_index_of)
+def within(outer: Flat, inner: Flat) -> Flat:
+    """The flat ``inner`` inside ``outer``, each of its roots renumbered by
+    its position among the roots of ``outer``."""
+    bits = 0
+    for i in inner.indices():
+        bits |= 1 << (outer.bits & ((1 << i) - 1)).bit_count()
+    return Flat(inner.dim, bits)

@@ -10,7 +10,7 @@ normalisation costs in hot paths.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -120,24 +120,6 @@ class Echelon:
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
         return True
-
-
-def rank(vectors: Iterable[Sequence]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
-
-
-def solve_columns(a: Sequence[Sequence], bs: Sequence[Sequence]) -> list[Vec]:
-    """Solve a @ x = b for each b in ``bs`` with one elimination pass."""
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("coefficient matrix must be square")
-    rows = [integer_row(tuple(a[i]) + tuple(b[i] for b in bs)) for i in range(n)]
-    ys, det = _eliminate(rows, n, len(bs))
-    return [tuple([Fraction(v, det) for v in y]) for y in ys]
 
 
 def solve_integer(

@@ -28,7 +28,7 @@ from .faces import (
     label_mask,
     list_nested_sets,
 )
-from .flats import BuildingSet, Flat, iter_bits, restricted_building_set
+from .flats import BuildingSet, Flat, iter_bits, restricted_building_set, within
 from .halfspaces import (
     HalfSpace,
     SuitableList,
@@ -364,11 +364,6 @@ class FacetFactorisation(
         restricted = tuple(tuple(m[r][c] for c in simple) for r in simple)
         return sub.weyl.index[restricted]
 
-    def _sub_flat(self, factor_index: int, flat: Flat) -> Flat:
-        sub_building = self.factors[factor_index].building
-        bits = sum(1 << sub_building.sub_index_of[i] for i in flat.indices())
-        return Flat(flat.dim, bits)
-
     def image_of(self, p: FacePair):
         """Image of an interval face in quotient x factors coordinates."""
         model, weyl = self.model, self.model.weyl
@@ -384,9 +379,9 @@ class FacetFactorisation(
         sub_faces = []
         for idx, part in enumerate(self.parts):
             inside = [k for k in p.nested if part.contains(k)]
-            nested = NestedSet(tuple(sorted(self._sub_flat(idx, k) for k in inside)))
+            nested = NestedSet(tuple(sorted(within(part, k) for k in inside)))
             labels = tuple(
-                sorted(self._sub_flat(idx, k) for k in p.labels if part.contains(k))
+                sorted(within(part, k) for k in p.labels if part.contains(k))
             )
             sub_h = self.factors[idx].face_ctx.label_subgroup(labels)
             rep = canonical_coset_rep(self._sub_element(idx, h), sub_h)

@@ -144,24 +144,23 @@ def _coincidences(points) -> tuple[tuple[int, int], ...]:
     return tuple((j, i) for j, i in pairs if j != i)
 
 
-def all_vertices(base: VRep, weyl: WeylGroup, require_distinct: bool = True) -> VRep:
+def all_vertices(base: VRep, weyl: WeylGroup) -> VRep:
     """Orbit of the chamber vertices ``base``; one entry per (sigma, nested) pair.
 
     W acts on the base vertices (``chamber_vertices``) one Coxeter step
     per image (``WeylGroup.orbit``): the images under sigma = tau s_g are
     tau's plus n multiply-adds each, or tau's own tuple where s_g fixes a
-    base vertex.  The images are the stored form (``VRep``).  Pairs mapping
-    to the same point are recorded as coincidences; with
-    ``require_distinct`` (the default, appropriate for suitable lists) any
-    coincidence raises VerificationFailed.
+    base vertex.  The images are the stored form (``VRep``).  Two (sigma,
+    nested) pairs mapping to one point raise VerificationFailed: a suitable
+    list gives distinct vertices.
     """
     vertices = tuple(weyl.orbit(base.vertices))
     coincidences = _coincidences(vertices)
-    if coincidences and require_distinct:
+    if coincidences:
         raise VerificationFailed(
             f"{len(coincidences)} coinciding vertex pairs; eps list unsuitable?"
         )
-    return base._replace(vertices=vertices, coincidences=coincidences, weyl=weyl)
+    return base._replace(vertices=vertices, weyl=weyl)
 
 
 class Incidence:

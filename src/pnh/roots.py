@@ -7,10 +7,12 @@ short roots of every irreducible component have squared length 2 (long
 roots then have squared length 4 in types B and C).
 
 ``RootSystem.from_gram`` builds the system spanned by an arbitrary base of
-simple roots (used for sub-root-systems cut out by flats); such systems
-skip the type-specific normalisation checks but satisfy all structural
-ones.  The checks run on ``int_gram``, 2 delta and each 2 omega_i; ``gram``,
-``delta`` and ``weights`` are made in Fractions on first use.
+simple roots (used for the standard parabolic subsystem of a fundamental
+flat); such systems skip the type-specific normalisation checks but satisfy
+all structural ones, and a Gram matrix that is not symmetric positive
+definite is refused before its roots are walked.  The checks run on
+``int_gram``, 2 delta and each 2 omega_i; ``gram``, ``delta`` and
+``weights`` are made in Fractions on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import GroupTooLarge, UnsupportedType
-from .linalg import Mat, Vec, int_mat_vec, rank, solve_integer, vdot
+from .linalg import Mat, Vec, int_mat_vec, solve_integer, vdot
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
@@ -104,6 +106,25 @@ def _reflect_simple(cartan, i: int, x: tuple) -> tuple:
     return x[:i] + (x[i] - c,) + x[i + 1 :]
 
 
+def _positive_definite(g) -> bool:
+    """Whether the integer matrix ``g``, a tuple of row tuples, is symmetric
+    with every leading principal minor positive (Sylvester): one
+    fraction-free (Bareiss) pass with no row swaps, whose k-th pivot is the
+    k-th leading minor."""
+    if tuple(zip(*g)) != g:
+        return False
+    rows, prev = list(g), 1
+    for k, top in enumerate(rows):  # reads each row after its reduction
+        lead = top[k]
+        if lead <= 0:
+            return False
+        for r in range(k + 1, len(rows)):
+            fac = rows[r][k]
+            rows[r] = [(lead * x - fac * y) // prev for x, y in zip(rows[r], top)]
+        prev = lead
+    return True
+
+
 class DiagramAutomorphism(namedtuple("DiagramAutomorphism", "perm matrix")):
     """A permutation of the simple roots preserving all inner products."""
 
@@ -123,6 +144,9 @@ class RootSystem:
         self.components = components
         self.rank = len(gram)
         self.cartan = self._cartan()
+        if not _positive_definite(self.int_gram):
+            # the root walk below would never end
+            raise UnsupportedType("Gram matrix is not symmetric positive definite")
         self.positive_roots = self._enumerate_positive_roots()
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
         # 2 delta, the sum of the positive roots
@@ -249,9 +273,6 @@ class RootSystem:
     # -- sanity --------------------------------------------------------
 
     def _check(self):
-        n = self.rank
-        if rank(self.positive_roots[:n]) != n:
-            raise UnsupportedType("simple roots do not span")
         if self.components is not None:
             expected = sum(_expected_positive_count(l, m) for l, m in self.components)
             if len(self.positive_roots) != expected:

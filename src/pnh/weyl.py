@@ -23,14 +23,7 @@ from operator import itemgetter, mul
 
 from .errors import GroupTooLarge
 from .flats import iter_bits, simple_index_set
-from .linalg import (
-    Mat,
-    Vec,
-    identity,
-    mat_mul,
-    primitive_vector,
-    solve_columns,
-)
+from .linalg import Mat, Vec, identity, mat_mul, primitive_vector
 
 DEFAULT_GROUP_CAP = 50_000
 
@@ -100,7 +93,7 @@ class WeylGroup:
         self.identity_id = 0
         self.generator_ids = tuple(range(1, n + 1))  # the identity's children
 
-        self._inverse: list[int | None] = [None] * self.order
+        self._inverse: list[int | None] = [0] + [None] * (self.order - 1)
         # per element a, a·ω̂_i numbered in the orbit of ω̂_i for each i, and
         # a's place in the lexicographic order of the matrices; both lazy
         self._weight_images: list[tuple[int, ...]] | None = None
@@ -141,16 +134,12 @@ class WeylGroup:
         return self.index[mat_mul(self.elements[a], self.elements[b])]
 
     def inv(self, a: int) -> int:
+        """a^-1 from a's word: a = parent[a] s_g, so a^-1 = s_g parent[a]^-1;
+        the recursion is at most as deep as the number of positive roots."""
         got = self._inverse[a]
         if got is None:
-            m = self.elements[a]
-            n = self.rs.rank
-            cols = solve_columns(m, [tuple(identity(n)[r]) for r in range(n)])
-            inverse = tuple(
-                tuple(int(cols[c][r]) for c in range(n)) for r in range(n)
-            )
-            got = self.index[inverse]
-            self._inverse[a] = got
+            s_g = self.generator_ids[self.letter[a]]
+            got = self._inverse[a] = self.mul(s_g, self.inv(self.parent[a]))
         return got
 
 

@@ -31,9 +31,17 @@ replaced: ``is_nested``, and the two listings built on it, the oracles of
 ``CombinatorialBuildingSet.nested_sets`` (``antichain_combinatorial_nested_sets``).
 Each searches every antichain of incomparable members through the new one.
 
-Two helpers only the tests read: ``solve_linear_system``, the one
-right-hand-side form of ``solve_columns``, and ``member_ids``, the ids of a
-parabolic subgroup's own elements.
+Helpers only the tests read: ``solve_linear_system``, the one
+right-hand-side form of ``solve_columns``; ``member_ids``, the ids of a
+parabolic subgroup's own elements; ``rank`` and ``solve_columns``, the
+echelon rank and the ``Fraction`` solve of ``pnh.linalg``'s elimination.
+
+The general restriction that the standard parabolic one of
+``pnh.flats.restricted_building_set`` replaced (``general_restriction``),
+which finds the simple roots of any member flat as its indecomposable
+roots and renumbers the flat's roots by a ``Fraction`` solve; and the
+group inverse by a ``Fraction`` solve of the element's matrix
+(``fraction_inverse``), which ``WeylGroup.inv`` replaced by the word.
 """
 
 from fractions import Fraction
@@ -43,6 +51,7 @@ from operator import mul, or_
 
 from pnh.errors import (
     MissingV,
+    NotBuilding,
     SingularSystem,
     UnsupportedType,
     VerificationFailed,
@@ -56,7 +65,16 @@ from pnh.flats import (
     simple_index_set,
 )
 from pnh.halfspaces import HalfSpace, SuitableList, _decompositions, ratio_table
-from pnh.linalg import int_mat_vec, mat_vec, primitive_vector, solve_columns, vsub
+from pnh.linalg import (
+    Echelon,
+    _eliminate,
+    identity,
+    int_mat_vec,
+    integer_row,
+    mat_vec,
+    primitive_vector,
+    vsub,
+)
 from pnh.nested import (
     CombinatorialBuildingSet,
     NestedSet,
@@ -69,6 +87,7 @@ from pnh.polytope import (
     _chamber_rhs,
     _chamber_solve,
 )
+from pnh.roots import RootSystem
 
 
 def key_positions(halfspaces) -> dict:
@@ -457,6 +476,94 @@ def solve_linear_system(a, b):
 def member_ids(subgroup) -> tuple[int, ...]:
     """The ids of W_J itself: the identity's coset."""
     return subgroup.cosets[0]
+
+
+def rank(vectors) -> int:
+    ech = Echelon()
+    for v in vectors:
+        ech.add(v)
+    return ech.rank
+
+
+def solve_columns(a, bs) -> list:
+    """Solve a @ x = b for each b in ``bs`` with one elimination pass."""
+    n = len(a)
+    for row in a:
+        if len(row) != n:
+            raise ValueError("coefficient matrix must be square")
+    rows = [integer_row(tuple(a[i]) + tuple(b[i] for b in bs)) for i in range(n)]
+    ys, det = _eliminate(rows, n, len(bs))
+    return [tuple([Fraction(v, det) for v in y]) for y in ys]
+
+
+def fraction_inverse(weyl, a: int) -> int:
+    """The id of a^-1, its matrix found by solving M x = e_r in Fractions."""
+    n = weyl.rs.rank
+    cols = solve_columns(weyl.elements[a], [identity(n)[r] for r in range(n)])
+    inverse = tuple(tuple(int(cols[c][r]) for c in range(n)) for r in range(n))
+    return weyl.index[inverse]
+
+
+def general_restriction(building: BuildingSet, flat: Flat) -> tuple:
+    """(root system, ambient root index -> own index, renumbered members) of
+    ``building`` restricted to its member ``flat``, which need not be
+    fundamental: the simple roots are the flat's indecomposable positive
+    roots, and each root of the flat is renumbered by solving for its
+    coordinates in them."""
+    rs = building.rs
+    inside = sorted(flat.indices())
+    coord_set = {rs.positive_roots[i] for i in inside}
+    base = []
+    for i in inside:
+        root = rs.positive_roots[i]
+        decomposable = False
+        for j in inside:
+            other = rs.positive_roots[j]
+            residue = tuple(a - b for a, b in zip(root, other))
+            if any(residue) and residue in coord_set:
+                decomposable = True
+                break
+        if not decomposable:
+            base.append(i)
+    if len(base) != flat.dim:
+        raise NotBuilding(
+            f"found {len(base)} indecomposable roots in a dim-{flat.dim} flat"
+        )
+    gram = tuple(
+        tuple(rs.inner(rs.positive_roots[i], rs.positive_roots[j]) for j in base)
+        for i in base
+    )
+    sub = RootSystem.from_gram(gram)
+    if len(sub.positive_roots) != len(inside):
+        raise NotBuilding("sub-root-system size mismatch")
+
+    # Express each ambient root of the flat in the sub-simple basis to get
+    # the index correspondence.  The basis matrix is n x dim; restrict to
+    # dim independent coordinate rows to solve.
+    basis_cols = tuple(zip(*(rs.positive_roots[i] for i in base)))
+    ech_rows: list[int] = []
+    ech = Echelon()
+    for r in range(rs.rank):
+        if ech.add(tuple(basis_cols[r])):
+            ech_rows.append(r)
+    square = tuple(tuple(basis_cols[r]) for r in ech_rows)
+    sub_index_of: dict[int, int] = {}
+    targets = [
+        tuple(rs.positive_roots[i][r] for r in ech_rows) for i in inside
+    ]
+    coords = solve_columns(square, targets)
+    for i, c in zip(inside, coords):
+        key = tuple(c)
+        if any(x.denominator != 1 for x in key):
+            raise NotBuilding("ambient root has non-integral sub-coordinates")
+        key = tuple(int(x) for x in key)
+        sub_index_of[i] = sub.root_index[key]
+    members = frozenset(
+        Flat(g.dim, sum(1 << sub_index_of[i] for i in g.indices()))
+        for g in building.sorted_flats
+        if flat.contains(g)
+    )
+    return sub, sub_index_of, members
 
 
 def _antichain_masks(masks: list[int]) -> list[tuple[int, ...]]:

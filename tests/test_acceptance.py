@@ -11,13 +11,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import make_model
-from materialised import is_nested, solve_linear_system, support_halfspaces
+from materialised import is_nested, rank, solve_linear_system, support_halfspaces
 from pnh.counting import maximal_face_count, minimal_face_count
 from pnh.errors import LemmaViolated
 from pnh.faces import aut_action_on_halfspaces
 from pnh.flats import flat_data
 from pnh.halfspaces import SuitableList, verify_epsilon_lemma
-from pnh.linalg import mat_vec, rank
+from pnh.linalg import mat_vec
 from pnh.polytope import euler_check, verify_hrep_vrep
 from pnh.roots import diagram_automorphisms
 

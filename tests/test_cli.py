@@ -458,6 +458,14 @@ def test_poset_and_off_outputs(tmp_path):
     assert mesh.read_text().startswith("OFF\n")
 
 
+def test_deeply_nested_building_file_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 200_000 + "]" * 200_000)
+    capsys.readouterr()
+    assert run(["verify", "--type", "A2", "--building", f"file:{spec}"]) == 2
+    assert capsys.readouterr().err == f"pnh: error: {spec}: JSON nested too deeply\n"
+
+
 def test_missing_file_is_usage_error():
     assert run(["build", "--type", "A2", "--building", "file:/nonexistent"]) == 2
 

@@ -25,10 +25,10 @@ from pnh.flats import (
     _component_masks,
 )
 from conftest import generator_root_perms
-from materialised import antichain_nested_sets
+from materialised import antichain_nested_sets, general_restriction
 from pnh.linalg import Echelon, int_mat_vec
 from pnh.nested import enumerate_nested_sets
-from pnh.roots import build_root_system, diagram_automorphisms
+from pnh.roots import RootSystem, build_root_system, diagram_automorphisms
 from pnh.weyl import enumerate_group
 
 ORACLE_TYPES = (
@@ -134,10 +134,8 @@ def reference_recorded_facts(rs, family, every):
 def oracle_system(name):
     if name != "B4-restricted":
         return build_root_system(name)
-    # the long-root A3 spanned by a non-fundamental member flat
-    b4 = build_minimal(build_root_system("B4"))
-    flat = next(f for f in b4.sorted_flats if f.dim == 3 and f not in b4.fund)
-    return restricted_building_set(b4, flat).rs
+    # the long-root A3 spanned by a non-fundamental member flat of B4 minimal
+    return RootSystem.from_gram(((4, -2, 0), (-2, 4, -2), (0, -2, 4)))
 
 
 @cache
@@ -296,7 +294,20 @@ def test_restricted_building_set():
     sub = restricted_building_set(b, a2_flat)
     assert len(sub.rs.positive_roots) == 3
     assert len(sub.flats) == 4  # three lines and the plane itself
-    assert sub.parent_flat == a2_flat
+
+
+def test_restriction_refuses_a_member_not_spanned_by_simple_roots():
+    b4 = build_minimal(build_root_system("B4"))
+    flat = next(f for f in b4.sorted_flats if f.dim == 3 and f not in b4.fund)
+    with pytest.raises(NotBuilding, match="is not spanned by simple roots$"):
+        restricted_building_set(b4, flat)
+    # the general restriction reads it as the long-root A3 of oracle_system
+    system = general_restriction(b4, flat)[0]
+    oracle = oracle_system("B4-restricted")
+    assert (system.int_gram, system.positive_roots) == (
+        oracle.int_gram,
+        oracle.positive_roots,
+    )
 
 
 def test_preserved_diagram_automorphisms_recorded():

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from materialised import solve_linear_system
+from materialised import rank, solve_columns, solve_linear_system
 from pnh.errors import SingularSystem
 from pnh.linalg import (
     Echelon,
     integer_row,
     primitive_vector,
-    rank,
-    solve_columns,
     solve_integer,
 )
 

@@ -8,10 +8,12 @@ from pnh.flats import (
     full_flat,
     interval_building_set,
     iter_bits,
+    restricted_building_set,
 )
 from materialised import (
     antichain_combinatorial_nested_sets,
     antichain_nested_sets,
+    general_restriction,
     is_nested,
 )
 from pnh.faces import face_types
@@ -194,6 +196,24 @@ def test_listings_equal_the_antichain_search(spec, kind):
         assert quotient.nested_sets() == antichain_combinatorial_nested_sets(
             quotient
         ), labels
+
+
+@pytest.mark.parametrize("spec, kind", ORACLE_MODELS)
+def test_restriction_equals_the_general_restriction(spec, kind):
+    """On every fundamental member, the restriction by the Gram block of its
+    simple indices has the general restriction's Gram matrix, positive roots
+    and renumbered members, and the general renumbering keeps the order:
+    the k-th root of the flat is root k."""
+    building = _building(spec, kind)
+    for flat in building.fund:
+        got = restricted_building_set(building, flat)
+        system, sub_index_of, members = general_restriction(building, flat)
+        assert got.rs.int_gram == system.int_gram
+        assert got.rs.gram_scale == system.gram_scale
+        assert got.rs.positive_roots == system.positive_roots
+        assert sub_index_of == {i: k for k, i in enumerate(flat.indices())}
+        assert got.flats == members
+        assert got.kind == f"{kind}-restricted"
 
 
 def test_type_a_totals_are_fubini_and_little_schroeder_numbers():

@@ -127,7 +127,6 @@ def test_coinciding_vertices_reported():
     # inside the open chamber, so only the coincidence detector can object
     bad = SuitableList(Fraction(1), (Fraction(1, 4), Fraction(1)))
     base = chamber_vertices(b, bad, enumerate_maximal_nested_sets(b))
-    vrep = all_vertices(base, w, require_distinct=False)
-    assert vrep.coincidences
+    assert base.coincidences
     with pytest.raises(VerificationFailed):
-        all_vertices(base, w, require_distinct=True)
+        all_vertices(base, w)

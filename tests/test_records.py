@@ -5,13 +5,12 @@ from copy import copy
 
 import pytest
 
-from pnh.flats import _sub_root_system
 from pnh.halfspaces import verify_epsilon_lemma
 from pnh.nested import enumerate_nested_sets
 from pnh.roots import diagram_automorphisms
 
 RECORDS = {
-    "Flat", "FlatData", "SubRootSystem", "SuitableList", "LemmaReport",
+    "Flat", "FlatData", "SuitableList", "LemmaReport",
     "HalfSpace", "NestedSet", "CombinatorialBuildingSet",
     "FacePair", "VRep", "CheckReport", "FacetFactorisation",
     "DiagramAutomorphism", "Subgroup",
@@ -42,7 +41,6 @@ def records_of(model):
     member = max(building.fund)
     yield from building.sorted_flats
     yield from building.fund_data.values()
-    yield _sub_root_system(model.rs, member)
     yield model.suitable
     yield verify_epsilon_lemma(building, model.suitable)
     yield from model.halfspaces

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,32 @@ def test_from_gram_without_type_labels():
     assert rs.components is None
     assert len(rs.positive_roots) == 3
     assert rs.type_name() == "rank-2 subsystem"
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [[[2, -2], [-2, 2]], [[2, -3], [-3, 2]], [[2, -1], [0, 2]]],
+    ids=["affine", "indefinite", "non-symmetric"],
+)
+def test_a_gram_matrix_not_positive_definite_is_refused(gram):
+    # each has infinitely many roots, so the root walk would never end: it
+    # runs in a child process, where a regression fails at the timeout
+    # instead of hanging the suite
+    code = (
+        "from pnh.errors import UnsupportedType\n"
+        "from pnh.roots import RootSystem\n"
+        "try:\n"
+        f"    RootSystem.from_gram({gram!r})\n"
+        "except UnsupportedType as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=30,
+    ).stdout
+    assert out == "Gram matrix is not symmetric positive definite\n"
 
 
 def test_root_lengths_read_from_the_integer_gram():

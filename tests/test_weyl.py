@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import generator_root_perms, make_model, simple_reflection_matrix
-from materialised import member_ids
+from materialised import fraction_inverse, member_ids
 from pnh.errors import GroupTooLarge
 from pnh.flats import build_minimal, flat_closure, standard_flat
 from pnh.halfspaces import fundamental_halfspaces
@@ -243,6 +243,18 @@ def test_inverse_and_multiplication():
     a, b = w.generator_ids[0], w.generator_ids[1]
     for g in range(w.order):
         assert w.mul(w.mul(a, g), b) == w.mul(a, w.mul(g, b))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a2", "b2", "a3_min", "a3_max", "a4_min", "b3_min", "b3_max", "a13_min", "d4_min"],
+)
+def test_inverse_by_word_equals_the_fraction_solve(name, request):
+    rs = request.getfixturevalue(name).rs
+    w = enumerate_group(rs)  # a fresh group: no inverse known yet
+    for a in range(w.order):
+        assert w.inv(a) == fraction_inverse(w, a)
+        assert w.mul(a, w.inv(a)) == w.identity_id == 0
 
 
 def test_action_preserves_inner_products():
