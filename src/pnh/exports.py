@@ -410,9 +410,13 @@ def _cholesky(gram) -> list[list[float]]:
     return L
 
 
-def _embed(L, x) -> tuple[float, ...]:
-    n = len(L)
-    return tuple(sum(L[i][j] * float(x[i]) for i in range(n)) for j in range(n))
+def _embed(L, x) -> tuple[float, float, float]:
+    """x (three reals) times the lower Cholesky factor ``L``, each coordinate
+    added as ``sum()`` adds it, from int 0 and left to right; L's zeros add
+    nothing and are left out."""
+    (l00, _, _), (l10, l11, _), (l20, l21, l22) = L
+    x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
+    return 0 + l00 * x0 + l10 * x1 + l20 * x2, 0 + l11 * x1 + l21 * x2, 0 + l22 * x2
 
 
 def off_text(model: Permutonestohedron, precision: int = 12) -> str:
@@ -421,52 +425,48 @@ def off_text(model: Permutonestohedron, precision: int = 12) -> str:
     Vertices are embedded isometrically (Cholesky factor of the inner
     product matrix) and printed as decimals — the one intentionally lossy
     output.  Facet polygons are ordered by angle around each facet's
-    outward normal, so faces are counterclockwise from outside.
-    """
+    outward normal, so faces are counterclockwise from outside.  Sums of
+    three floats are written out in the order ``sum()`` adds them."""
     rs = model.rs
     if rs.rank != 3:
         raise UnsupportedType(f"OFF export needs rank 3, got rank {rs.rank}")
     if precision < 1:
         raise OutOfRange("precision must be a positive digit count")
     L = _cholesky(rs.gram)
-    scale = model.vrep.scale
-    # c / scale is the correctly rounded float of the exact coordinate
-    points = [_embed(L, [c / scale for c in v]) for v in model.vrep.vertices]
-    fvec = model.f_vector
+    d = model.vrep.scale
+    # a / d is the correctly rounded float of the exact coordinate
+    points = [_embed(L, (a / d, b / d, c / d)) for a, b, c in model.vrep.vertices]
+    row = " ".join([f"{{:.{precision}g}}"] * 3).format
     lines = [
         "OFF",
         f"# decimal approximation ({precision} significant digits) of exact",
         "# rational coordinates; use the JSON output for exact values",
-        f"{len(points)} {fvec[2]} {fvec[1]}",
+        f"{len(points)} {model.f_vector[2]} {model.f_vector[1]}",
+        *[row(*p) for p in points],
     ]
-    for p in points:
-        lines.append(" ".join(f"{c:.{precision}g}" for c in p))
-    for half, vert_ids in zip(model.halfspaces, model.facet_sets):
+    for (prim, _, r, *_), vert_ids in zip(model.halfspaces, model.facet_sets):
         ids = sorted(vert_ids)
-        normal = _embed(L, half.normal)
-        nlen = math.sqrt(sum(c * c for c in normal))
-        normal = tuple(c / nlen for c in normal)
-        centroid = tuple(sum(points[i][c] for i in ids) / len(ids) for c in range(3))
-        offsets = [tuple(points[i][c] - centroid[c] for c in range(3)) for i in ids]
-        u = None
-        for d in offsets:
-            dlen = math.sqrt(sum(c * c for c in d))
-            if dlen > 1e-9:
-                u = tuple(c / dlen for c in d)
+        # numerator * p / denominator is float(ratio * p), with no Fraction made
+        nx, ny, nz = _embed(L, [r.numerator * p / r.denominator for p in prim])
+        nlen = math.sqrt(0 + nx * nx + ny * ny + nz * nz)
+        nx, ny, nz = nx / nlen, ny / nlen, nz / nlen
+        polygon = [points[i] for i in ids]
+        cx, cy, cz = [sum(col) / len(ids) for col in zip(*polygon)]
+        for x, y, z in polygon:
+            dx, dy, dz = x - cx, y - cy, z - cz
+            if (dlen := math.sqrt(0 + dx * dx + dy * dy + dz * dz)) > 1e-9:
+                ux, uy, uz = dx / dlen, dy / dlen, dz / dlen
                 break
-        if u is None:
+        else:
             raise OutOfRange("degenerate facet polygon in OFF export")
-        v = (
-            normal[1] * u[2] - normal[2] * u[1],
-            normal[2] * u[0] - normal[0] * u[2],
-            normal[0] * u[1] - normal[1] * u[0],
-        )
-        angle = {
-            i: math.atan2(
-                sum(d[c] * v[c] for c in range(3)), sum(d[c] * u[c] for c in range(3))
+        vx, vy, vz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+        angles = [
+            math.atan2(
+                0 + (x - cx) * vx + (y - cy) * vy + (z - cz) * vz,
+                0 + (x - cx) * ux + (y - cy) * uy + (z - cz) * uz,
             )
-            for i, d in zip(ids, offsets)
-        }
-        ordered = sorted(ids, key=angle.__getitem__)
-        lines.append(f"{len(ordered)} " + " ".join(map(str, ordered)))
+            for x, y, z in polygon
+        ]
+        order = sorted(range(len(ids)), key=angles.__getitem__)
+        lines.append(f"{len(ids)} " + " ".join([str(ids[k]) for k in order]))
     return "\n".join(lines) + "\n"

@@ -146,6 +146,8 @@ def _decompositions(building: BuildingSet, target_mask: int):
         for f, m in building.fund_index_sets.items()
         if m & ~target_mask == 0 and m != target_mask
     )
+    # (position after, member, mask) of each candidate, taken once per target
+    candidates = [(k + 1, f, m) for k, (f, m) in enumerate(candidates)]
     results = []
 
     def extend(start: int, chosen: list, private: list, covered: int):
@@ -153,11 +155,9 @@ def _decompositions(building: BuildingSet, target_mask: int):
         # shrink, so a member adding none, or emptying another's, is redundant for good
         if covered == target_mask and len(chosen) >= 2:
             results.append(tuple(chosen))
-        for k in range(start, len(candidates)):
-            f, m = candidates[k]
-            kept = [p & ~m for p in private] + [m & ~covered]
-            if all(kept):
-                extend(k + 1, chosen + [f], kept, covered | m)
+        for after, f, m in candidates[start:]:
+            if m & ~covered and all(kept := [p & ~m for p in private]):
+                extend(after, chosen + [f], kept + [m & ~covered], covered | m)
 
     extend(0, [], [], 0)
     return results

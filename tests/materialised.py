@@ -42,8 +42,13 @@ which finds the simple roots of any member flat as its indecomposable
 roots and renumbers the flat's roots by a ``Fraction`` solve; and the
 group inverse by a ``Fraction`` solve of the element's matrix
 (``fraction_inverse``), which ``WeylGroup.inv`` replaced by the word.
+
+The OFF mesh as ``pnh.exports.off_text`` made it before its flat float
+pass (``reference_off_text``): each coordinate a ``sum()`` over a
+generator, each normal embedded from its ``Fraction`` coordinates.
 """
 
+import math
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -52,10 +57,12 @@ from operator import mul, or_
 from pnh.errors import (
     MissingV,
     NotBuilding,
+    OutOfRange,
     SingularSystem,
     UnsupportedType,
     VerificationFailed,
 )
+from pnh.exports import _cholesky
 from pnh.faces import support_masks
 from pnh.flats import (
     BuildingSet,
@@ -692,3 +699,65 @@ def antichain_combinatorial_nested_sets(
 
     extend(0, [])
     return sorted(out, key=lambda s: (len(s), sorted(sorted(m) for m in s)))
+
+
+def reference_embed(L, x) -> tuple[float, ...]:
+    n = len(L)
+    return tuple(sum(L[i][j] * float(x[i]) for i in range(n)) for j in range(n))
+
+
+def reference_off_text(model, precision: int = 12) -> str:
+    """OFF mesh for a rank-3 polytope.
+
+    Vertices are embedded isometrically (Cholesky factor of the inner
+    product matrix) and printed as decimals — the one intentionally lossy
+    output.  Facet polygons are ordered by angle around each facet's
+    outward normal, so faces are counterclockwise from outside.
+    """
+    rs = model.rs
+    if rs.rank != 3:
+        raise UnsupportedType(f"OFF export needs rank 3, got rank {rs.rank}")
+    if precision < 1:
+        raise OutOfRange("precision must be a positive digit count")
+    L = _cholesky(rs.gram)
+    scale = model.vrep.scale
+    # c / scale is the correctly rounded float of the exact coordinate
+    points = [reference_embed(L, [c / scale for c in v]) for v in model.vrep.vertices]
+    fvec = model.f_vector
+    lines = [
+        "OFF",
+        f"# decimal approximation ({precision} significant digits) of exact",
+        "# rational coordinates; use the JSON output for exact values",
+        f"{len(points)} {fvec[2]} {fvec[1]}",
+    ]
+    for p in points:
+        lines.append(" ".join(f"{c:.{precision}g}" for c in p))
+    for half, vert_ids in zip(model.halfspaces, model.facet_sets):
+        ids = sorted(vert_ids)
+        normal = reference_embed(L, half.normal)
+        nlen = math.sqrt(sum(c * c for c in normal))
+        normal = tuple(c / nlen for c in normal)
+        centroid = tuple(sum(points[i][c] for i in ids) / len(ids) for c in range(3))
+        offsets = [tuple(points[i][c] - centroid[c] for c in range(3)) for i in ids]
+        u = None
+        for d in offsets:
+            dlen = math.sqrt(sum(c * c for c in d))
+            if dlen > 1e-9:
+                u = tuple(c / dlen for c in d)
+                break
+        if u is None:
+            raise OutOfRange("degenerate facet polygon in OFF export")
+        v = (
+            normal[1] * u[2] - normal[2] * u[1],
+            normal[2] * u[0] - normal[0] * u[2],
+            normal[0] * u[1] - normal[1] * u[0],
+        )
+        angle = {
+            i: math.atan2(
+                sum(d[c] * v[c] for c in range(3)), sum(d[c] * u[c] for c in range(3))
+            )
+            for i, d in zip(ids, offsets)
+        }
+        ordered = sorted(ids, key=angle.__getitem__)
+        lines.append(f"{len(ordered)} " + " ".join(map(str, ordered)))
+    return "\n".join(lines) + "\n"

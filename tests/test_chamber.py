@@ -161,9 +161,12 @@ def test_each_inequality_has_one_image_per_coset_of_its_stabiliser(spec, kind):
             assert (hs.bound, hs.ratio) == (fund.bound, fund.ratio)
 
 
-@pytest.mark.parametrize("spec, kind", MATRIX + [("A5", "maximal")])
+@pytest.mark.parametrize(
+    "spec, kind", MATRIX + [(s, k) for s in ("A5", "A6") for k in ("minimal", "maximal")]
+)
 def test_decompositions_equal_the_unpruned_search(spec, kind):
     # the same families in the same order, for every fundamental member
+    # (A6 maximal has 10,064 of them)
     building = _model(spec, kind).building
     for mask in building.fund_index_sets.values():
         assert _decompositions(building, mask) == materialised.decompositions(

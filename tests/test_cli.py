@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import time
+from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -256,6 +258,41 @@ def test_off_output_is_byte_identical(tmp_path, argv, digest):
     out = tmp_path / "frozen.off"
     assert run(["export", *argv, "--format", "off", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [("A3", "maximal"), ("B3", "maximal"), ("C3", "maximal"), ("A2xA1", "minimal")],
+)
+def test_off_faces_are_counterclockwise_from_outside(tmp_path, spec, kind):
+    # read back from the written mesh in exact arithmetic, with no code of
+    # the exporter: each turn of a face's boundary points away from the
+    # mesh's centroid, as it does counterclockwise seen from outside
+    out = tmp_path / "m.off"
+    assert run(["export", "--type", spec, "--building", kind, "--format", "off",
+                "--output", str(out)]) == 0
+    rows = [line.split() for line in out.read_text().splitlines()[1:]
+            if not line.startswith("#")]
+    nv, nf, _ = map(int, rows[0])
+    points = [tuple(map(Fraction, row)) for row in rows[1:nv + 1]]
+    faces = [list(map(int, row[1:])) for row in rows[nv + 1:]]
+    assert len(faces) == nf
+    assert [int(row[0]) for row in rows[nv + 1:]] == list(map(len, faces))
+    centre = [sum(c) / nv for c in zip(*points)]
+    on = Counter()
+    for face in faces:
+        assert len(set(face)) == len(face) >= 3
+        on.update(face)
+        out_dir = [sum(c) / len(face) - m
+                   for c, m in zip(zip(*(points[i] for i in face)), centre)]
+        for k in range(len(face)):
+            p0, p1, p2 = (points[face[(k + j) % len(face)]] for j in range(3))
+            e = [b - a for a, b in zip(p0, p1)]
+            f = [b - a for a, b in zip(p1, p2)]
+            turn = (e[1] * f[2] - e[2] * f[1], e[2] * f[0] - e[0] * f[2],
+                    e[0] * f[1] - e[1] * f[0])
+            assert sum(t * d for t, d in zip(turn, out_dir)) > 0, (face, k)
+    assert len(on) == nv and min(on.values()) >= 3
 
 
 def test_off_export_of_a_non_polytope_exits_two(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import materialised
 from pnh import exports
 from pnh.errors import NotWInvariant, UnsupportedType
 from pnh.exports import (
@@ -20,8 +21,14 @@ from pnh.exports import (
     rat_str,
     to_json_bytes,
 )
-from pnh.flats import all_flats, interval_building_set, standard_flat
-from pnh.model import Permutonestohedron
+from pnh.flats import (
+    all_flats,
+    build_maximal,
+    build_minimal,
+    interval_building_set,
+    standard_flat,
+)
+from pnh.model import Permutonestohedron, build_model
 from pnh.roots import build_root_system
 
 from conftest import make_model
@@ -481,6 +488,31 @@ def test_off_requires_rank_three(a2, a3_min):
     header, counts = text.splitlines()[0], text.splitlines()[3]
     assert header == "OFF"
     assert counts == "120 74 192"
+
+
+# (type, building, a, epsilons): the rank-3 models the OFF oracle runs on
+_OFF_MATRIX = [
+    (spec, kind, a, None)
+    for spec in ("A3", "B3", "C3", "A2xA1", "B2xA1")
+    for kind in ("minimal", "maximal")
+    for a in ("1", "3/2", "5/2")
+] + [("A1^3", "interval", "1", None), ("A3", "minimal", "1", "1/50,1/3,1")]
+
+
+@pytest.mark.parametrize("spec, kind, a, epsilons", _OFF_MATRIX)
+def test_off_text_equals_the_reference_bytes(spec, kind, a, epsilons):
+    # the flat float pass against the generator sums it replaced
+    if kind == "interval":
+        building = interval_building_set(3)
+    else:
+        builder = build_minimal if kind == "minimal" else build_maximal
+        building = builder(build_root_system(spec))
+    eps = epsilons and [Fraction(e) for e in epsilons.split(",")]
+    model = build_model(building, a=Fraction(a), epsilons=eps)
+    for precision in (1, 6, 12, 17):
+        assert off_text(model, precision) == materialised.reference_off_text(
+            model, precision
+        )
 
 
 def test_off_respects_precision(a3_min):
